@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import BSpline
 
-from .geometry import CurveSample, GeometryError, GeometryKind, center, empirical_norm
+from .geometry import CurveSample, GeometryError, GeometryKind, PackedSample, center, empirical_norm
 
 __all__ = [
     "SplineConfig",
@@ -28,6 +28,7 @@ __all__ = [
     "PenaltyBlock",
     "build_response_basis",
     "curve_design",
+    "sample_design",
     "constraint_matrix",
     "nullspace_transform",
     "tangent_design",
@@ -213,6 +214,15 @@ def curve_design(basis: BSplineBasis, curve: CurveSample, coef_mode: bool = Fals
     return basis.design(curve.grid)
 
 
+def sample_design(basis: BSplineBasis, curves: list[CurveSample], coef_mode: bool = False) -> np.ndarray:
+    """Stacked response design of a whole sample: every curve's ``curve_design``, curve after curve."""
+    if coef_mode:
+        for curve in curves:
+            curve_design(basis, curve, coef_mode=True)  # checks k == basis dim
+        return np.tile(np.eye(basis.dim), (len(curves), 1))
+    return basis.design(np.concatenate([c.grid for c in curves]))
+
+
 @dataclass(frozen=True)
 class PoleCoef:
     """Pole as complex coefficients in the response basis, evaluable anywhere."""
@@ -233,23 +243,22 @@ class PoleCoef:
         return design @ self.coef
 
 
-def center_pole(pole: PoleCoef, sample: list[CurveSample], designs: list[np.ndarray]) -> PoleCoef:
+def center_pole(
+    pole: PoleCoef,
+    sample: list[CurveSample] | PackedSample,
+    designs: list[np.ndarray] | None = None,
+) -> PoleCoef:
     """Recenter pole coefficients so <1, p> = 0 under the product-space inner product.
 
     Uses partition of unity: subtracting a multiple of the all-ones coefficient
-    vector shifts every evaluation by that constant.
+    vector shifts every evaluation by that constant.  ``sample`` is a list of
+    curves with their designs, or a packed sample carrying its design.
     """
-    from .geometry import empirical_inner
-
-    num = 0.0 + 0.0j
-    den = 0.0
-    for curve, B in zip(sample, designs):
-        p_evals = B @ pole.coef
-        ones = B @ np.ones(pole.basis.dim)
-        num += empirical_inner(ones, p_evals, curve.weights)
-        den += empirical_inner(ones, ones, curve.weights).real
-    shift = num / den
-    return PoleCoef(coef=pole.coef - shift * np.ones(pole.basis.dim), basis=pole.basis)
+    packed = sample if isinstance(sample, PackedSample) else PackedSample.of(sample, np.vstack(designs))
+    ones = packed.design @ np.ones(pole.basis.dim)
+    num = np.sum(packed.inner(ones, packed.design @ pole.coef))
+    den = np.sum(packed.inner(ones, ones).real)
+    return PoleCoef(coef=pole.coef - (num / den) * np.ones(pole.basis.dim), basis=pole.basis)
 
 
 @dataclass(frozen=True)
@@ -285,6 +294,12 @@ class TangentTransform:
     def field_coef(self, coefs: np.ndarray) -> np.ndarray:
         """Map tangent coefficients (m,) or (m, ...) to complex basis coefficients."""
         return self.complex_columns @ coefs
+
+    def gram(self, K: np.ndarray) -> np.ndarray:
+        """Tangent Gram Re(Z_c^H K Z_c) of real basis Gram(s) K, shape (m0, m0) or (n, m0, m0)."""
+        Zr, Zi = self.Z[: self.m0], self.Z[self.m0 :]
+        G = Zr.T @ K @ Zr + Zi.T @ K @ Zi
+        return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
 def constraint_matrix(

@@ -33,8 +33,8 @@ from .basis import (
     build_response_basis,
     center_pole,
     constraint_matrix,
-    curve_design,
     nullspace_transform,
+    sample_design,
 )
 from .effects import (
     CovariateMap,
@@ -44,8 +44,6 @@ from .effects import (
     assemble_psi_matrix,
     assemble_psi_vector,
     covariate_design,
-    curve_gram,
-    curve_proj,
     df_to_lambda,
     unvec,
 )
@@ -54,10 +52,8 @@ from .geometry import (
     DegenerateAlignment,
     GeometryError,
     GeometryKind,
+    PackedSample,
     TangentEvals,
-    center,
-    empirical_inner,
-    empirical_norm,
 )
 
 __all__ = [
@@ -152,15 +148,19 @@ class FittedModel:
             c += eff.theta @ eff.cmap.row(x)
         return c
 
+    def predictor_coefs(self, covariates: dict, n: int) -> np.ndarray:
+        """Tangent coefficients (n, m) of the additive predictor for every row of a covariate table."""
+        c = np.zeros((n, self.transform.m))
+        for eff in self.effects:
+            c += eff.cmap.design(covariates, n) @ eff.theta.T
+        return c
+
 
 @dataclass
 class ResidualSet:
     """Transported residuals of a sample at the pole, one TangentEvals per curve."""
 
     residuals: list[TangentEvals]
-
-    def mean_norm(self) -> float:
-        return float(np.mean([r.norm() for r in self.residuals]))
 
 
 @dataclass
@@ -172,158 +172,79 @@ class CvResult:
 
 
 # ---------------------------------------------------------------------------
-# per-curve state
+# a packed sample at one pole
 
 
-class _CurveState:
-    """Cached per-curve quantities: designs, centered values, pole representative."""
+class _PoleSample:
+    """A packed sample seen from one pole: pole representatives and tangent directions.
 
-    __slots__ = ("curve", "w", "B", "y_c", "p_rep", "D", "G", "full_w")
+    Tangent coefficients c (m,) map to basis coefficients Z_c c and through
+    the stacked response design to evaluations, so the per-curve tangent
+    designs D_i = B_i Z_c are never formed.  Without a transform, the tangent
+    space is the null space of the constraints at the pole.
+    """
 
-    def __init__(self, curve: CurveSample, basis: BSplineBasis, coef_mode: bool):
-        self.curve = curve
-        self.w = curve.weights
-        self.full_w = curve.weights.ndim == 2
-        self.B = curve_design(basis, curve, coef_mode)
-        self.y_c = center(curve.values, self.w)
-        self.p_rep: np.ndarray | None = None
-        self.D: np.ndarray | None = None
-        self.G: np.ndarray | None = None
+    def __init__(self, sample: list[CurveSample], packed: PackedSample, pole: PoleCoef, kind: GeometryKind,
+                 transform: TangentTransform | None = None):
+        if transform is None:
+            designs = np.split(packed.design, packed.offsets[1:-1])
+            transform = nullspace_transform(constraint_matrix(sample, pole, kind, designs=designs))
+        self.packed = packed
+        self.pole = pole
+        self.kind = kind
+        self.transform = transform
+        self.Zc = transform.complex_columns
+        self.p_rep = packed.pole_rep(packed.design @ pole.coef, kind)
 
-    def set_pole(self, pole: PoleCoef, kind: GeometryKind, transform: TangentTransform | None):
-        p_evals = self.B @ pole.coef
-        p_c = center(p_evals, self.w)
-        n = empirical_norm(p_c, self.w)
-        if n <= 0:
-            raise DegenerateAlignment(f"curve {self.curve.id!r}: pole degenerate on this grid")
-        self.p_rep = p_c / n if kind is GeometryKind.SHAPE else p_c
-        if transform is not None:
-            self.D = self.B @ transform.complex_columns
-            self.G = curve_gram(self.D, self.w)
+    @classmethod
+    def of(cls, sample: list[CurveSample], pole: PoleCoef, kind: GeometryKind, coef_mode: bool, transform=None):
+        packed = PackedSample.of(sample, sample_design(pole.basis, sample, coef_mode))
+        return cls(sample, packed, pole, kind, transform)
 
-    def _inner(self, a: np.ndarray, b: np.ndarray) -> complex:
-        if self.full_w:
-            return complex(np.conj(a) @ self.w @ b)
-        return complex(np.sum(np.conj(a) * self.w * b))
+    def predictor(self, coefs: np.ndarray) -> np.ndarray:
+        """Packed evaluations D_i c_i of per-curve tangent coefficients (n, m)."""
+        return self.packed.field(coefs @ self.Zc.T)
 
-    def _norm(self, a: np.ndarray) -> float:
-        return float(np.sqrt(max(self._inner(a, a).real, 0.0)))
+    def means(self, coefs: np.ndarray) -> np.ndarray:
+        """Centered representatives of Exp_[p](h_i) (packed)."""
+        return self.packed.exp(self.p_rep, self.predictor(coefs), self.kind, error=FitDiverged)
 
-    def mean_candidate(self, c: np.ndarray, kind: GeometryKind) -> np.ndarray:
-        """Centered representative of Exp_[p](h) for tangent coefficients c."""
-        hv = self.D @ c
-        if kind is GeometryKind.FORM:
-            mu = self.p_rep + hv
-        else:
-            nh = self._norm(hv)
-            if nh >= np.pi - geometry.CUT_LOCUS_TOL:
-                raise FitDiverged(
-                    f"curve {self.curve.id!r}: predictor norm {nh:.4f} beyond the shape cut locus"
-                )
-            mu = np.cos(nh) * self.p_rep + (np.sin(nh) / nh if nh > 1e-12 else 1.0) * hv
-        # tangent constraints hold only on sample average; re-center per curve
-        mu = center(mu, self.w)
-        if kind is GeometryKind.SHAPE:
-            mn = self._norm(mu)
-            if mn <= 0:
-                raise DegenerateAlignment(f"curve {self.curve.id!r}: degenerate mean candidate")
-            mu = mu / mn
-        return mu
-
-    def residual_at(self, c: np.ndarray, kind: GeometryKind) -> tuple[np.ndarray, float]:
-        """Transported residual eps_i at the pole and geodesic distance d_i.
-
-        Computes mu = Exp_[p](h), the local residual Log_[mu]([y]) and its
-        parallel transport to the pole, all on this curve's grid and weights.
-        """
-        mu = self.mean_candidate(c, kind)
-        ip = self._inner(self.y_c, mu)
-        ny = self._norm(self.y_c)
-        nmu = self._norm(mu)
-        if abs(ip) < geometry.ALIGN_TOL * ny * nmu:
-            raise DegenerateAlignment(
-                f"curve {self.curve.id!r}: alignment to the current mean is degenerate"
-            )
-        u = ip / abs(ip)
-        rep = u * self.y_c
-        if kind is GeometryKind.SHAPE:
-            rep = rep / ny
-            c0 = self._inner(mu, rep)
-            resid = rep - c0 * mu
-            rn = self._norm(resid)
-            d = float(np.arctan2(min(rn, 1.0), min(abs(c0), 1.0)))
-            eps_loc = np.zeros_like(rep) if rn <= 0.0 else resid * (d / rn)
-            a = self._inner(mu, self.p_rep).real
-            denom = 1.0 + a
-            if denom < 1e-12:
-                raise GeometryError(f"curve {self.curve.id!r}: antipodal transport in residual step")
-            coep = self._inner(self.p_rep, eps_loc)
-            eps = eps_loc - coep * (mu + self.p_rep) / denom
-        else:
-            eps_loc = rep - mu
-            d = self._norm(eps_loc)
-            np_ = self._norm(self.p_rep)
-            mu_hat = mu / nmu
-            p_hat = self.p_rep / np_
-            a = self._inner(mu_hat, p_hat).real
-            denom = 1.0 + a
-            if denom < 1e-12:
-                raise GeometryError(f"curve {self.curve.id!r}: antipodal transport in residual step")
-            cim = self._inner(p_hat, eps_loc).imag
-            eps = eps_loc - 1j * cim * (mu_hat + p_hat) / denom
+    def residuals(self, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Transported residuals Transp(Log_[mu_i] [y_i]) at the pole, mu_i = Exp_[p](h_i), and distances d_i."""
+        mu = self.means(coefs)
+        eps, d = self.packed.log(mu, self.kind, what="alignment to the current mean is degenerate")
+        eps = self.packed.transport(mu, self.p_rep, eps, self.kind, what="antipodal transport in residual step")
         return eps, d
 
-    def distance_at(self, c: np.ndarray, kind: GeometryKind) -> float:
-        mu = self.mean_candidate(c, kind)
-        ip = self._inner(self.y_c, mu)
-        ny = self._norm(self.y_c)
-        if abs(ip) < geometry.ALIGN_TOL * ny * self._norm(mu):
-            raise DegenerateAlignment(f"curve {self.curve.id!r}: degenerate alignment in risk evaluation")
-        u = ip / abs(ip)
-        rep = u * self.y_c
-        if kind is GeometryKind.SHAPE:
-            rep = rep / ny
-            c0 = min(abs(self._inner(rep, mu)), 1.0)
-            s = self._norm(rep - c0 * mu)
-            return float(np.arctan2(min(s, 1.0), c0))
-        return self._norm(rep - mu)
+    def distances(self, coefs: np.ndarray) -> np.ndarray:
+        mu = self.means(coefs)
+        return self.packed.log(mu, self.kind, what="degenerate alignment in risk evaluation")[1]
+
+    def project(self, eps: np.ndarray) -> np.ndarray:
+        """Projections Re(D_i^H W_i eps_i) onto the tangent directions, (n, m)."""
+        return (self.packed.project(eps) @ np.conj(self.Zc)).real
+
+    def grams(self) -> np.ndarray:
+        """Tangent Gram stack Re(D_i^H W_i D_i), (n, m, m)."""
+        return self.transform.gram(self.packed.design_grams())
 
 
 class _FitContext:
-    """All fixed quantities of one boosting run (pole, designs, learners)."""
+    """Base-learners of one boosting run: covariate designs, penalties, factorized systems."""
 
-    def __init__(
-        self,
-        sample: list[CurveSample],
-        covariates: dict,
-        config: BoostConfig,
-        pole: PoleCoef,
-        kind: GeometryKind,
-        build_learners: bool = True,
-    ):
-        self.kind = kind
-        self.config = config
-        self.pole = pole
-        self.states = [_CurveState(c, pole.basis, config.coef_mode) for c in sample]
-        designs = [s.B for s in self.states]
-        C = constraint_matrix(sample, pole, kind, designs=designs)
-        self.transform = nullspace_transform(C)
-        for s in self.states:
-            s.set_pole(pole, kind, self.transform)
-        self.n = len(sample)
-        self.m = self.transform.m
+    def __init__(self, ps: _PoleSample, covariates: dict, config: BoostConfig):
+        self.ps = ps
+        self.n = ps.packed.n
+        self.m = ps.transform.m
         self.cov_designs: list[np.ndarray] = []
         self.cmaps: list[CovariateMap] = []
         self.penalties: list[KronPenalty] = []
         self.solvers: list = []
         self.psis: list[np.ndarray] = []
-        if not build_learners:
-            return
-
+        grams = ps.grams()
         p_tan = {}
         for tk in ("ridge", "second_diff", "none"):
-            p_tan[tk] = PenaltyBlock.build(pole.basis, self.transform, tk).P_perp
-        grams = [s.G for s in self.states]
+            p_tan[tk] = PenaltyBlock.build(ps.pole.basis, ps.transform, tk).P_perp
         parent_designs: dict[str, np.ndarray] = {}
         for spec in config.effects:
             design, cmap = covariate_design(spec, covariates, self.n, parent_designs)
@@ -362,44 +283,26 @@ class _FitContext:
         return out
 
     def residual_pass(self, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        projs = np.empty((self.n, self.m))
-        dists = np.empty(self.n)
-        for i, s in enumerate(self.states):
-            eps, d = s.residual_at(coefs[i], self.kind)
-            projs[i] = curve_proj(s.D, s.w, eps)
-            dists[i] = d
-        return projs, dists
+        """Projected transported residuals (n, m) and geodesic distances (n,)."""
+        eps, d = self.ps.residuals(coefs)
+        return self.ps.project(eps), d
 
 
 def _penalized_spline_fit(
-    curves: list[CurveSample],
-    targets: list[np.ndarray],
+    packed: PackedSample,
+    targets: np.ndarray,
+    rows: np.ndarray,
     basis: BSplineBasis,
-    designs: list[np.ndarray],
     lam: float = 1e-6,
 ) -> np.ndarray:
-    """Weighted penalized LS fit of pooled evaluations, complex coefficients."""
-    rows = []
-    rhs = []
-    for curve, target, B in zip(curves, targets, designs):
-        w = curve.weights
-        if w.ndim == 2:
-            L = np.linalg.cholesky(w)
-            rows.append(L.T @ B)
-            rhs.append(L.T @ target)
-        else:
-            sw = np.sqrt(w)
-            rows.append(sw[:, None] * B)
-            rhs.append(sw * target)
+    """Weighted penalized LS fit of the packed targets on the selected rows, complex coefficients."""
     D2 = basis.penalty("second_diff")
     # symmetric square root via eigendecomposition; D2 is PSD
     evals, evecs = np.linalg.eigh(D2)
     evals = np.clip(evals, 0.0, None)
     root = evecs * np.sqrt(lam * evals)
-    rows.append(root.T.astype(complex))
-    rhs.append(np.zeros(root.shape[1], dtype=complex))
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
+    A = np.vstack([packed.whiten(packed.design)[rows], root.T.astype(complex)])
+    b = np.concatenate([packed.whiten(targets)[rows], np.zeros(root.shape[1], dtype=complex)])
     coef, *_ = np.linalg.lstsq(A, b, rcond=None)
     return coef
 
@@ -426,59 +329,39 @@ def estimate_pole(
     else:
         pooled_t = np.concatenate([c.grid for c in sample])
         bas = build_response_basis(basis, pooled_t)
-    designs = [curve_design(bas, c, config.coef_mode) for c in sample]
+    packed = PackedSample.of(sample, sample_design(bas, sample, config.coef_mode))
 
-    ref_coef = _penalized_spline_fit([sample[0]], [sample[0].values], bas, [designs[0]])
-    reps = []
-    used_curves = []
-    used_designs = []
-    for curve, B in zip(sample, designs):
-        ref_evals = B @ ref_coef
-        try:
-            rep = geometry.representative(curve, ref_evals, kind)
-        except DegenerateAlignment:
-            warnings.warn(f"curve {curve.id!r}: skipped in preliminary pole (degenerate alignment)", stacklevel=2)
-            continue
-        reps.append(rep.values)
-        used_curves.append(curve)
-        used_designs.append(B)
-    if not used_curves:
+    ref_coef = _penalized_spline_fit(packed, packed.values, packed.seg == 0, bas)
+    u, skipped = packed.align(packed.y_c, packed.center(packed.design @ ref_coef))
+    for i in np.flatnonzero(skipped):
+        warnings.warn(f"curve {sample[i].id!r}: skipped in preliminary pole (degenerate alignment)", stacklevel=2)
+    if skipped.all():
         raise DegenerateAlignment("no curve could be aligned for the preliminary pole")
-    p0_coef = _penalized_spline_fit(used_curves, reps, bas, used_designs)
-    pole0 = center_pole(PoleCoef(coef=p0_coef, basis=bas), sample, designs)
+    reps = u[packed.seg] * packed.y_c
+    if kind is GeometryKind.SHAPE:
+        reps = reps / packed.norm(packed.y_c)[packed.seg]
+    p0_coef = _penalized_spline_fit(packed, reps, ~skipped[packed.seg], bas)
+    pole = center_pole(PoleCoef(coef=p0_coef, basis=bas), packed)
 
     # intercept-only boosting: unpenalized constant tangent effect, step length
     # 1.  Folding Exp_{p0}(h0) back into coefficients uses product-space norms
     # and is only first-order exact for shapes, so the routine restarts at the
     # refined pole until the mean transported residual norm stops decreasing.
-    pole_cfg = BoostConfig(
-        effects=[],
-        step_length=1.0,
-        max_iterations=0,
-        response_basis=bas.cfg,
-        response_penalty=config.response_penalty,
-        coef_mode=config.coef_mode,
-    )
-    pole = pole0
     budget = config.pole_max_iterations
     cond_prev = np.inf
     while budget > 0:
-        ctx = _FitContext(sample, {}, pole_cfg, pole, kind, build_learners=False)
-        h0 = np.zeros(ctx.m)
-        Psi = np.sum([s.G for s in ctx.states], axis=0)
-        G0 = np.mean([s.G for s in ctx.states], axis=0)
+        ps = _PoleSample(sample, packed, pole, kind)
+        grams = ps.grams()
+        Psi = grams.sum(axis=0)
+        G0 = grams.mean(axis=0)
+        h0 = np.zeros(ps.transform.m)
         prev = np.inf
         cond = None
         while budget > 0:
             budget -= 1
-            projs = np.empty((ctx.n, ctx.m))
-            cur = 0.0
-            for i, s in enumerate(ctx.states):
-                eps, _ = s.residual_at(h0, kind)
-                projs[i] = curve_proj(s.D, s.w, eps)
-                cur += s._norm(eps)
-            cur /= ctx.n
-            psi = projs.sum(axis=0)
+            eps, _ = ps.residuals(np.broadcast_to(h0, (packed.n, h0.size)))
+            cur = float(np.mean(packed.norm(eps)))
+            psi = ps.project(eps).sum(axis=0)
             try:
                 step = np.linalg.solve(Psi, psi)
             except np.linalg.LinAlgError:
@@ -493,16 +376,16 @@ def estimate_pole(
 
         if cond is not None and cond <= 1e-10:
             break
-        F = ctx.transform.field_coef(h0)
+        F = ps.transform.field_coef(h0)
         n0 = float(np.sqrt(max(h0 @ G0 @ h0, 0.0)))
         if kind is GeometryKind.FORM:
             coef = pole.coef + F
         else:
             # product-space normalization of the current pole
-            scale = np.sqrt(np.mean([s._norm(center(s.B @ pole.coef, s.w)) ** 2 for s in ctx.states]))
+            scale = np.sqrt(np.mean(packed.norm(packed.center(packed.design @ pole.coef)) ** 2))
             p_hat = pole.coef / scale
             coef = p_hat if n0 < 1e-14 else np.cos(n0) * p_hat + np.sin(n0) * F / n0
-        pole = center_pole(PoleCoef(coef=coef, basis=bas), sample, designs)
+        pole = center_pole(PoleCoef(coef=coef, basis=bas), packed)
         # the coefficient-level fold is only first-order exact for shapes;
         # restart at the refined pole until the condition stops improving
         if n0 < 1e-14 or (np.isfinite(cond_prev) and cond >= 0.5 * cond_prev):
@@ -530,30 +413,17 @@ def boost_fit(
     pole.  With an eval set, also returns the held-out risk per iteration.
     """
     kind = GeometryKind.parse(kind)
-    ctx = _FitContext(sample, covariates, config, pole, kind)
-    eval_states: list[_CurveState] = []
-    eval_designs: list[np.ndarray] = []
-    if eval_sample is not None:
-        eval_states = [_CurveState(c, pole.basis, config.coef_mode) for c in eval_sample]
-        for s in eval_states:
-            s.set_pole(pole, kind, ctx.transform)
-        for cm in ctx.cmaps:
-            eval_designs.append(
-                np.vstack(
-                    [
-                        cm.row({name: eval_covariates[name][i] for name in eval_covariates})
-                        for i in range(len(eval_states))
-                    ]
-                )
-            )
-
+    ctx = _FitContext(_PoleSample.of(sample, pole, kind, config.coef_mode), covariates, config)
     thetas = [np.zeros((ctx.m, cm.m_j)) for cm in ctx.cmaps]
+    if eval_sample is not None:
+        held_out = _PoleSample.of(eval_sample, pole, kind, config.coef_mode, ctx.ps.transform)
+        eval_designs = [cm.design(eval_covariates, len(eval_sample)) for cm in ctx.cmaps]
 
-    def eval_risk() -> float:
-        coefs = np.zeros((len(eval_states), ctx.m))
-        for theta, rows in zip(thetas, eval_designs):
-            coefs += rows @ theta.T
-        return float(np.mean([s.distance_at(coefs[i], kind) ** 2 for i, s in enumerate(eval_states)]))
+        def eval_risk() -> float:
+            coefs = np.zeros((len(eval_sample), ctx.m))
+            for theta, rows in zip(thetas, eval_designs):
+                coefs += rows @ theta.T
+            return float(np.mean(held_out.distances(coefs) ** 2))
 
     projs, dists = ctx.residual_pass(ctx.predictor_coefs(thetas))
     risk_trace = [float(np.mean(dists**2))]
@@ -590,7 +460,7 @@ def boost_fit(
     model = FittedModel(
         kind=kind,
         pole=pole,
-        transform=ctx.transform,
+        transform=ctx.ps.transform,
         effects=effects,
         risk_trace=np.array(risk_trace),
         m_stop=config.max_iterations,
@@ -604,18 +474,21 @@ def boost_fit(
     return model
 
 
+def _model_sample(model: FittedModel, sample: list[CurveSample]) -> _PoleSample:
+    return _PoleSample.of(sample, model.pole, model.kind, model.coef_mode, model.transform)
+
+
 def transported_residuals(model: FittedModel, sample: list[CurveSample], covariates: dict) -> ResidualSet:
     """Transported residuals of a sample under a fitted model."""
-    residuals = []
-    for i, curve in enumerate(sample):
-        state = _CurveState(curve, model.basis, model.coef_mode)
-        state.set_pole(model.pole, model.kind, model.transform)
-        x = {name: covariates[name][i] for name in covariates}
-        eps, _ = state.residual_at(model.predictor_coef(x), model.kind)
-        residuals.append(
-            TangentEvals(grid=curve.grid, values=eps, pole_evals=state.p_rep, kind=model.kind, weights=curve.weights)
-        )
-    return ResidualSet(residuals=residuals)
+    ps = _model_sample(model, sample)
+    eps, _ = ps.residuals(model.predictor_coefs(covariates, len(sample)))
+    cuts = ps.packed.offsets[1:-1]
+    return ResidualSet(
+        residuals=[
+            TangentEvals(grid=c.grid, values=e, pole_evals=p, kind=model.kind, weights=c.weights)
+            for c, e, p in zip(sample, np.split(eps, cuts), np.split(ps.p_rep, cuts))
+        ]
+    )
 
 
 def _cv_fold(args) -> np.ndarray:
@@ -698,65 +571,34 @@ def predict_mean(
     grid = np.asarray(grid, dtype=float)
     if weights is None:
         weights = _weights_for_grid(grid, "gram" if model.coef_mode else model.weight_rule, model.basis)
-    if model.coef_mode:
-        B = np.eye(model.basis.dim)
-    else:
-        B = model.basis.design(grid)
-    w = weights
-    p_evals = B @ model.pole.coef
-    p_c = center(p_evals, w)
-    pn = empirical_norm(p_c, w)
-    if pn <= 0:
-        raise DegenerateAlignment("pole degenerate on the prediction grid")
-    p_rep = p_c / pn if model.kind is GeometryKind.SHAPE else p_c
-    D = B @ model.transform.complex_columns
-    hv = D @ model.predictor_coef(x)
-    if model.kind is GeometryKind.FORM:
-        mu = p_rep + hv
-    else:
-        nh = float(np.sqrt(max(empirical_inner(hv, hv, w).real, 0.0)))
-        if nh >= np.pi - geometry.CUT_LOCUS_TOL:
-            raise GeometryError(f"predictor norm {nh:.4f} beyond the shape cut locus")
-        mu = np.cos(nh) * p_rep + (np.sin(nh) / nh if nh > 1e-12 else 1.0) * hv
-    mu = center(mu, w)
-    if model.kind is GeometryKind.SHAPE:
-        mu = mu / empirical_norm(mu, w)
-    return mu
+    B = np.eye(model.basis.dim) if model.coef_mode else model.basis.design(grid)
+    packed = PackedSample([weights], ["prediction grid"], design=B)
+    p_rep = packed.pole_rep(B @ model.pole.coef, model.kind)
+    h = packed.field(model.transform.field_coef(model.predictor_coef(x))[None, :])
+    return packed.exp(p_rep, h, model.kind)
 
 
 def empirical_risk(model: FittedModel, sample: list[CurveSample], covariates: dict) -> float:
     """Empirical mean squared geodesic distance between sample and fitted means."""
-    total = 0.0
-    for i, curve in enumerate(sample):
-        state = _CurveState(curve, model.basis, model.coef_mode)
-        state.set_pole(model.pole, model.kind, model.transform)
-        x = {name: covariates[name][i] for name in covariates}
-        total += state.distance_at(model.predictor_coef(x), model.kind) ** 2
-    return total / len(sample)
+    d = _model_sample(model, sample).distances(model.predictor_coefs(covariates, len(sample)))
+    return float(np.mean(d**2))
 
 
 def _transport_between_poles(
     vals: np.ndarray,
     from_rep: np.ndarray,
     to_rep: np.ndarray,
-    w: np.ndarray,
+    weights: np.ndarray | PackedSample,
     kind: GeometryKind,
 ) -> np.ndarray:
-    """Align the source pole to the target and transport tangent evaluations."""
-    ip = empirical_inner(from_rep, to_rep, w)
-    if abs(ip) < geometry.ALIGN_TOL:
-        raise DegenerateAlignment("pole alignment degenerate in effect comparison")
-    u = ip / abs(ip)
-    src = u * from_rep
-    vals = u * vals
-    te = TangentEvals(
-        grid=np.arange(vals.size, dtype=float) / max(vals.size - 1, 1),
-        values=vals,
-        pole_evals=src,
-        kind=kind,
-        weights=w,
-    )
-    return geometry.parallel_transport(src, to_rep, te, kind, check=False).values
+    """Align the source pole to the target and transport tangent evaluations.
+
+    ``weights`` are one curve's weights, or the packed sample the arrays belong to.
+    """
+    packed = weights if isinstance(weights, PackedSample) else PackedSample([weights], ["pole"])
+    u, _ = packed.align(from_rep, to_rep, what="pole alignment degenerate in effect comparison")
+    u = u[packed.seg]
+    return packed.transport(u * from_rep, to_rep, u * vals, kind)
 
 
 def rmse_effect(
@@ -778,22 +620,18 @@ def rmse_effect(
     if not idx:
         raise EffectError(f"unknown effect {effect_name!r}")
     eff = model.effects[idx[0]]
-    num = 0.0
-    den = 0.0
-    for i, curve in enumerate(sample):
-        state = _CurveState(curve, model.basis, model.coef_mode)
-        state.set_pole(model.pole, model.kind, model.transform)
-        x = {name: covariates[name][i] for name in covariates}
-        coef = eff.theta @ eff.cmap.row(x)
-        vals = state.D @ coef
-        if true_pole_evals is not None:
-            target = center(np.asarray(true_pole_evals[i], dtype=complex), curve.weights)
-            if model.kind is GeometryKind.SHAPE:
-                target = target / empirical_norm(target, curve.weights)
-            vals = _transport_between_poles(vals, state.p_rep, target, curve.weights, model.kind)
-        diff = vals - true_effect_evals[i]
-        num += empirical_inner(diff, diff, curve.weights).real
-        den += empirical_inner(true_total_evals[i], true_total_evals[i], curve.weights).real
+    ps = _model_sample(model, sample)
+    packed = ps.packed
+    vals = ps.predictor(eff.cmap.design(covariates, len(sample)) @ eff.theta.T)
+    if true_pole_evals is not None:
+        target = packed.center(np.concatenate(true_pole_evals).astype(complex))
+        if model.kind is GeometryKind.SHAPE:
+            target = target / packed.norm(target)[packed.seg]
+        vals = _transport_between_poles(vals, ps.p_rep, target, packed, model.kind)
+    diff = vals - np.concatenate(true_effect_evals)
+    total = np.concatenate(true_total_evals)
+    num = float(np.sum(packed.inner(diff, diff).real))
+    den = float(np.sum(packed.inner(total, total).real))
     if den <= 0:
         raise EffectError("true predictor has zero variance; rMSE undefined")
     return num / den

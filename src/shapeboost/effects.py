@@ -131,9 +131,13 @@ def _get_column(table: dict, name: str, n: int) -> np.ndarray:
 def _numeric_column(table: dict, name: str, n: int) -> np.ndarray:
     col = _get_column(table, name, n)
     try:
-        return col.astype(float)
+        values = col.astype(float)
     except ValueError:
         raise EffectError(f"covariate column {name!r} must be numeric") from None
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise EffectError(f"covariate column {name!r}: non-finite value {col[bad[0]]!r} in curve row {bad[0]}")
+    return values
 
 
 @dataclass
@@ -383,14 +387,17 @@ def curve_proj(D: np.ndarray, weights: np.ndarray, eps: np.ndarray) -> np.ndarra
     return (np.conj(D.T) @ (weights * eps)).real
 
 
-def assemble_psi_matrix(cov_design: np.ndarray, grams: list[np.ndarray]) -> np.ndarray:
-    """Psi = sum_i b(x_i) b(x_i)^T (x) G_i for column-major vec(Theta)."""
+def assemble_psi_matrix(cov_design: np.ndarray, grams: list[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Psi = sum_i b(x_i) b(x_i)^T (x) G_i for column-major vec(Theta).
+
+    One GEMM of the row-wise outer products b_i b_i^T (n x m_j^2) with the
+    flattened gram stack G_i (n x m^2), reshaped into the Kronecker layout.
+    """
+    G = np.asarray(grams)
     n, m_j = cov_design.shape
-    m = grams[0].shape[0]
-    Psi = np.zeros((m * m_j, m * m_j))
-    for i in range(n):
-        b = cov_design[i]
-        Psi += np.kron(np.outer(b, b), grams[i])
+    m = G.shape[1]
+    outer = (cov_design[:, :, None] * cov_design[:, None, :]).reshape(n, -1)
+    Psi = (outer.T @ G.reshape(n, -1)).reshape(m_j, m_j, m, m).transpose(0, 2, 1, 3).reshape(m * m_j, m * m_j)
     return 0.5 * (Psi + Psi.T)
 
 

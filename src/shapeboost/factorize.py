@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .boost import FittedModel, _CurveState
-from .geometry import CurveSample, GeometryError, GeometryKind, center, empirical_norm
+from .basis import sample_design
+from .boost import FittedModel
+from .geometry import CurveSample, GeometryError, GeometryKind, PackedSample, center, empirical_norm
 from .effects import EffectError
 
 __all__ = [
@@ -141,33 +142,31 @@ def factorize_effect(
     )
 
 
+def _packed(model: FittedModel, sample: list[CurveSample]) -> PackedSample:
+    return PackedSample.of(sample, sample_design(model.basis, sample, model.coef_mode))
+
+
 def model_grams(model: FittedModel, sample: list[CurveSample], covariates: dict) -> tuple[np.ndarray, list[np.ndarray]]:
     """Empirical tangent Gram G0 = mean_i Re(D_i^H W_i D_i) and per-effect covariate designs."""
-    states = []
-    for curve in sample:
-        s = _CurveState(curve, model.basis, model.coef_mode)
-        s.set_pole(model.pole, model.kind, model.transform)
-        states.append(s)
-    G0 = np.mean([s.G for s in states], axis=0)
+    G0 = model.transform.gram(_packed(model, sample).design_grams().mean(axis=0))
     n = len(sample)
     designs = [eff.cmap.design(covariates, n) for eff in model.effects]
     return G0, designs
 
 
 def _tangent_design_stack(model: FittedModel, sample: list[CurveSample]) -> np.ndarray:
-    """Real stacked weighted tangent design A0 with A0^T A0 = G0 (QR variant input)."""
-    blocks = []
-    n = len(sample)
-    for curve in sample:
-        s = _CurveState(curve, model.basis, model.coef_mode)
-        s.set_pole(model.pole, model.kind, model.transform)
-        if curve.weights.ndim == 2:
-            SD = curve.weight_chol.T @ s.D
-        else:
-            SD = np.sqrt(curve.weights)[:, None] * s.D
-        blocks.append(SD.real)
-        blocks.append(SD.imag)
-    return np.vstack(blocks) / np.sqrt(n)
+    """Real stacked weighted tangent design A0 with A0^T A0 = G0 (QR variant input).
+
+    Per curve, the real rows of its whitened tangent design R_i D_i are
+    followed by the imaginary ones.
+    """
+    packed = _packed(model, sample)
+    SD = packed.whiten(packed.design @ model.transform.complex_columns)
+    rows = np.arange(SD.shape[0])
+    A0 = np.empty((2 * SD.shape[0], SD.shape[1]))
+    A0[rows + packed.offsets[packed.seg]] = SD.real
+    A0[rows + packed.offsets[packed.seg + 1]] = SD.imag
+    return A0 / np.sqrt(len(sample))
 
 
 def effect_factorization(

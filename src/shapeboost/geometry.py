@@ -30,6 +30,7 @@ import numpy as np
 __all__ = [
     "GeometryKind",
     "CurveSample",
+    "PackedSample",
     "TangentEvals",
     "AlignedRep",
     "GeometryError",
@@ -52,7 +53,6 @@ __all__ = [
 TANGENT_TOL = 1e-8
 ALIGN_TOL = 1e-12
 CUT_LOCUS_TOL = 1e-6
-_SMALL_ANGLE = 1e-8
 
 
 class GeometryError(ValueError):
@@ -148,6 +148,8 @@ def center(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _validate_weights(weights: np.ndarray, k: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise GeometryError("weights must be finite")
     if w.ndim == 1:
         if w.shape != (k,):
             raise GeometryError("weight vector length does not match grid")
@@ -194,6 +196,8 @@ class CurveSample:
         values = np.asarray(self.values, dtype=complex)
         if grid.ndim != 1 or values.shape != grid.shape:
             raise GeometryError(f"curve {self.id!r}: grid and values must be equal-length vectors")
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+            raise GeometryError(f"curve {self.id!r}: grid and values must be finite")
         k = grid.size
         if k < 3:
             raise GeometryError(f"curve {self.id!r}: need at least 3 evaluation points, got {k}")
@@ -281,27 +285,229 @@ class AlignedRep(NamedTuple):
     scale: float
 
 
+_ALIGN_FAILED = "rotation alignment undefined, |<y, p>| = {:.3e} below threshold"
+_ANTIPODAL = "transport undefined: <y, p> = {:.6f} ~ -||y|| ||p||"
+
+
+class PackedSample:
+    """Curves of one sample packed into concatenated arrays.
+
+    The rows of curve i are ``offsets[i]:offsets[i + 1]``; ``seg`` maps rows
+    to curves.  Weights are a concatenated vector ``w`` or an ``(n, k, k)``
+    stack ``W`` of SPD matrices (every curve then has the same k).  ``values``
+    and ``y_c`` are the raw and centered observations, ``design`` the stacked
+    response design, each when given.  Exp, Log, parallel transport and
+    geodesic distance act on all curves at once; per-curve scalars come back
+    as ``(n,)`` arrays.  A failed check raises for the first offending curve.
+    """
+
+    def __init__(
+        self,
+        weights: list[np.ndarray],
+        labels: list[str],
+        values: list[np.ndarray] | None = None,
+        design: np.ndarray | None = None,
+    ):
+        if not weights:
+            raise GeometryError("a packed sample needs at least one curve")
+        sizes = np.array([np.shape(w)[0] for w in weights])
+        self.n = sizes.size
+        self.labels = list(labels)
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.seg = np.repeat(np.arange(self.n), sizes)
+        full = [np.ndim(w) == 2 for w in weights]
+        if all(full):
+            if np.any(sizes != sizes[0]):
+                raise GeometryError("full weight matrices of one sample must all have the same size")
+            self.w = None
+            self.W = np.stack(weights).astype(float)
+            ones_w = self.W.sum(axis=1).reshape(-1)  # rows of 1^T W_i
+        elif not any(full):
+            self.w = np.concatenate(weights).astype(float)
+            self.W = None
+            ones_w = self.w
+        else:
+            raise GeometryError("a sample cannot mix diagonal and full weight matrices")
+        self._ones_w = ones_w
+        self._ones_ww = self.segsum(ones_w)
+        self.design = design
+        self.values = None if values is None else np.concatenate(values).astype(complex)
+        self.y_c = None if values is None else self.center(self.values)
+
+    @classmethod
+    def of(cls, curves: list[CurveSample], design: np.ndarray | None = None) -> "PackedSample":
+        """Pack a sample of curves, optionally with its stacked response design."""
+        return cls([c.weights for c in curves], [f"curve {c.id!r}" for c in curves], [c.values for c in curves], design)
+
+    # -- segment arithmetic ------------------------------------------------
+
+    def segsum(self, x: np.ndarray) -> np.ndarray:
+        """Per-curve sums of the rows of a packed array."""
+        return np.add.reduceat(x, self.offsets[:-1], axis=0)
+
+    def weigh(self, x: np.ndarray) -> np.ndarray:
+        """W_i x_i for every curve; x has shape (N,) or (N, c)."""
+        if self.W is None:
+            return (self.w if x.ndim == 1 else self.w[:, None]) * x
+        n, k = self.W.shape[:2]
+        return (self.W @ x.reshape(n, k, -1)).reshape(x.shape)
+
+    def whiten(self, x: np.ndarray) -> np.ndarray:
+        """R_i x_i for every curve with R_i^T R_i = W_i: sqrt(w), or L^T for W = L L^T."""
+        if self.W is None:
+            root = np.sqrt(self.w)
+            return (root if x.ndim == 1 else root[:, None]) * x
+        n, k = self.W.shape[:2]
+        return (np.linalg.cholesky(self.W).transpose(0, 2, 1) @ x.reshape(n, k, -1)).reshape(x.shape)
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per-curve empirical inner products conj(a_i)^T W_i b_i, shape (n,)."""
+        return self.segsum(np.conj(a) * self.weigh(b))
+
+    def norm(self, a: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.maximum(self.inner(a, a).real, 0.0))
+
+    def center(self, v: np.ndarray) -> np.ndarray:
+        """Subtract every curve's weighted centroid."""
+        return v - (self.segsum(self._ones_w * v) / self._ones_ww)[self.seg]
+
+    def check(self, bad: np.ndarray, error: type[Exception], what: str, *values: np.ndarray) -> None:
+        """Raise ``error`` for the first flagged curve: its label, then ``what`` formatted with its ``values``."""
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise error(f"{self.labels[i]}: " + what.format(*(v[i] for v in values)))
+
+    # -- basis-coefficient space -------------------------------------------
+
+    def field(self, coef: np.ndarray) -> np.ndarray:
+        """Evaluations B_i f_i of per-curve complex basis coefficients f (n, m0)."""
+        return (self.design * coef[self.seg]).sum(axis=1)
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """Per-curve B_i^T W_i v_i, shape (n, m0)."""
+        return self.segsum(self.design * self.weigh(v)[:, None])
+
+    def design_grams(self) -> np.ndarray:
+        """Per-curve B_i^T W_i B_i, shape (n, m0, m0), in one batched product.
+
+        Diagonal weights zero-pad the whitened designs to the longest curve.
+        """
+        B = self.design
+        if self.W is not None:
+            Bs = B.reshape(self.n, self.W.shape[1], -1)
+            return Bs.transpose(0, 2, 1) @ (self.W @ Bs)
+        rows = np.arange(B.shape[0]) - self.offsets[self.seg]
+        padded = np.zeros((self.n, int(np.diff(self.offsets).max()), B.shape[1]))
+        padded[self.seg, rows] = self.whiten(B)
+        return padded.transpose(0, 2, 1) @ padded
+
+    # -- geometry ----------------------------------------------------------
+
+    def pole_rep(self, p_evals: np.ndarray, kind: GeometryKind) -> np.ndarray:
+        """Centered (and for shapes unit-norm) pole representative on every curve."""
+        p = self.center(np.asarray(p_evals, dtype=complex))
+        pn = self.norm(p)
+        self.check(pn <= 0, DegenerateAlignment, "pole degenerate on this grid")
+        return p / pn[self.seg] if kind is GeometryKind.SHAPE else p
+
+    def align(self, a: np.ndarray, target: np.ndarray, what: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Rotations u_i making <u_i a_i, target_i> real and positive.
+
+        Returns u (n,) and the mask of curves where |<a, target>| is below
+        ``ALIGN_TOL`` relative to the two norms; u = 1 where the inner
+        product vanishes.  With ``what`` given, a flagged curve raises
+        DegenerateAlignment with that message.
+        """
+        ip = self.inner(a, target)
+        aip = np.abs(ip)
+        bad = aip < ALIGN_TOL * self.norm(a) * self.norm(target)
+        if what is not None:
+            self.check(bad, DegenerateAlignment, what, aip)
+        u = np.where(aip > 0, ip / np.where(aip > 0, aip, 1.0), 1.0)
+        return u, bad
+
+    def exp(
+        self,
+        p: np.ndarray,
+        h: np.ndarray,
+        kind: GeometryKind,
+        error: type[Exception] = GeometryError,
+    ) -> np.ndarray:
+        """Centered representatives of Exp_[p](h), unit norm for shapes.
+
+        Forms: p + h.  Shapes: cos(||h||) p + sin(||h||) h / ||h||; ``error``
+        is raised where ||h|| >= pi - CUT_LOCUS_TOL, at and beyond the cut
+        locus.  The result is re-centered per curve, because tangent
+        constraints imposed on sample averages need not hold on each curve.
+        """
+        if kind is GeometryKind.FORM:
+            mu = p + h
+        else:
+            nh = self.norm(h)
+            self.check(nh >= np.pi - CUT_LOCUS_TOL, error, "predictor norm {:.4f} beyond the shape cut locus", nh)
+            big = nh > 1e-12
+            sinc = np.where(big, np.sin(nh) / np.where(big, nh, 1.0), 1.0)
+            mu = np.cos(nh)[self.seg] * p + sinc[self.seg] * h
+        mu = self.center(mu)
+        if kind is GeometryKind.SHAPE:
+            mn = self.norm(mu)
+            self.check(mn <= 0, DegenerateAlignment, "degenerate mean candidate")
+            mu = mu / mn[self.seg]
+        return mu
+
+    def log(self, base: np.ndarray, kind: GeometryKind, what: str | None = _ALIGN_FAILED) -> tuple[np.ndarray, ...]:
+        """Log_[base]([y]) of the sample's observations, and the geodesic distances.
+
+        ``base`` holds centered representatives, unit norm for shapes.  Forms:
+        ũ ỹ - base.  Shapes: d (r - <base, r> base) / ||r - <base, r> base||
+        with the normalized aligned curve r and the geodesic distance d; zero
+        where [y] = [base].  ``what`` is the message for a degenerate
+        alignment; None accepts it, as distances stay defined there.
+        """
+        u, _ = self.align(self.y_c, base, what)
+        rep = u[self.seg] * self.y_c
+        if kind is GeometryKind.FORM:
+            eps = rep - base
+            return eps, self.norm(eps)
+        rep = rep / self.norm(self.y_c)[self.seg]
+        c0 = self.inner(base, rep)
+        resid = rep - c0[self.seg] * base
+        rn = self.norm(resid)
+        d = np.arctan2(np.minimum(rn, 1.0), np.minimum(np.abs(c0), 1.0))
+        scale = np.where(rn > 0, d / np.where(rn > 0, rn, 1.0), 0.0)
+        return resid * scale[self.seg], d
+
+    def transport(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        eps: np.ndarray,
+        kind: GeometryKind,
+        what: str = _ANTIPODAL,
+    ) -> np.ndarray:
+        """Parallel transport of ``eps`` from T_[src] to T_[dst] along the geodesic.
+
+        ``src`` and ``dst`` are mutually aligned centered representatives with
+        normalizations ŝ, d̂.  Shapes: eps - <d̂, eps> (ŝ + d̂) / (1 + <ŝ, d̂>),
+        the spherical transport with the complex inner product; forms only
+        rotate the Im<d̂, eps> coordinate orthogonal to the real ŝ-d̂ plane.
+        """
+        ns, nd = self.norm(src), self.norm(dst)
+        self.check((ns <= 0) | (nd <= 0), GeometryError, "transport endpoints are degenerate after centering")
+        s_hat = src / ns[self.seg]
+        d_hat = dst / nd[self.seg]
+        a = self.inner(s_hat, d_hat).real
+        denom = 1.0 + a
+        self.check(denom < 1e-12, AntipodalTransport, what, a)
+        c = self.inner(d_hat, eps)
+        if kind is GeometryKind.FORM:
+            c = 1j * c.imag
+        return eps - (c / denom)[self.seg] * (s_hat + d_hat)
+
+
 def _pole_rep(p_evals: np.ndarray, weights: np.ndarray, kind: GeometryKind) -> np.ndarray:
     """Centered (and for shapes unit-norm) pole representative."""
-    p = center(p_evals, weights)
-    n = empirical_norm(p, weights)
-    if n <= 0:
-        raise GeometryError("pole representative is degenerate after centering")
-    if kind is GeometryKind.SHAPE:
-        p = p / n
-    return p
-
-
-def _align(y_c: np.ndarray, p_c: np.ndarray, weights: np.ndarray, who: str = "curve") -> tuple[np.ndarray, complex]:
-    ip = empirical_inner(y_c, p_c, weights)
-    ny = empirical_norm(y_c, weights)
-    np_ = empirical_norm(p_c, weights)
-    if abs(ip) < ALIGN_TOL * ny * np_:
-        raise DegenerateAlignment(
-            f"{who}: rotation alignment undefined, |<y, p>| = {abs(ip):.3e} below threshold"
-        )
-    u = ip / abs(ip)
-    return u * y_c, complex(u)
+    return PackedSample([weights], ["pole"]).pole_rep(p_evals, kind)
 
 
 def representative(y: CurveSample, p_evals: np.ndarray, kind: GeometryKind) -> AlignedRep:
@@ -313,40 +519,28 @@ def representative(y: CurveSample, p_evals: np.ndarray, kind: GeometryKind) -> A
     the scale factor applied (1 for forms).
     """
     kind = GeometryKind.parse(kind)
-    w = y.weights
-    y_c = center(y.values, w)
-    p_c = center(np.asarray(p_evals, dtype=complex), w)
-    aligned, u = _align(y_c, p_c, w, who=f"curve {y.id!r}")
+    ps = PackedSample.of([y])
+    u, _ = ps.align(ps.y_c, ps.center(np.asarray(p_evals, dtype=complex)), _ALIGN_FAILED)
+    aligned = u[0] * ps.y_c
     lam = 1.0
     if kind is GeometryKind.SHAPE:
-        n = empirical_norm(aligned, w)
-        lam = 1.0 / n
+        lam = 1.0 / float(ps.norm(aligned)[0])
         aligned = aligned * lam
-    return AlignedRep(values=aligned, rotation=u, scale=lam)
+    return AlignedRep(values=aligned, rotation=complex(u[0]), scale=lam)
 
 
 def geodesic_dist(y: CurveSample, p_evals: np.ndarray, kind: GeometryKind) -> float:
     """Geodesic distance between [y] and [p].
 
-    Forms: ||ỹ - p̃|| of the aligned centered representatives.  Shapes:
-    arccos of the (clamped) absolute inner product of the normalized
-    representatives, the Procrustes distance.
+    Forms: ||ỹ - p̃|| of the aligned centered representatives.  Shapes: the
+    Procrustes distance, the angle between the normalized representatives.
+    The distance only involves |<y, p>|, so it stays defined where the
+    aligning rotation itself is degenerate.
     """
     kind = GeometryKind.parse(kind)
-    w = y.weights
-    p_rep = _pole_rep(p_evals, w, kind)
-    y_c = center(y.values, w)
-    ip = empirical_inner(y_c, p_rep, w)
-    # the distance only involves |<y, p>|, so it stays defined where the
-    # aligning rotation itself is degenerate
-    u = ip / abs(ip) if abs(ip) > 0 else 1.0
-    if kind is GeometryKind.FORM:
-        return empirical_norm(u * y_c - p_rep, w)
-    y_hat = y_c / empirical_norm(y_c, w)
-    c = min(abs(ip) / empirical_norm(y_c, w), 1.0)
-    # arccos(c) evaluated as atan2(sin, cos); well conditioned near c = 1
-    s = empirical_norm(u * y_hat - c * p_rep, w)
-    return float(np.arctan2(min(s, 1.0), c))
+    ps = PackedSample.of([y])
+    _, d = ps.log(ps.pole_rep(p_evals, kind), kind, what=None)
+    return float(d[0])
 
 
 def exp_map(
@@ -357,24 +551,16 @@ def exp_map(
 ) -> np.ndarray:
     """Riemannian exponential: representative of Exp_[p](beta) on beta's grid.
 
-    Forms: p̃ + β.  Shapes: cos(||β||) p̃ + sin(||β||) β/||β|| with a series
-    guard for ||β|| < 1e-8; values with ||β|| >= π - 1e-6 are rejected, the
-    map is undefined at and beyond the cut locus.
+    Forms: p̃ + β.  Shapes: cos(||β||) p̃ + sin(||β||) β/||β||; values with
+    ||β|| >= π - 1e-6 are rejected, the map is undefined at and beyond the
+    cut locus.
     """
     kind = GeometryKind.parse(kind)
-    w = beta.weights
-    p = _pole_rep(np.asarray(p_evals, dtype=complex), w, kind)
+    ps = PackedSample([beta.weights], ["tangent vector"])
+    p = ps.pole_rep(p_evals, kind)
     if check:
         beta.validate()
-    if kind is GeometryKind.FORM:
-        return p + beta.values
-    n = beta.norm()
-    if n >= np.pi - CUT_LOCUS_TOL:
-        raise GeometryError(f"shape exponential undefined for ||beta|| = {n:.6f} >= pi - {CUT_LOCUS_TOL}")
-    if n < _SMALL_ANGLE:
-        # sin(x)/x -> 1 - x^2/6, cos(x) -> 1 - x^2/2
-        return p * (1.0 - n * n / 2.0) + beta.values * (1.0 - n * n / 6.0)
-    return np.cos(n) * p + np.sin(n) * (beta.values / n)
+    return ps.exp(p, np.asarray(beta.values, dtype=complex), kind)
 
 
 def log_map(p_evals: np.ndarray, y: CurveSample, kind: GeometryKind) -> TangentEvals:
@@ -384,18 +570,10 @@ def log_map(p_evals: np.ndarray, y: CurveSample, kind: GeometryKind) -> TangentE
     geodesic distance d; returns the zero vector when [y] = [p].
     """
     kind = GeometryKind.parse(kind)
-    w = y.weights
-    p = _pole_rep(np.asarray(p_evals, dtype=complex), w, kind)
-    rep = representative(y, p_evals, kind).values
-    if kind is GeometryKind.FORM:
-        vals = rep - p
-    else:
-        c = empirical_inner(p, rep, w)
-        resid = rep - c * p
-        rn = empirical_norm(resid, w)
-        d = float(np.arctan2(min(rn, 1.0), min(abs(c), 1.0)))
-        vals = np.zeros_like(rep) if rn <= 0.0 else resid * (d / rn)
-    return TangentEvals(grid=y.grid, values=vals, pole_evals=p, kind=kind, weights=w)
+    ps = PackedSample.of([y])
+    p = ps.pole_rep(p_evals, kind)
+    vals, _ = ps.log(p, kind)
+    return TangentEvals(grid=y.grid, values=vals, pole_evals=p, kind=kind, weights=y.weights)
 
 
 def parallel_transport(
@@ -407,40 +585,18 @@ def parallel_transport(
 ) -> TangentEvals:
     """Parallel transport of ``eps`` from T_[y] to T_[p] along the geodesic.
 
-    ``from_evals`` and ``to_evals`` must be mutually aligned centered
-    representatives (unit norm for shapes).  Shapes use the spherical
-    transport with the complex inner product,
-
-        eps - <p̃, eps> (ỹ + p̃) / (1 + <ỹ, p̃>) ,
-
-    forms only rotate the Im<p̂, eps> coordinate orthogonal to the real
-    ŷ-p̂ plane while leaving the rest untouched.
+    ``from_evals`` and ``to_evals`` are mutually aligned representatives,
+    centered here; the formulas are those of ``PackedSample.transport``.
     """
     kind = GeometryKind.parse(kind)
-    w = eps.weights
-    y = center(np.asarray(from_evals, dtype=complex), w)
-    p = center(np.asarray(to_evals, dtype=complex), w)
+    ps = PackedSample([eps.weights], ["tangent vector"])
+    y = ps.center(np.asarray(from_evals, dtype=complex))
+    p = ps.center(np.asarray(to_evals, dtype=complex))
     if check:
         eps.validate()
-    ny = empirical_norm(y, w)
-    npole = empirical_norm(p, w)
-    if ny <= 0 or npole <= 0:
-        raise GeometryError("transport endpoints are degenerate after centering")
-    y_hat = y / ny
-    p_hat = p / npole
-    a = empirical_inner(y_hat, p_hat, w)
-    denom = 1.0 + a.real
-    if denom < 1e-12:
-        raise AntipodalTransport(f"transport undefined: <y, p> = {a.real:.6f} ~ -||y|| ||p||")
-    if kind is GeometryKind.SHAPE:
-        c = empirical_inner(p_hat, eps.values, w)
-        vals = eps.values - c * (y_hat + p_hat) / denom
-        pole_rep = p_hat
-    else:
-        c = empirical_inner(p_hat, eps.values, w).imag
-        vals = eps.values - 1j * c * (y_hat + p_hat) / denom
-        pole_rep = p
-    return TangentEvals(grid=eps.grid, values=vals, pole_evals=pole_rep, kind=kind, weights=w)
+    vals = ps.transport(y, p, np.asarray(eps.values, dtype=complex), kind)
+    pole_rep = p / ps.norm(p)[0] if kind is GeometryKind.SHAPE else p
+    return TangentEvals(grid=eps.grid, values=vals, pole_evals=pole_rep, kind=kind, weights=eps.weights)
 
 
 def tangent_project(
@@ -458,15 +614,12 @@ def tangent_project(
     """
     kind = GeometryKind.parse(kind)
     w = np.asarray(weights)
-    v = center(np.asarray(values, dtype=complex), w)
-    p = _pole_rep(np.asarray(p_evals, dtype=complex), w, kind)
-    pn = empirical_norm(p, w)
-    p_hat = p / pn
-    c = empirical_inner(p_hat, v, w)
-    if kind is GeometryKind.SHAPE:
-        v = v - c * p_hat
-    else:
-        v = v - 1j * c.imag * p_hat
+    ps = PackedSample([w], ["tangent vector"])
+    v = ps.center(np.asarray(values, dtype=complex))
+    p = ps.pole_rep(p_evals, kind)
+    p_hat = p / ps.norm(p)
+    c = ps.inner(p_hat, v)
+    v = v - (c if kind is GeometryKind.SHAPE else 1j * c.imag) * p_hat
     if grid is None:
         grid = np.arange(v.size, dtype=float) / max(v.size - 1, 1)
     return TangentEvals(grid=np.asarray(grid, dtype=float), values=v, pole_evals=p, kind=kind, weights=w)

@@ -11,9 +11,11 @@ numbers are stored as separate re/im fields throughout.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +46,14 @@ class SchemaError(ValueError):
     """Malformed input file or configuration."""
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def _read_rows(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header and (file line number, fields) of every data row; comment lines are skipped."""
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    rows = [r for r in rows if not r[0].startswith("#")]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
     if not rows:
         raise SchemaError(f"{path}: empty file")
-    return [h.strip() for h in rows[0]], rows[1:]
+    return [h.strip() for h in rows[0][1]], rows[1:]
 
 
 def read_curves(
@@ -82,7 +85,7 @@ def read_curves(
 
     order: list[str] = []
     data: dict[str, list[tuple[float, complex, float]]] = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if len(row) < 4 + int(has_w):
             raise SchemaError(f"{path}:{lineno}: expected {4 + int(has_w)} fields, got {len(row)}")
         cid = row[0]
@@ -92,6 +95,8 @@ def read_curves(
             w = float(row[4]) if has_w else np.nan
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from None
+        if not (math.isfinite(t) and cmath.isfinite(val)):
+            raise SchemaError(f"{path}:{lineno}: curve {cid!r}: t, re and im must be finite")
         if cid not in data:
             data[cid] = []
             order.append(cid)
@@ -158,7 +163,7 @@ def read_covariates(path: str | Path, curve_ids: list[str]) -> dict[str, np.ndar
     if not columns:
         raise SchemaError(f"{path}: no covariate columns")
     by_id: dict[str, list[str]] = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if len(row) != len(header):
             raise SchemaError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         if row[0] in by_id:

@@ -269,8 +269,7 @@ def test_criterion_6_frechet_mean():
     mid_err = max(abs(d1 - d2), abs(d1 - d12 / 2))
 
     # first-order condition on 10 random samples
-    from shapeboost.boost import _FitContext
-    from shapeboost.effects import curve_proj
+    from shapeboost.boost import _PoleSample
 
     worst_cond = 0.0
     for trial in range(10):
@@ -286,16 +285,12 @@ def test_criterion_6_frechet_mean():
             )
             curves.append(CurveSample(f"r{i}", g, vals + noise.values, wg))
         pole_t = estimate_pole(curves, kind, basis, cfg)
-        ctx = _FitContext(curves, {}, cfg, pole_t, kind, build_learners=False)
-        projs, norms = [], []
-        for s in ctx.states:
-            eps, _ = s.residual_at(np.zeros(ctx.m), kind)
-            projs.append(curve_proj(s.D, s.w, eps))
-            norms.append(empirical_norm(eps, s.w))
-        Psi = np.sum([s.G for s in ctx.states], axis=0)
-        mean_coef = np.linalg.solve(Psi, np.sum(projs, axis=0))
-        G0 = np.mean([s.G for s in ctx.states], axis=0)
-        ratio = np.sqrt(max(mean_coef @ G0 @ mean_coef, 0.0)) / max(np.mean(norms), 1e-300)
+        ps = _PoleSample.of(curves, pole_t, kind, coef_mode=False)
+        eps, _ = ps.residuals(np.zeros((len(curves), ps.transform.m)))
+        grams = ps.grams()
+        mean_coef = np.linalg.solve(grams.sum(axis=0), ps.project(eps).sum(axis=0))
+        G0 = grams.mean(axis=0)
+        ratio = np.sqrt(max(mean_coef @ G0 @ mean_coef, 0.0)) / max(np.mean(ps.packed.norm(eps)), 1e-300)
         worst_cond = max(worst_cond, ratio)
     _report(
         6,
@@ -390,7 +385,7 @@ def test_criterion_8_extreme_sparsity(truth):
 
 def test_criterion_9_boosting_behavior(truth, tmp_path):
     # selection trace vs exhaustive refit oracle on a 5-effect, 30-iteration run
-    from shapeboost.boost import _FitContext
+    from shapeboost.boost import _FitContext, _PoleSample
     from shapeboost.effects import assemble_psi_vector
 
     cfg = SimConfig(n=36, k_bar=25, kind="form", target_nsr=0.8, seed=909)
@@ -405,7 +400,8 @@ def test_criterion_9_boosting_behavior(truth, tmp_path):
     model = boost_fit(sample, cov, bc, pole, cfg.kind)
     _RISK_DECREASE_LOG.append((model.risk_trace[0], model.risk_trace[model.m_stop]))
 
-    ctx = _FitContext(sample, cov, bc, pole, GeometryKind.FORM)
+    ps = _PoleSample.of(sample, pole, GeometryKind.FORM, coef_mode=False)
+    ctx = _FitContext(ps, cov, bc)
     thetas = [np.zeros((ctx.m, cm.m_j)) for cm in ctx.cmaps]
     trace_ok = True
     for it in range(bc.max_iterations):
@@ -416,11 +412,9 @@ def test_criterion_9_boosting_behavior(truth, tmp_path):
             psi = assemble_psi_vector(ctx.cov_designs[j], projs)
             v = ctx.solve(j, psi)
             theta_j = unvec(v, ctx.m, ctx.cmaps[j].m_j)
-            total = 0.0
-            coefs = ctx.predictor_coefs(thetas)
-            for i, s in enumerate(ctx.states):
-                eps, _ = s.residual_at(coefs[i], GeometryKind.FORM)
-                total += empirical_norm(eps - s.D @ (theta_j @ ctx.cov_designs[j][i]), s.w) ** 2
+            eps, _ = ps.residuals(ctx.predictor_coefs(thetas))
+            fitv = ps.predictor(ctx.cov_designs[j] @ theta_j.T)
+            total = float(np.sum(ps.packed.norm(eps - fitv) ** 2))
             sses.append(total)
             cands.append(theta_j)
         j_star = int(np.argmin(sses))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shapeboost.basis import SplineConfig, build_response_basis
+from shapeboost.basis import SplineConfig, build_response_basis, tangent_design
 from shapeboost.boost import (
     BoostConfig,
     boost_fit,
@@ -17,11 +17,14 @@ from shapeboost.geometry import (
     CurveSample,
     GeometryKind,
     TangentEvals,
+    center,
+    empirical_inner,
     empirical_norm,
     exp_map,
     geodesic_dist,
     tangent_project,
     trapezoid_weights,
+    uniform_weights,
 )
 
 from conftest import irregular_grid, smooth_curve
@@ -108,26 +111,20 @@ class TestEstimatePole:
 
     def test_first_order_frechet_condition(self, rng):
         # projected mean of transported residuals vanishes at the estimated pole
-        from shapeboost.boost import _FitContext
-        from shapeboost.effects import curve_proj
+        from shapeboost.boost import _PoleSample
 
         for trial in range(4):
             kind = GeometryKind.FORM if trial % 2 == 0 else GeometryKind.SHAPE
             curves, cov, effects, basis, _ = make_dataset(rng, n=10, kind=kind, noise=0.08)
             cfg = BoostConfig(effects=[], response_basis=BASIS, pole_max_iterations=300)
             pole = estimate_pole(curves, kind, basis, cfg)
-            ctx = _FitContext(curves, {}, cfg, pole, kind, build_learners=False)
-            projs = []
-            norms = []
-            for s in ctx.states:
-                eps, _ = s.residual_at(np.zeros(ctx.m), kind)
-                projs.append(curve_proj(s.D, s.w, eps))
-                norms.append(empirical_norm(eps, s.w))
-            Psi = np.sum([s.G for s in ctx.states], axis=0)
-            mean_coef = np.linalg.solve(Psi, np.sum(projs, axis=0))
-            G0 = np.mean([s.G for s in ctx.states], axis=0)
+            ps = _PoleSample.of(curves, pole, kind, coef_mode=False)
+            eps, _ = ps.residuals(np.zeros((len(curves), ps.transform.m)))
+            grams = ps.grams()
+            mean_coef = np.linalg.solve(grams.sum(axis=0), ps.project(eps).sum(axis=0))
+            G0 = grams.mean(axis=0)
             mean_norm = np.sqrt(mean_coef @ G0 @ mean_coef)
-            assert mean_norm <= 1e-6 * np.mean(norms)
+            assert mean_norm <= 1e-6 * np.mean(ps.packed.norm(eps))
 
 
 class TestBoostFit:
@@ -150,7 +147,7 @@ class TestBoostFit:
         assert model.risk_trace[0] == pytest.approx(direct, rel=1e-10)
 
     def test_selection_matches_exhaustive_oracle(self, rng):
-        from shapeboost.boost import _FitContext
+        from shapeboost.boost import _FitContext, _PoleSample
         from shapeboost.effects import assemble_psi_vector, unvec
 
         curves, cov, effects, basis, _ = make_dataset(rng, n=14)
@@ -159,7 +156,8 @@ class TestBoostFit:
         model = boost_fit(curves, cov, config, pole, GeometryKind.FORM)
 
         # independent bookkeeping: replay the iterations, exhaustively refitting
-        ctx = _FitContext(curves, cov, config, pole, GeometryKind.FORM)
+        ps = _PoleSample.of(curves, pole, GeometryKind.FORM, coef_mode=False)
+        ctx = _FitContext(ps, cov, config)
         thetas = [np.zeros((ctx.m, cm.m_j)) for cm in ctx.cmaps]
         for it in range(config.max_iterations):
             projs, _ = ctx.residual_pass(ctx.predictor_coefs(thetas))
@@ -170,11 +168,9 @@ class TestBoostFit:
                 v = ctx.solve(j, psi)
                 # full SSE via explicit residual evaluation
                 theta_j = unvec(v, ctx.m, ctx.cmaps[j].m_j)
-                total = 0.0
-                for i, s in enumerate(ctx.states):
-                    eps, _ = s.residual_at(ctx.predictor_coefs(thetas)[i], GeometryKind.FORM)
-                    fitv = s.D @ (theta_j @ ctx.cov_designs[j][i])
-                    total += empirical_norm(eps - fitv, s.w) ** 2
+                eps, _ = ps.residuals(ctx.predictor_coefs(thetas))
+                fitv = ps.predictor(ctx.cov_designs[j] @ theta_j.T)
+                total = float(np.sum(ps.packed.norm(eps - fitv) ** 2))
                 sse.append(total)
                 cands.append(theta_j)
             j_star = int(np.argmin(sse))
@@ -274,7 +270,7 @@ class TestPrediction:
         assert np.allclose(mu, p, atol=1e-12)
 
     def test_in_sample_reproduction(self, rng):
-        from shapeboost.boost import _CurveState
+        from shapeboost.boost import _PoleSample
 
         for kind in (GeometryKind.FORM, GeometryKind.SHAPE):
             curves, cov, effects, basis, _ = make_dataset(rng, n=12, kind=kind)
@@ -284,9 +280,8 @@ class TestPrediction:
             i = 5
             x = {"kappa": cov["kappa"][i], "z": cov["z"][i]}
             mu = predict_mean(model, x, curves[i].grid, curves[i].weights)
-            state = _CurveState(curves[i], basis, False)
-            state.set_pole(pole, kind, model.transform)
-            mu_insample = state.mean_candidate(model.predictor_coef(x), kind)
+            ps = _PoleSample.of(curves, pole, kind, False, model.transform)
+            mu_insample = ps.means(model.predictor_coefs(cov, len(curves)))[ps.packed.seg == i]
             assert np.abs(mu - mu_insample).max() <= 1e-12
 
     def test_shape_prediction_unit_norm(self, rng):
@@ -316,17 +311,13 @@ class TestRiskAndRmse:
         pole = estimate_pole(curves, GeometryKind.FORM, basis, config)
         model = boost_fit(curves, cov, config, pole, GeometryKind.FORM)
         # use the fitted effect itself as "truth": rmse must vanish without pole transport
-        from shapeboost.boost import _CurveState
-
-        fitted = []
-        totals = []
         eff = model.effects[0]
+        fitted, totals = [], []
         for i, c in enumerate(curves):
-            s = _CurveState(c, basis, False)
-            s.set_pole(pole, GeometryKind.FORM, model.transform)
             x = {"kappa": cov["kappa"][i], "z": cov["z"][i]}
-            fitted.append(s.D @ (eff.theta @ eff.cmap.row(x)))
-            totals.append(s.D @ model.predictor_coef(x))
+            D = tangent_design(c.grid, model.transform, basis)
+            fitted.append(D @ (eff.theta @ eff.cmap.row(x)))
+            totals.append(D @ model.predictor_coef(x))
         r = rmse_effect(model, curves, cov, "cat", fitted, totals)
         assert r <= 1e-16
 
@@ -335,13 +326,7 @@ class TestRiskAndRmse:
         config = BoostConfig(effects=effects[:1], step_length=0.4, max_iterations=0, response_basis=BASIS)
         pole = estimate_pole(curves, GeometryKind.FORM, basis, config)
         model = boost_fit(curves, cov, config, pole, GeometryKind.FORM)
-        from shapeboost.boost import _CurveState
-
-        truth = []
-        for i, c in enumerate(curves):
-            s = _CurveState(c, basis, False)
-            s.set_pole(pole, GeometryKind.FORM, model.transform)
-            truth.append(s.D @ (0.2 * np.ones(model.transform.m)))
+        truth = [tangent_design(c.grid, model.transform, basis) @ (0.2 * np.ones(model.transform.m)) for c in curves]
         r = rmse_effect(model, curves, cov, "cat", truth, truth)
         assert r == pytest.approx(1.0, abs=1e-12)
 
@@ -351,3 +336,135 @@ class TestRiskAndRmse:
         pole = estimate_pole(curves, GeometryKind.FORM, basis, config)
         model = boost_fit(curves, cov, config, pole, GeometryKind.FORM)
         assert empirical_risk(model, curves, cov) == pytest.approx(model.risk_trace[-1], rel=1e-10)
+
+
+def _coefficient_dataset(rng, kind, n=14):
+    """Coefficient-level curves (k = basis dim, Gram weights) for the full-weight branch."""
+    basis = build_response_basis(BASIS, np.empty(0))
+    grid = np.linspace(0, 1, basis.dim)
+    base = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    wdir = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    curves, kappa, z = [], [], []
+    for i in range(n):
+        zz = (i // 2) % 6 - 2.5
+        vals = base + (0.2 if i % 2 else -0.2) * wdir + 0.05 * zz * 1j * wdir
+        vals = vals + 0.05 * (rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim))
+        vals = np.exp(1j * rng.normal(0, 0.2)) * vals * (rng.uniform(0.7, 1.4) if kind is GeometryKind.SHAPE else 1.0)
+        curves.append(CurveSample(f"g{i:03d}", grid, vals, basis.gram))
+        kappa.append(str(i % 2))
+        z.append(zz)
+    return curves, {"kappa": np.array(kappa), "z": np.array(z, dtype=float)}, basis
+
+
+def _loop_reference(model, curve, coef):
+    """Transported residual of one curve by scalar inner products, as the per-curve loop computed it."""
+    w = curve.weights
+    B = np.eye(model.basis.dim) if model.coef_mode else model.basis.design(curve.grid)
+    p = center(B @ model.pole.coef, w)
+    if model.kind is GeometryKind.SHAPE:
+        p = p / empirical_norm(p, w)
+    h = B @ model.transform.field_coef(coef)
+    if model.kind is GeometryKind.FORM:
+        mu = center(p + h, w)
+    else:
+        nh = empirical_norm(h, w)
+        mu = center(np.cos(nh) * p + np.sin(nh) / nh * h, w)
+        mu = mu / empirical_norm(mu, w)
+    y_c = center(curve.values, w)
+    ip = empirical_inner(y_c, mu, w)
+    rep = ip / abs(ip) * y_c
+    if model.kind is GeometryKind.FORM:
+        eps = rep - mu
+        mu_hat, p_hat = mu / empirical_norm(mu, w), p / empirical_norm(p, w)
+        denom = 1.0 + empirical_inner(mu_hat, p_hat, w).real
+        return eps - 1j * empirical_inner(p_hat, eps, w).imag * (mu_hat + p_hat) / denom
+    rep = rep / empirical_norm(y_c, w)
+    c0 = empirical_inner(mu, rep, w)
+    resid = rep - c0 * mu
+    rn = empirical_norm(resid, w)
+    eps = resid * (np.arctan2(min(rn, 1.0), min(abs(c0), 1.0)) / rn)
+    denom = 1.0 + empirical_inner(mu, p, w).real
+    return eps - empirical_inner(p, eps, w) * (mu + p) / denom
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("weights", ["trapezoid", "uniform", "gram"])
+    @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])
+    def test_residual_pass_matches_per_curve_reference(self, rng, kind, weights):
+        from shapeboost.geometry import _pole_rep, log_map, parallel_transport
+
+        if weights == "gram":
+            curves, cov, basis = _coefficient_dataset(rng, kind)
+        else:
+            curves, cov, _, basis, _ = make_dataset(rng, n=14, kind=kind, k_range=(5, 40))
+            if weights == "uniform":
+                curves = [CurveSample(c.id, c.grid, c.values, uniform_weights(c.k)) for c in curves]
+        _, _, effects, _, _ = make_dataset(np.random.default_rng(0), n=2)
+        config = BoostConfig(
+            effects=effects, step_length=0.5, max_iterations=6, response_basis=BASIS, coef_mode=weights == "gram"
+        )
+        pole = estimate_pole(curves, kind, basis, config)
+        model = boost_fit(curves, cov, config, pole, kind)
+        packed = transported_residuals(model, curves, cov).residuals
+        assert len({c.k for c in curves}) > 1 or weights == "gram"
+        for i, curve in enumerate(curves):
+            x = {name: cov[name][i] for name in cov}
+            w = curve.weights
+            mu = predict_mean(model, x, curve.grid, w)
+            local = log_map(mu, curve, kind)
+            B = np.eye(basis.dim) if model.coef_mode else basis.design(curve.grid)
+            p = _pole_rep(B @ pole.coef, w, kind)
+            ref = parallel_transport(local.pole_evals, p, local, kind, check=False).values
+            loop = _loop_reference(model, curve, model.predictor_coef(x))
+            scale = empirical_norm(packed[i].values, w)
+            assert scale > 0
+            assert empirical_norm(packed[i].values - ref, w) <= 1e-12 * scale
+            assert empirical_norm(packed[i].values - loop, w) <= 1e-12 * scale
+
+    def test_mixed_weight_kinds_rejected(self):
+        from shapeboost.geometry import GeometryError, PackedSample
+
+        with pytest.raises(GeometryError):
+            PackedSample([np.ones(3), np.eye(3)], ["a", "b"])
+        with pytest.raises(GeometryError):
+            PackedSample([np.eye(3), np.eye(4)], ["a", "b"])
+
+
+class TestParallelCv:
+    @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])
+    def test_worker_count_does_not_change_fold_risks(self, rng, kind):
+        curves, cov, effects, basis, _ = make_dataset(rng, n=16, kind=kind)
+        config = BoostConfig(
+            effects=effects, step_length=0.4, max_iterations=5, cv_folds=4, rng_seed=2, response_basis=BASIS
+        )
+        pole = estimate_pole(curves, kind, basis, config)
+        serial = cv_early_stop(curves, cov, config, kind, pole=pole, workers=1)
+        fanned = cv_early_stop(curves, cov, config, kind, pole=pole, workers=2)
+        assert np.array_equal(serial.fold_risks, fanned.fold_risks)
+        assert serial.m_stop == fanned.m_stop
+
+
+def test_rmse_of_tiny_forms_is_scale_invariant(rng):
+    # every alignment threshold is relative: a sample scaled by 1e-7 gives the same rMSE
+    import dataclasses
+
+    from shapeboost.basis import PoleCoef
+
+    curves, cov, effects, basis, pole_true = make_dataset(rng, n=12)
+    config = BoostConfig(effects=effects, step_length=0.4, max_iterations=6, response_basis=BASIS)
+    pole = estimate_pole(curves, GeometryKind.FORM, basis, config)
+    model = boost_fit(curves, cov, config, pole, GeometryKind.FORM)
+    truth = [tangent_design(c.grid, model.transform, basis) @ (0.2 * np.ones(model.transform.m)) for c in curves]
+    true_poles = [basis.design(c.grid) @ pole_true for c in curves]
+    s = 1e-7
+    tiny = dataclasses.replace(
+        model,
+        pole=PoleCoef(coef=s * pole.coef, basis=basis),
+        effects=[dataclasses.replace(e, theta=s * e.theta) for e in model.effects],
+    )
+    tiny_curves = [CurveSample(c.id, c.grid, s * c.values, c.weights) for c in curves]
+    for name in ("cat", "sm"):
+        r = rmse_effect(model, curves, cov, name, truth, truth, true_poles)
+        r_tiny = rmse_effect(tiny, tiny_curves, cov, name, [s * t for t in truth], [s * t for t in truth],
+                             [s * p for p in true_poles])
+        assert r_tiny == pytest.approx(r, rel=1e-10)

@@ -152,6 +152,19 @@ class TestNormalEquations:
             )
             assert Psi[l * m + r, l2 * m + r2] == pytest.approx(val, abs=1e-10)
 
+    def test_psi_matrix_matches_kron_loop(self, rng):
+        # the one-GEMM assembly against the per-curve Kronecker sum, from a list and a stack
+        designs, weights, _ = _toy_system(rng, n=7, m=5)
+        grams = [curve_gram(D, w) for D, w in zip(designs, weights)]
+        cov = rng.normal(size=(7, 3))
+        ref = np.zeros((15, 15))
+        for b, G in zip(cov, grams):
+            ref += np.kron(np.outer(b, b), G)
+        ref = 0.5 * (ref + ref.T)
+        for stack in (grams, np.stack(grams)):
+            Psi = assemble_psi_matrix(cov, stack)
+            assert np.abs(Psi - ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 class TestPlsSolve:
     def test_identity_system(self, rng):

@@ -282,6 +282,18 @@ class TestCurveSample:
         with pytest.raises(GeometryError):
             CurveSample("b", np.array([0.0, 0.6, 0.5]), np.array([1, 2j, 3]), np.ones(3) / 3)
 
+    @pytest.mark.parametrize("bad", ["grid", "values", "weights"])
+    def test_rejects_non_finite(self, bad):
+        grid, values, w = np.array([0.0, 0.5, 1.0]), np.array([1, 2j, 3.0]), np.ones(3) / 3
+        if bad == "grid":
+            grid = np.array([0.0, np.nan, 1.0])
+        elif bad == "values":
+            values = np.array([1, np.nan * 1j, 3.0])
+        else:
+            w = np.array([np.inf, 1.0, 1.0])
+        with pytest.raises(GeometryError):
+            CurveSample("nf", grid, values, w)
+
     def test_rejects_constant_values(self):
         with pytest.raises(GeometryError):
             CurveSample("c", np.array([0.0, 0.5, 1.0]), np.array([2 + 1j] * 3), np.ones(3) / 3)

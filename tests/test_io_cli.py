@@ -149,6 +149,37 @@ class TestCliPipeline:
         rc = main(["fit", str(curves), str(covars), str(bad_cfg), str(out)])
         assert rc == 2
 
+    @pytest.mark.parametrize("column,value", [("t", "nan"), ("re", "nan"), ("im", "inf")])
+    def test_non_finite_curve_value_exit2(self, dataset, tmp_path, capsys, column, value):
+        base, curves, covars, truth, config = dataset
+        lines = curves.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("curve_id"))
+        row = lines[header + 5].split(",")
+        row[lines[header].split(",").index(column)] = value
+        lines[header + 5] = ",".join(row)
+        bad = tmp_path / "bad_curves.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["fit", str(bad), str(covars), str(config), str(tmp_path / "m.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"bad_curves.csv:{header + 6}:" in err and f"curve {row[0]!r}" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_covariate_exit2(self, dataset, tmp_path, capsys, value):
+        # a NaN smooth covariate used to collapse the spline margin and zero the effect
+        base, curves, covars, truth, config = dataset
+        lines = covars.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("curve_id"))
+        row = lines[header + 3].split(",")
+        row[lines[header].split(",").index("z1")] = value
+        lines[header + 3] = ",".join(row)
+        bad = tmp_path / "bad_covars.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["fit", str(curves), str(bad), str(config), str(tmp_path / "m.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'z1'" in err and "curve row 2" in err
+
     def test_invalid_config_schema_exit2(self, dataset, tmp_path):
         base, curves, covars, truth, config = dataset
         bad_cfg = tmp_path / "bad2.json"
