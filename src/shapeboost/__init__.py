@@ -16,7 +16,6 @@ from .basis import (
     build_response_basis,
     constraint_matrix,
     nullspace_transform,
-    tangent_design,
 )
 from .boost import (
     BoostConfig,
@@ -30,6 +29,7 @@ from .boost import (
     empirical_risk,
     estimate_pole,
     predict_mean,
+    predict_means,
     rmse_effect,
     transported_residuals,
 )
@@ -38,10 +38,9 @@ from .effects import (
     EffectError,
     EffectSpec,
     KronPenalty,
-    assemble_normal_eqs,
+    PlsLearner,
     covariate_design,
     df_to_lambda,
-    pls_solve,
 )
 from .factorize import (
     DirectionVisual,

@@ -31,7 +31,6 @@ __all__ = [
     "sample_design",
     "constraint_matrix",
     "nullspace_transform",
-    "tangent_design",
     "center_pole",
 ]
 
@@ -239,9 +238,6 @@ class PoleCoef:
     def evaluate(self, grid: np.ndarray) -> np.ndarray:
         return self.basis.design(grid) @ self.coef
 
-    def evaluate_design(self, design: np.ndarray) -> np.ndarray:
-        return design @ self.coef
-
 
 def center_pole(
     pole: PoleCoef,
@@ -367,12 +363,6 @@ def nullspace_transform(C_real: np.ndarray) -> TangentTransform:
             stacklevel=2,
         )
     return TangentTransform(Vh[rank:].T.copy())
-
-
-def tangent_design(grid: np.ndarray, transform: TangentTransform, basis: BSplineBasis) -> np.ndarray:
-    """Complex k x m design of the tangent directions evaluated on a grid."""
-    B = basis.design(np.asarray(grid, dtype=float))
-    return B @ transform.complex_columns
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import geometry
 from .basis import (
@@ -41,6 +40,7 @@ from .effects import (
     EffectError,
     EffectSpec,
     KronPenalty,
+    PlsLearner,
     assemble_psi_matrix,
     assemble_psi_vector,
     covariate_design,
@@ -67,6 +67,7 @@ __all__ = [
     "boost_fit",
     "cv_early_stop",
     "predict_mean",
+    "predict_means",
     "empirical_risk",
     "rmse_effect",
     "transported_residuals",
@@ -75,6 +76,7 @@ __all__ = [
 log = logging.getLogger("shapeboost")
 
 POLE_REL_TOL = 1e-8
+PREDICT_BLOCK_POINTS = 4096
 
 
 class FitDiverged(RuntimeError):
@@ -140,13 +142,6 @@ class FittedModel:
     @property
     def basis(self) -> BSplineBasis:
         return self.pole.basis
-
-    def predictor_coef(self, x: dict) -> np.ndarray:
-        """Tangent coefficients (m,) of the additive predictor at covariates x."""
-        c = np.zeros(self.transform.m)
-        for eff in self.effects:
-            c += eff.theta @ eff.cmap.row(x)
-        return c
 
     def predictor_coefs(self, covariates: dict, n: int) -> np.ndarray:
         """Tangent coefficients (n, m) of the additive predictor for every row of a covariate table."""
@@ -230,7 +225,7 @@ class _PoleSample:
 
 
 class _FitContext:
-    """Base-learners of one boosting run: covariate designs, penalties, factorized systems."""
+    """Base-learners of one boosting run: covariate designs and factored PLS learners."""
 
     def __init__(self, ps: _PoleSample, covariates: dict, config: BoostConfig):
         self.ps = ps
@@ -238,9 +233,7 @@ class _FitContext:
         self.m = ps.transform.m
         self.cov_designs: list[np.ndarray] = []
         self.cmaps: list[CovariateMap] = []
-        self.penalties: list[KronPenalty] = []
-        self.solvers: list = []
-        self.psis: list[np.ndarray] = []
+        self.learners: list[PlsLearner] = []
         grams = ps.grams()
         p_tan = {}
         for tk in ("ridge", "second_diff", "none"):
@@ -254,26 +247,9 @@ class _FitContext:
             P_tan = p_tan[tan_kind]
             lam, lam_tan = df_to_lambda(Psi, cmap.penalty, P_tan, spec.df_target)
             pen = KronPenalty(lam, lam_tan, cmap.penalty, P_tan)
-            A = Psi + pen.materialize()
-            try:
-                solver = scipy.linalg.cho_factor(A, check_finite=False)
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-                warnings.warn(
-                    f"effect {spec.name!r}: singular penalized system, using pseudo-inverse",
-                    stacklevel=2,
-                )
-                solver = np.linalg.pinv(A, rcond=1e-12)
             self.cov_designs.append(design)
             self.cmaps.append(cmap)
-            self.penalties.append(pen)
-            self.solvers.append(solver)
-            self.psis.append(Psi)
-
-    def solve(self, j: int, psi_vec: np.ndarray) -> np.ndarray:
-        solver = self.solvers[j]
-        if isinstance(solver, tuple):
-            return scipy.linalg.cho_solve(solver, psi_vec, check_finite=False)
-        return solver @ psi_vec
+            self.learners.append(PlsLearner(Psi, pen, f"effect {spec.name!r}"))
 
     def predictor_coefs(self, thetas: list[np.ndarray]) -> np.ndarray:
         """Per-curve tangent coefficients of the current additive predictor, (n, m)."""
@@ -352,7 +328,7 @@ def estimate_pole(
     while budget > 0:
         ps = _PoleSample(sample, packed, pole, kind)
         grams = ps.grams()
-        Psi = grams.sum(axis=0)
+        intercept = PlsLearner(grams.sum(axis=0), None, "pole intercept")
         G0 = grams.mean(axis=0)
         h0 = np.zeros(ps.transform.m)
         prev = np.inf
@@ -361,11 +337,7 @@ def estimate_pole(
             budget -= 1
             eps, _ = ps.residuals(np.broadcast_to(h0, (packed.n, h0.size)))
             cur = float(np.mean(packed.norm(eps)))
-            psi = ps.project(eps).sum(axis=0)
-            try:
-                step = np.linalg.solve(Psi, psi)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(Psi, psi, rcond=None)[0]
+            step = intercept.solve(ps.project(eps).sum(axis=0))
             if cond is None:
                 # first-order condition: projected mean residual vs mean norm
                 cond = float(np.sqrt(max(step @ G0 @ step, 0.0)) / max(cur, 1e-300))
@@ -434,11 +406,11 @@ def boost_fit(
         best_j = -1
         best_obj = np.inf
         best_theta = None
-        for j in range(len(config.effects)):
+        for j, learner in enumerate(ctx.learners):
             psi = assemble_psi_vector(ctx.cov_designs[j], projs)
-            v = ctx.solve(j, psi)
+            v = learner.solve(psi)
             # SSE_j = const - 2 v^T psi + v^T Psi v; const shared across learners
-            obj = float(-2.0 * v @ psi + v @ (ctx.psis[j] @ v))
+            obj = float(-2.0 * v @ psi + v @ (learner.Psi @ v))
             if obj < best_obj:
                 best_obj = obj
                 best_j = j
@@ -454,8 +426,8 @@ def boost_fit(
             val_trace.append(eval_risk())
 
     effects = [
-        FittedEffect(spec=spec, cmap=cm, theta=theta, lam=(pen.lam_cov, pen.lam_tan))
-        for spec, cm, theta, pen in zip(config.effects, ctx.cmaps, thetas, ctx.penalties)
+        FittedEffect(spec=spec, cmap=cm, theta=theta, lam=(lr.penalty.lam_cov, lr.penalty.lam_tan))
+        for spec, cm, theta, lr in zip(config.effects, ctx.cmaps, thetas, ctx.learners)
     ]
     model = FittedModel(
         kind=kind,
@@ -561,21 +533,48 @@ def _weights_for_grid(grid: np.ndarray, rule: str, basis: BSplineBasis | None = 
     return geometry.trapezoid_weights(np.asarray(grid, dtype=float))
 
 
+def predict_means(
+    model: FittedModel,
+    covariates: dict,
+    grids: list[np.ndarray],
+    weights: list[np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """Conditional mean representatives Exp_[p](h(x_i)) of every covariate row, row i on grids[i].
+
+    One packed exponential per block of about PREDICT_BLOCK_POINTS evaluation points.
+    Covariates are checked like the fitting table: bad values raise ``EffectError``.
+    """
+    n = len(grids)
+    if n == 0:
+        return []
+    fields = model.predictor_coefs(covariates, n) @ model.transform.complex_columns.T
+    grids = [np.asarray(g, dtype=float) for g in grids]
+    if weights is None:
+        rule = "gram" if model.coef_mode else model.weight_rule
+        weights = [_weights_for_grid(g, rule, model.basis) for g in grids]
+    step = max(1, PREDICT_BLOCK_POINTS // max(g.size for g in grids))
+    means = []
+    for lo in range(0, n, step):
+        rows = range(lo, min(lo + step, n))
+        if model.coef_mode:
+            B = np.tile(np.eye(model.basis.dim), (len(rows), 1))
+        else:
+            B = model.basis.design(np.concatenate([grids[i] for i in rows]))
+        packed = PackedSample([weights[i] for i in rows], [f"prediction row {i}" for i in rows], design=B)
+        p_rep = packed.pole_rep(B @ model.pole.coef, model.kind)
+        means += np.split(packed.exp(p_rep, packed.field(fields[lo : lo + step]), model.kind), packed.offsets[1:-1])
+    return means
+
+
 def predict_mean(
     model: FittedModel,
     x: dict,
     grid: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Conditional mean representative Exp_[p](h(x)) evaluated on a grid."""
-    grid = np.asarray(grid, dtype=float)
-    if weights is None:
-        weights = _weights_for_grid(grid, "gram" if model.coef_mode else model.weight_rule, model.basis)
-    B = np.eye(model.basis.dim) if model.coef_mode else model.basis.design(grid)
-    packed = PackedSample([weights], ["prediction grid"], design=B)
-    p_rep = packed.pole_rep(B @ model.pole.coef, model.kind)
-    h = packed.field(model.transform.field_coef(model.predictor_coef(x))[None, :])
-    return packed.exp(p_rep, h, model.kind)
+    """Conditional mean representative Exp_[p](h(x)) on a grid: ``predict_means`` for one row."""
+    row = {name: np.array([value]) for name, value in x.items()}
+    return predict_means(model, row, [grid], None if weights is None else [weights])[0]
 
 
 def empirical_risk(model: FittedModel, sample: list[CurveSample], covariates: dict) -> float:

@@ -25,7 +25,8 @@ from .boost import (
     cv_early_stop,
     empirical_risk,
     estimate_pole,
-    predict_mean,
+    predict_mean,  # noqa: F401  (kept in this namespace for instrumentation that wraps it)
+    predict_means,
     rmse_effect,
 )
 from .effects import EffectError
@@ -108,13 +109,15 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model, digest = sbio.load_model(args.model)
-    rows_out = []
     # read the covariate table directly; prediction needs no curve alignment
-    with open(args.covariates, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows or rows[0][0] != "curve_id":
+    header, rows = sbio._read_rows(args.covariates)
+    if header[0] != "curve_id":
         raise sbio.SchemaError(f"{args.covariates}: first column must be curve_id")
-    cols = rows[0][1:]
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise sbio.SchemaError(f"{args.covariates}:{lineno}: expected {len(header)} fields, got {len(row)}")
+    ids = [row[0] for _, row in rows]
+    table = {col: np.array([row[j] for _, row in rows]) for j, col in enumerate(header[1:], start=1)}
     grids: dict[str, np.ndarray] = {}
     if args.grid_from:
         ref, _ = sbio.read_curves(args.grid_from, weight_rule="uniform")
@@ -123,13 +126,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         default_grid = np.arange(model.basis.dim, dtype=float) / (model.basis.dim - 1)
     else:
         default_grid = np.linspace(0.0, 1.0, args.points)
-    for row in rows[1:]:
-        cid = row[0]
-        x = dict(zip(cols, row[1:]))
-        grid = grids.get(cid, default_grid)
-        mu = predict_mean(model, x, grid)
-        rows_out.append((cid, grid, mu))
-    sbio.write_curves(args.out, rows_out, comment=f"config={digest}")
+    row_grids = [grids.get(cid, default_grid) for cid in ids]
+    means = predict_means(model, table, row_grids)
+    sbio.write_curves(args.out, list(zip(ids, row_grids, means)), comment=f"config={digest}")
     return EXIT_OK
 
 
@@ -200,21 +199,16 @@ def _scalar_component(eff, fac, r, covariates):
     """Evaluate hhat^(r) over a display grid of the first covariate (if scalar)."""
     spec = eff.spec
     if spec.kind == "smooth":
-        lo, hi = eff.cmap.margins[0].lo, eff.cmap.margins[0].hi
-        z = np.linspace(lo, hi, 101)
-        rows = np.vstack([eff.cmap.row({spec.covariates[0]: v}) for v in z])
-        return z, rows @ fac.scalar_coefs[:, r]
-    if spec.kind == "linear":
+        z = col = np.linspace(eff.cmap.margins[0].lo, eff.cmap.margins[0].hi, 101)
+    elif spec.kind == "linear":
         zdata = np.asarray(covariates[spec.covariates[0]], dtype=float)
-        z = np.linspace(zdata.min(), zdata.max(), 101)
-        rows = np.vstack([eff.cmap.row({spec.covariates[0]: v}) for v in z])
-        return z, rows @ fac.scalar_coefs[:, r]
-    if spec.kind == "categorical":
-        K = len(eff.cmap.levels)
-        z = np.arange(K, dtype=float)
-        rows = np.vstack([eff.cmap.row({spec.covariates[0]: lvl}) for lvl in eff.cmap.levels])
-        return z, rows @ fac.scalar_coefs[:, r]
-    return None, None
+        z = col = np.linspace(zdata.min(), zdata.max(), 101)
+    elif spec.kind == "categorical":
+        col = np.array(eff.cmap.levels)
+        z = np.arange(col.size, dtype=float)
+    else:
+        return None, None
+    return z, eff.cmap.design({spec.covariates[0]: col}, z.size) @ fac.scalar_coefs[:, r]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -274,38 +268,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
     tpole = PoleCoef(
         coef=np.asarray(tdoc["pole"]["re"]) + 1j * np.asarray(tdoc["pole"]["im"]), basis=tbasis
     )
-    kind = GeometryKind.parse(tdoc["geometry"])
     fields = {name: np.asarray(V, dtype=float) for name, V in tdoc["fields"].items()}
     maps = {name: CovariateMap.from_dict(d) for name, d in tdoc["effect_maps"].items()}
 
-    # per-curve truth evaluations on the sample grids
-    from .geometry import center as _center
-    from .geometry import empirical_norm as _norm
-
-    m0 = tbasis.dim
-    effect_evals = {name: [] for name in fields}
-    total_evals = []
-    pole_evals = []
-    for i, curve in enumerate(sample):
-        B = tbasis.design(curve.grid)
-        p_c = _center(B @ tpole.coef, curve.weights)
-        if kind is GeometryKind.SHAPE:
-            p_c = p_c / _norm(p_c, curve.weights)
-        pole_evals.append(p_c)
-        x = {name: covariates[name][i] for name in covariates}
-        total = np.zeros(curve.k, dtype=complex)
-        for name, V in fields.items():
-            fc = V[:m0] + 1j * V[m0:]
-            ev = B @ (fc @ maps[name].row(x))
-            effect_evals[name].append(ev)
-            total += ev
-        total_evals.append(total)
-
-    zero_evals = [np.zeros(c.k, dtype=complex) for c in sample]
+    # truth evaluations on the sample grids, split per curve; rmse_effect centers the true pole
+    n, m0 = len(sample), tbasis.dim
+    sizes = [c.k for c in sample]
+    B = tbasis.design(np.concatenate([c.grid for c in sample]))
+    seg, cuts = np.repeat(np.arange(n), sizes), np.cumsum(sizes)[:-1]
+    zero = np.zeros(B.shape[0], dtype=complex)
+    effect_evals = {}
+    for name, V in fields.items():
+        coefs = maps[name].design(covariates, n) @ (V[:m0] + 1j * V[m0:]).T
+        effect_evals[name] = np.sum(B * coefs[seg], axis=1)
+    total_evals = np.split(sum(effect_evals.values(), zero), cuts)
+    pole_evals = np.split(B @ tpole.coef, cuts)
     results = []
     for eff in model.effects:
         name = eff.spec.name
-        true_evals = effect_evals.get(name, zero_evals)
+        true_evals = np.split(effect_evals.get(name, zero), cuts)
         r = rmse_effect(model, sample, covariates, name, true_evals, total_evals, pole_evals)
         results.append((name, r, name in effect_evals))
     risk = empirical_risk(model, sample, covariates)

@@ -37,8 +37,7 @@ __all__ = [
     "curve_proj",
     "assemble_psi_matrix",
     "assemble_psi_vector",
-    "assemble_normal_eqs",
-    "pls_solve",
+    "PlsLearner",
     "df_to_lambda",
     "vec",
     "unvec",
@@ -408,18 +407,6 @@ def assemble_psi_vector(cov_design: np.ndarray, projs: list[np.ndarray] | np.nda
     return (G.T @ cov_design).T.reshape(-1)
 
 
-def assemble_normal_eqs(
-    tangent_designs: list[np.ndarray],
-    weights: list[np.ndarray],
-    cov_design: np.ndarray,
-    residuals: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble (Psi_j, psi_j) from per-curve tangent designs and residuals."""
-    grams = [curve_gram(D, w) for D, w in zip(tangent_designs, weights)]
-    projs = np.array([curve_proj(D, w, e) for D, w, e in zip(tangent_designs, weights, residuals)])
-    return assemble_psi_matrix(cov_design, grams), assemble_psi_vector(cov_design, projs)
-
-
 def vec(theta: np.ndarray) -> np.ndarray:
     """Column-major vectorization (theta^(1,1), ..., theta^(m,1), theta^(1,2), ...)."""
     return theta.reshape(-1, order="F")
@@ -445,38 +432,29 @@ class KronPenalty:
         return 0.5 * (R + R.T)
 
 
-def pls_solve(Psi: np.ndarray, psi: np.ndarray, R: np.ndarray | KronPenalty | None, m: int, m_j: int) -> np.ndarray:
-    """Penalized least-squares solve vec(Theta) = (Psi + R)^{-1} psi.
+class PlsLearner:
+    """Penalized least-squares system A = Psi + R, factored once and solved many times.
 
-    Falls back to a least-norm pseudo-inverse solution (with a warning) when
-    the penalized system is singular.
+    ``solve`` returns A^{-1} rhs for a vector or matrix right-hand side.  A
+    singular A falls back to the least-norm pseudo-inverse, with one warning
+    naming the learner.
     """
-    A = Psi if R is None else Psi + (R.materialize() if isinstance(R, KronPenalty) else R)
-    try:
-        c, low = scipy.linalg.cho_factor(A, check_finite=False)
-        v = scipy.linalg.cho_solve((c, low), psi, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        warnings.warn("singular PLS system; returning least-norm pseudo-inverse solution", stacklevel=2)
-        v = np.linalg.pinv(A, rcond=1e-12) @ psi
-    return unvec(v, m, m_j)
 
+    def __init__(self, Psi: np.ndarray, penalty: KronPenalty | None = None, label: str = "PLS system"):
+        self.Psi = Psi
+        self.penalty = penalty
+        A = Psi if penalty is None else Psi + penalty.materialize()
+        try:
+            self._chol = scipy.linalg.cho_factor(A, check_finite=False)
+        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            warnings.warn(f"{label}: singular PLS system, using pseudo-inverse", stacklevel=2)
+            self._chol = None
+            self._pinv = np.linalg.pinv(A, rcond=1e-12)
 
-def _combined_penalty(P_cov: np.ndarray, P_tan: np.ndarray) -> np.ndarray:
-    m_j = P_cov.shape[0]
-    m = P_tan.shape[0]
-    S = np.kron(P_cov, np.eye(m)) + np.kron(np.eye(m_j), P_tan)
-    return 0.5 * (S + S.T)
-
-
-def df_of_lambda(Psi: np.ndarray, S: np.ndarray, lam: float) -> float:
-    """Effective degrees of freedom trace[(Psi + lam*S)^{-1} Psi]."""
-    A = Psi + lam * S
-    try:
-        c, low = scipy.linalg.cho_factor(A, check_finite=False)
-        X = scipy.linalg.cho_solve((c, low), Psi, check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        X = np.linalg.pinv(A, rcond=1e-12) @ Psi
-    return float(np.trace(X))
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self._chol is None:
+            return self._pinv @ rhs
+        return scipy.linalg.cho_solve(self._chol, rhs, check_finite=False)
 
 
 def df_to_lambda(
@@ -495,8 +473,9 @@ def df_to_lambda(
     targets are clamped to the nearest attainable value with a warning.
     Returns the shared scale for both penalty directions.
     """
-    S = _combined_penalty(P_cov, P_tan)
-    eig_min = float(np.linalg.eigvalsh(S).min()) if S.size else 0.0
+    S = KronPenalty(1.0, 1.0, P_cov, P_tan).materialize()
+    # the eigenvalues of P_cov (x) I + I (x) P_perp are the pairwise sums of the factors'
+    eig_min = float(np.linalg.eigvalsh(P_cov).min() + np.linalg.eigvalsh(P_tan).min()) if S.size else 0.0
     s_scale = float(np.abs(S).max()) if S.size else 0.0
     if s_scale == 0.0:
         S = np.eye(S.shape[0])

@@ -25,7 +25,7 @@ import scipy.linalg
 from .basis import sample_design
 from .boost import FittedModel
 from .geometry import CurveSample, GeometryError, GeometryKind, PackedSample, center, empirical_norm
-from .effects import EffectError
+from .effects import EffectError, PlsLearner
 
 __all__ = [
     "GramPair",
@@ -86,11 +86,7 @@ def _design_sqrt(A: np.ndarray) -> np.ndarray:
 
 def _generalized_inverse(M: np.ndarray) -> np.ndarray:
     """M^- = M^T (M M^T)^{-1}, with a pseudo-inverse fallback for deficient M."""
-    MMt = M @ M.T
-    try:
-        return scipy.linalg.solve(MMt, M, assume_a="pos").T
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        return np.linalg.pinv(M, rcond=1e-12)
+    return PlsLearner(M @ M.T, None, "Gram factor").solve(M).T
 
 
 def factorize_effect(

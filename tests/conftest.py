@@ -59,3 +59,8 @@ def curve_from(vals, grid, w, cid="y"):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def tangent_design(grid, transform, basis):
+    """Reference complex k x m design of the tangent directions on one grid, B Z_c."""
+    return basis.design(np.asarray(grid, dtype=float)) @ transform.complex_columns

@@ -19,10 +19,9 @@ from shapeboost.boost import (
 )
 from shapeboost.effects import (
     KronPenalty,
+    PlsLearner,
     df_to_lambda,
-    pls_solve,
     unvec,
-    vec,
 )
 from shapeboost.factorize import effect_factorization, factorize_effect
 from shapeboost.geometry import (
@@ -190,10 +189,10 @@ def test_criterion_4_pls_oracle():
                         R[l * m + r, l2 * m + r2] = lam1 * P_cov[l, l2] * (r == r2) + lam2 * (l == l2) * P_tan[r, r2]
         kron_exact &= np.array_equal(pen.materialize(), pen.materialize())
         kron_exact &= np.allclose(pen.materialize(), R, atol=1e-13)
-        theta = pls_solve(Psi, psi, pen, m, mj)
+        v = PlsLearner(Psi, pen).solve(psi)
         brute = np.linalg.solve(Psi + R, psi)
         denom = max(np.linalg.norm(brute), 1e-300)
-        worst_solve = max(worst_solve, np.linalg.norm(vec(theta) - brute) / denom)
+        worst_solve = max(worst_solve, np.linalg.norm(v - brute) / denom)
         # df calibration oracle
         df_target = float(rng.uniform(1.0, min(m * mj - 1, 8)))
         lam, _ = df_to_lambda(Psi, P_cov, P_tan, df_target)
@@ -410,7 +409,7 @@ def test_criterion_9_boosting_behavior(truth, tmp_path):
         cands = []
         for j in range(len(effects)):
             psi = assemble_psi_vector(ctx.cov_designs[j], projs)
-            v = ctx.solve(j, psi)
+            v = ctx.learners[j].solve(psi)
             theta_j = unvec(v, ctx.m, ctx.cmaps[j].m_j)
             eps, _ = ps.residuals(ctx.predictor_coefs(thetas))
             fitv = ps.predictor(ctx.cov_designs[j] @ theta_j.T)

@@ -11,7 +11,6 @@ from shapeboost.basis import (
     constraint_matrix,
     curve_design,
     nullspace_transform,
-    tangent_design,
 )
 from shapeboost.geometry import (
     CurveSample,
@@ -21,7 +20,7 @@ from shapeboost.geometry import (
     uniform_weights,
 )
 
-from conftest import irregular_grid, smooth_curve
+from conftest import irregular_grid, smooth_curve, tangent_design
 
 
 class TestResponseBasis:

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from shapeboost.basis import SplineConfig, build_response_basis, tangent_design
+from shapeboost.basis import SplineConfig, build_response_basis
 from shapeboost.boost import (
     BoostConfig,
     boost_fit,
@@ -27,7 +29,7 @@ from shapeboost.geometry import (
     uniform_weights,
 )
 
-from conftest import irregular_grid, smooth_curve
+from conftest import irregular_grid, smooth_curve, tangent_design
 
 BASIS = SplineConfig(degree=3, n_knots=8, cyclic=True)
 
@@ -163,9 +165,9 @@ class TestBoostFit:
             projs, _ = ctx.residual_pass(ctx.predictor_coefs(thetas))
             sse = []
             cands = []
-            for j in range(len(effects)):
+            for j, learner in enumerate(ctx.learners):
                 psi = assemble_psi_vector(ctx.cov_designs[j], projs)
-                v = ctx.solve(j, psi)
+                v = learner.solve(psi)
                 # full SSE via explicit residual evaluation
                 theta_j = unvec(v, ctx.m, ctx.cmaps[j].m_j)
                 eps, _ = ps.residuals(ctx.predictor_coefs(thetas))
@@ -176,6 +178,21 @@ class TestBoostFit:
             j_star = int(np.argmin(sse))
             assert j_star == model.selection_trace[it]
             thetas[j_star] = thetas[j_star] + config.step_length * cands[j_star]
+
+    def test_singular_learner_falls_back_to_pseudo_inverse(self, rng):
+        # an unpenalized smooth effect on 3 distinct covariate values: its system is singular
+        curves, cov, effects, basis, _ = make_dataset(rng, n=12)
+        cov = dict(cov, z=np.array([float(i % 3) for i in range(12)]))
+        flat = EffectSpec(name="flat", kind="smooth", covariates=("z",), covariate_basis=SplineConfig(3, 4),
+                          df_target=100.0, penalty_covariate="none", penalty_tangent="none")
+        config = BoostConfig(effects=[effects[0], flat], step_length=0.3, max_iterations=6, response_basis=BASIS)
+        pole = estimate_pole(curves, GeometryKind.FORM, basis, config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = boost_fit(curves, cov, config, pole, GeometryKind.FORM)
+        fallbacks = [str(w.message) for w in caught if "pseudo-inverse" in str(w.message)]
+        assert fallbacks == ["effect 'flat': singular PLS system, using pseudo-inverse"]
+        assert np.all(np.isfinite(model.risk_trace)) and model.risk_trace[-1] < model.risk_trace[0]
 
     def test_eta_linearity_single_step(self, rng):
         curves, cov, effects, basis, _ = make_dataset(rng, n=10)
@@ -313,11 +330,12 @@ class TestRiskAndRmse:
         # use the fitted effect itself as "truth": rmse must vanish without pole transport
         eff = model.effects[0]
         fitted, totals = [], []
+        coefs = model.predictor_coefs(cov, len(curves))
         for i, c in enumerate(curves):
             x = {"kappa": cov["kappa"][i], "z": cov["z"][i]}
             D = tangent_design(c.grid, model.transform, basis)
             fitted.append(D @ (eff.theta @ eff.cmap.row(x)))
-            totals.append(D @ model.predictor_coef(x))
+            totals.append(D @ coefs[i])
         r = rmse_effect(model, curves, cov, "cat", fitted, totals)
         assert r <= 1e-16
 
@@ -407,6 +425,7 @@ class TestPackedKernel:
         model = boost_fit(curves, cov, config, pole, kind)
         packed = transported_residuals(model, curves, cov).residuals
         assert len({c.k for c in curves}) > 1 or weights == "gram"
+        coefs = model.predictor_coefs(cov, len(curves))
         for i, curve in enumerate(curves):
             x = {name: cov[name][i] for name in cov}
             w = curve.weights
@@ -415,7 +434,7 @@ class TestPackedKernel:
             B = np.eye(basis.dim) if model.coef_mode else basis.design(curve.grid)
             p = _pole_rep(B @ pole.coef, w, kind)
             ref = parallel_transport(local.pole_evals, p, local, kind, check=False).values
-            loop = _loop_reference(model, curve, model.predictor_coef(x))
+            loop = _loop_reference(model, curve, coefs[i])
             scale = empirical_norm(packed[i].values, w)
             assert scale > 0
             assert empirical_norm(packed[i].values - ref, w) <= 1e-12 * scale

@@ -8,19 +8,30 @@ from shapeboost.effects import (
     EffectError,
     EffectSpec,
     KronPenalty,
-    assemble_normal_eqs,
+    PlsLearner,
     assemble_psi_matrix,
+    assemble_psi_vector,
     covariate_design,
     curve_gram,
     curve_proj,
-    df_of_lambda,
     df_to_lambda,
-    pls_solve,
     unvec,
     vec,
 )
 
-from conftest import irregular_grid, smooth_curve
+from conftest import irregular_grid, smooth_curve, tangent_design
+
+
+def assemble_normal_eqs(tangent_designs, weights, cov_design, residuals):
+    """Reference (Psi_j, psi_j) from per-curve tangent designs and residuals."""
+    grams = [curve_gram(D, w) for D, w in zip(tangent_designs, weights)]
+    projs = np.array([curve_proj(D, w, e) for D, w, e in zip(tangent_designs, weights, residuals)])
+    return assemble_psi_matrix(cov_design, grams), assemble_psi_vector(cov_design, projs)
+
+
+def df_of_lambda(Psi, P_cov, P_tan, lam):
+    """Effective degrees of freedom trace[(Psi + lam S)^{-1} Psi], solved by the learner."""
+    return float(np.trace(PlsLearner(Psi, KronPenalty(lam, lam, P_cov, P_tan)).solve(Psi)))
 
 
 class TestCovariateDesign:
@@ -87,7 +98,7 @@ class TestCovariateDesign:
 
 
 def _toy_system(rng, n=6, m=3, m0=4, k=12):
-    from shapeboost.basis import TangentTransform, build_response_basis, tangent_design
+    from shapeboost.basis import TangentTransform, build_response_basis
     from shapeboost.geometry import trapezoid_weights
 
     basis = build_response_basis(SplineConfig(2, m0 - 3), np.linspace(0, 1, 20))
@@ -170,7 +181,7 @@ class TestPlsSolve:
     def test_identity_system(self, rng):
         m, mj = 4, 3
         psi = rng.normal(size=m * mj)
-        theta = pls_solve(np.eye(m * mj), psi, None, m, mj)
+        theta = unvec(PlsLearner(np.eye(m * mj)).solve(psi), m, mj)
         assert np.allclose(theta, unvec(psi, m, mj))
 
     def test_ridge_shrink_to_zero(self, rng):
@@ -179,7 +190,7 @@ class TestPlsSolve:
         Psi = A.T @ A
         psi = rng.normal(size=m * mj)
         pen = KronPenalty(1e12, 1e12, np.eye(mj), np.eye(m))
-        theta = pls_solve(Psi, psi, pen, m, mj)
+        theta = unvec(PlsLearner(Psi, pen).solve(psi), m, mj)
         assert np.linalg.norm(theta) <= 1e-6 * np.linalg.norm(psi)
 
     def test_kron_case_vs_dense_oracle(self, rng):
@@ -198,7 +209,7 @@ class TestPlsSolve:
                     for r2 in range(m):
                         R[l * m + r, l2 * m + r2] = 0.7 * P_cov[l, l2] * (r == r2) + 1.3 * (l == l2) * P_tan[r, r2]
         assert np.allclose(pen.materialize(), R, atol=1e-14)
-        theta = pls_solve(Psi, psi, pen, m, mj)
+        theta = unvec(PlsLearner(Psi, pen).solve(psi), m, mj)
         oracle = np.linalg.solve(Psi + R, psi)
         assert np.allclose(vec(theta), oracle, atol=1e-10)
 
@@ -208,16 +219,18 @@ class TestPlsSolve:
         Psi = A.T @ A
         psi = rng.normal(size=m * mj)
         pen = KronPenalty(0.1, 0.2, np.eye(mj), np.eye(m))
-        theta = pls_solve(Psi, psi, pen, m, mj)
+        theta = unvec(PlsLearner(Psi, pen).solve(psi), m, mj)
         R = pen.materialize()
         assert np.linalg.norm((Psi + R) @ vec(theta) - psi) <= 1e-8 * np.linalg.norm(psi)
+        rhs = np.column_stack([psi, rng.normal(size=m * mj)])  # a matrix right-hand side
+        assert np.linalg.norm((Psi + R) @ PlsLearner(Psi, pen).solve(rhs) - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
     def test_singular_system_flagged(self, rng):
         Psi = np.zeros((4, 4))
         psi = np.zeros(4)
-        with pytest.warns(UserWarning):
-            theta = pls_solve(Psi, psi, None, 2, 2)
-        assert np.allclose(theta, 0)
+        with pytest.warns(UserWarning, match="effect 'toy'"):
+            learner = PlsLearner(Psi, None, "effect 'toy'")
+        assert np.allclose(unvec(learner.solve(psi), 2, 2), 0)
 
     def test_objective_minimized(self, rng):
         # penalized objective never decreases under random perturbations
@@ -226,7 +239,7 @@ class TestPlsSolve:
         Psi, psi = assemble_normal_eqs(designs, weights, cov, residuals)
         m = designs[0].shape[1]
         pen = KronPenalty(0.5, 0.5, np.eye(2), np.eye(m))
-        theta = pls_solve(Psi, psi, pen, m, 2)
+        theta = unvec(PlsLearner(Psi, pen).solve(psi), m, 2)
         R = pen.materialize()
 
         def objective(tv):
@@ -260,8 +273,7 @@ class TestDfCalibration:
         m, mj = 3, 3
         A = rng.normal(size=(30, m * mj))
         Psi = A.T @ A
-        S = np.kron(np.eye(mj), np.eye(m)) + np.kron(np.eye(mj), np.zeros((m, m)))
-        vals = [df_of_lambda(Psi, np.kron(np.eye(mj), np.eye(m)) * 2, lam) for lam in [0.0, 0.1, 1.0, 10.0]]
+        vals = [df_of_lambda(Psi, np.eye(mj), np.eye(m), lam) for lam in [0.0, 0.1, 1.0, 10.0]]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_bisection_hits_target(self, rng):

@@ -45,6 +45,18 @@ def dataset(tmp_path_factory):
     return base, curves, covars, truth, config
 
 
+def _with_covariate(covars, tmp_path, column, value):
+    """Copy of the covariate table with ``value`` in curve row 2 of ``column``."""
+    lines = covars.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("curve_id"))
+    row = lines[header + 3].split(",")
+    row[lines[header].split(",").index(column)] = value
+    lines[header + 3] = ",".join(row)
+    bad = tmp_path / "bad_covars.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
 class TestCurveFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -168,13 +180,7 @@ class TestCliPipeline:
     def test_non_finite_covariate_exit2(self, dataset, tmp_path, capsys, value):
         # a NaN smooth covariate used to collapse the spline margin and zero the effect
         base, curves, covars, truth, config = dataset
-        lines = covars.read_text().splitlines()
-        header = next(i for i, line in enumerate(lines) if line.startswith("curve_id"))
-        row = lines[header + 3].split(",")
-        row[lines[header].split(",").index("z1")] = value
-        lines[header + 3] = ",".join(row)
-        bad = tmp_path / "bad_covars.csv"
-        bad.write_text("\n".join(lines) + "\n")
+        bad = _with_covariate(covars, tmp_path, "z1", value)
         rc = main(["fit", str(curves), str(bad), str(config), str(tmp_path / "m.json")])
         assert rc == 2
         err = capsys.readouterr().err
@@ -205,6 +211,22 @@ class TestCliPipeline:
         x = {k: table[k][i] for k in table}
         mu = predict_mean(model, x, sample[i].grid, sample[i].weights)
         assert np.abs(predicted[i].values - mu).max() <= 1e-8
+
+    @pytest.mark.parametrize("column", ["z1", "z2"])
+    def test_predict_non_finite_covariate_exit2(self, dataset, tmp_path, capsys, column):
+        # a NaN linear covariate used to predict NaN curves, a NaN smooth one to crash in scipy
+        base, curves, covars, truth, config = dataset
+        doc = json.loads(config.read_text())
+        doc["effects"].append({"name": "slope", "kind": "linear", "covariates": ["z2"], "df": 1})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        mfile = tmp_path / "m.json"
+        assert main(["fit", str(curves), str(covars), str(cfg), str(mfile)]) == 0
+        bad = _with_covariate(covars, tmp_path, column, "nan")
+        rc = main(["predict", str(mfile), str(bad), str(tmp_path / "pred.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{column!r}" in err and "row 2" in err
 
     def test_cv_writes_risk_table(self, dataset, tmp_path):
         base, curves, covars, truth, config = dataset
