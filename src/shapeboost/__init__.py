@@ -45,7 +45,6 @@ from .effects import (
 from .factorize import (
     DirectionVisual,
     Factorization,
-    GramPair,
     direction_visual,
     effect_factorization,
     factorize_effect,

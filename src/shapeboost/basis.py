@@ -235,9 +235,6 @@ class PoleCoef:
             raise GeometryError("pole coefficient length does not match basis dimension")
         object.__setattr__(self, "coef", coef)
 
-    def evaluate(self, grid: np.ndarray) -> np.ndarray:
-        return self.basis.design(grid) @ self.coef
-
 
 def center_pole(
     pole: PoleCoef,

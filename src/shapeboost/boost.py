@@ -145,10 +145,16 @@ class FittedModel:
 
     def predictor_coefs(self, covariates: dict, n: int) -> np.ndarray:
         """Tangent coefficients (n, m) of the additive predictor for every row of a covariate table."""
-        c = np.zeros((n, self.transform.m))
-        for eff in self.effects:
-            c += eff.cmap.design(covariates, n) @ eff.theta.T
-        return c
+        designs = [eff.cmap.design(covariates, n) for eff in self.effects]
+        return _additive_coefs(designs, [eff.theta for eff in self.effects], n, self.transform.m)
+
+
+def _additive_coefs(designs: list[np.ndarray], thetas: list[np.ndarray], n: int, m: int) -> np.ndarray:
+    """Tangent coefficients (n, m) of the additive predictor, sum_j X_j Theta_j^T."""
+    out = np.zeros((n, m))
+    for design, theta in zip(designs, thetas):
+        out += design @ theta.T
+    return out
 
 
 @dataclass
@@ -253,10 +259,7 @@ class _FitContext:
 
     def predictor_coefs(self, thetas: list[np.ndarray]) -> np.ndarray:
         """Per-curve tangent coefficients of the current additive predictor, (n, m)."""
-        out = np.zeros((self.n, self.m))
-        for theta, design in zip(thetas, self.cov_designs):
-            out += design @ theta.T
-        return out
+        return _additive_coefs(self.cov_designs, thetas, self.n, self.m)
 
     def residual_pass(self, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Projected transported residuals (n, m) and geodesic distances (n,)."""
@@ -392,9 +395,7 @@ def boost_fit(
         eval_designs = [cm.design(eval_covariates, len(eval_sample)) for cm in ctx.cmaps]
 
         def eval_risk() -> float:
-            coefs = np.zeros((len(eval_sample), ctx.m))
-            for theta, rows in zip(thetas, eval_designs):
-                coefs += rows @ theta.T
+            coefs = _additive_coefs(eval_designs, thetas, len(eval_sample), ctx.m)
             return float(np.mean(held_out.distances(coefs) ** 2))
 
     projs, dists = ctx.residual_pass(ctx.predictor_coefs(thetas))

@@ -108,16 +108,11 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    if args.points < 3:
+        raise sbio.SchemaError(f"--points must be at least 3, got {args.points}")
     model, digest = sbio.load_model(args.model)
-    # read the covariate table directly; prediction needs no curve alignment
-    header, rows = sbio._read_rows(args.covariates)
-    if header[0] != "curve_id":
-        raise sbio.SchemaError(f"{args.covariates}: first column must be curve_id")
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise sbio.SchemaError(f"{args.covariates}:{lineno}: expected {len(header)} fields, got {len(row)}")
-    ids = [row[0] for _, row in rows]
-    table = {col: np.array([row[j] for _, row in rows]) for j, col in enumerate(header[1:], start=1)}
+    # prediction needs no curve alignment: rows are predicted in file order
+    ids, table = sbio.read_covariate_table(args.covariates)
     grids: dict[str, np.ndarray] = {}
     if args.grid_from:
         ref, _ = sbio.read_curves(args.grid_from, weight_rule="uniform")
@@ -310,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weights", choices=["trapezoid", "uniform", "column", "gram"])
         p.add_argument("--eta", type=float)
         p.add_argument("--iterations", type=int)
-        p.add_argument("--folds", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("fit", help="fit a model and write a model file")
     p.add_argument("curves")
@@ -328,6 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("out")
     add_common(p)
+    p.add_argument("--folds", type=int)
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("predict", help="predict conditional mean curves for covariate rows")

@@ -178,59 +178,41 @@ class CovariateMap:
     z_mean: float | None = None
     margins: list[_Margin] = field(default_factory=list)
 
-    def raw_row(self, x: dict) -> np.ndarray:
-        spec = self.spec
-        if spec.kind == "constant":
-            return np.ones(1)
-        if spec.kind == "linear":
-            z = float(x[spec.covariates[0]])
-            return np.array([z - self.z_mean])
-        if spec.kind == "categorical":
-            level = str(x[spec.covariates[0]])
-            if level not in self.levels:
-                raise EffectError(
-                    f"effect {spec.name!r}: unseen categorical level {level!r} (known: {self.levels})"
-                )
-            K = len(self.levels)
-            idx = self.levels.index(level)
-            row = np.zeros(K - 1)
-            if idx < K - 1:
-                row[idx] = 1.0
-            else:
-                row[:] = -1.0
-            return row
-        if spec.kind == "smooth":
-            return self.margins[0].design(np.array([float(x[spec.covariates[0]])]))[0]
-        rows = [
-            margin.design(np.array([float(x[cov])]))[0]
-            for margin, cov in zip(self.margins, spec.covariates)
-        ]
-        return np.kron(rows[0], rows[1])
-
-    def row(self, x: dict) -> np.ndarray:
-        raw = self.raw_row(x)
-        return raw if self.Zc is None else raw @ self.Zc
-
     def raw_design(self, table: dict, n: int) -> np.ndarray:
+        """Raw basis rows (n, raw dim) of a covariate table, before the constraint reparameterization."""
         spec = self.spec
         if spec.kind == "constant":
             return np.ones((n, 1))
-        if spec.kind == "linear":
-            z = _numeric_column(table, spec.covariates[0], n)
-            return (z - self.z_mean)[:, None]
         if spec.kind == "categorical":
-            col = _get_column(table, spec.covariates[0], n)
-            return np.vstack([self.raw_row({spec.covariates[0]: v}) for v in col])
+            # effect coding: level k < K-1 is the unit row e_k, the last level is all -1
+            col = _get_column(table, spec.covariates[0], n).astype(str)
+            levels = np.array(self.levels)
+            idx = np.minimum(np.searchsorted(levels, col), levels.size - 1)
+            unseen = np.flatnonzero(levels[idx] != col)
+            if unseen.size:
+                raise EffectError(
+                    f"effect {spec.name!r}: unseen categorical level {str(col[unseen[0]])!r} in curve row {unseen[0]}"
+                    f" (known: {self.levels})"
+                )
+            coding = np.vstack([np.eye(levels.size - 1), -np.ones(levels.size - 1)])
+            return coding[idx]
+        z = [_numeric_column(table, cov, n) for cov in spec.covariates]
+        if spec.kind == "linear":
+            return (z[0] - self.z_mean)[:, None]
         if spec.kind == "smooth":
-            return self.margins[0].design(_numeric_column(table, spec.covariates[0], n))
-        B1 = self.margins[0].design(_numeric_column(table, spec.covariates[0], n))
-        B2 = self.margins[1].design(_numeric_column(table, spec.covariates[1], n))
+            return self.margins[0].design(z[0])
+        B1, B2 = (margin.design(zc) for margin, zc in zip(self.margins, z))
         # row-wise product of the marginal designs
         return (B1[:, :, None] * B2[:, None, :]).reshape(n, -1)
 
     def design(self, table: dict, n: int) -> np.ndarray:
+        """Covariate design (n, m_j) of a table: the raw rows in the constrained parameterization."""
         raw = self.raw_design(table, n)
         return raw if self.Zc is None else raw @ self.Zc
+
+    def row(self, x: dict) -> np.ndarray:
+        """Covariate row (m_j,) of one record: ``design`` of a one-row table."""
+        return self.design({cov: np.array([x[cov]]) for cov in self.spec.covariates}, 1)[0]
 
     def to_dict(self) -> dict:
         return {
@@ -273,6 +255,20 @@ def _build_margin(cfg: SplineConfig, z: np.ndarray) -> _Margin:
     return _Margin(basis=basis, lo=lo, hi=hi)
 
 
+def _raw_penalty(cmap: CovariateMap, dim: int) -> np.ndarray:
+    """Penalty on the raw covariate coefficients; second differences only act on spline margins."""
+    kind = cmap.spec.penalty_covariate
+    if kind == "ridge":
+        return np.eye(dim)
+    if kind == "none" or not cmap.margins:
+        return np.zeros((dim, dim))
+    if len(cmap.margins) == 1:
+        return cmap.margins[0].basis.penalty(kind)
+    # interaction: marginal second differences summed over the tensor product
+    P1, P2 = (margin.basis.penalty(kind) for margin in cmap.margins)
+    return np.kron(P1, np.eye(P2.shape[0])) + np.kron(np.eye(P1.shape[0]), P2)
+
+
 def covariate_design(
     spec: EffectSpec,
     table: dict,
@@ -290,42 +286,20 @@ def covariate_design(
     columns (projection against the parent design).
     """
     cmap = CovariateMap(spec=spec, m_j=0, penalty=np.zeros((0, 0)))
-    if spec.kind == "constant":
-        raw = np.ones((n, 1))
-        P_raw = np.eye(1) if spec.penalty_covariate == "ridge" else np.zeros((1, 1))
-    elif spec.kind == "linear":
-        z = _numeric_column(table, spec.covariates[0], n)
-        cmap.z_mean = float(np.mean(z)) if spec.centering != "none" else 0.0
-        raw = (z - cmap.z_mean)[:, None]
-        P_raw = np.eye(1) if spec.penalty_covariate == "ridge" else np.zeros((1, 1))
-    elif spec.kind == "categorical":
-        col = _get_column(table, spec.covariates[0], n)
-        levels = sorted({str(v) for v in col})
+    # fit the map's state from the data; the rows themselves come from cmap.raw_design
+    if spec.kind == "categorical":
+        levels = sorted({str(v) for v in _get_column(table, spec.covariates[0], n)})
         if len(levels) < 2:
             raise EffectError(f"effect {spec.name!r}: categorical covariate needs >= 2 levels")
         cmap.levels = levels
-        raw = cmap.raw_design(table, n)
-        P_raw = np.eye(len(levels) - 1) if spec.penalty_covariate == "ridge" else np.zeros((len(levels) - 1,) * 2)
-    elif spec.kind == "smooth":
-        z = _numeric_column(table, spec.covariates[0], n)
-        cmap.margins = [_build_margin(spec.covariate_basis, z)]
-        raw = cmap.raw_design(table, n)
-        P_raw = cmap.margins[0].basis.penalty(spec.penalty_covariate)
-    else:  # smooth_interaction
-        z1 = _numeric_column(table, spec.covariates[0], n)
-        z2 = _numeric_column(table, spec.covariates[1], n)
-        cmap.margins = [_build_margin(spec.covariate_basis, z1), _build_margin(spec.covariate_basis, z2)]
-        raw = cmap.raw_design(table, n)
-        m1 = cmap.margins[0].basis.dim
-        m2 = cmap.margins[1].basis.dim
-        if spec.penalty_covariate == "ridge":
-            P_raw = np.eye(m1 * m2)
-        elif spec.penalty_covariate == "none":
-            P_raw = np.zeros((m1 * m2, m1 * m2))
-        else:
-            P1 = cmap.margins[0].basis.penalty("second_diff")
-            P2 = cmap.margins[1].basis.penalty("second_diff")
-            P_raw = np.kron(P1, np.eye(m2)) + np.kron(np.eye(m1), P2)
+    else:
+        z = [_numeric_column(table, cov, n) for cov in spec.covariates]
+        if spec.kind == "linear":
+            cmap.z_mean = float(np.mean(z[0])) if spec.centering != "none" else 0.0
+        elif spec.kind != "constant":
+            cmap.margins = [_build_margin(spec.covariate_basis, zc) for zc in z]
+    raw = cmap.raw_design(table, n)
+    P_raw = _raw_penalty(cmap, raw.shape[1])
 
     constraints: list[np.ndarray] = []
     # mean subtraction / effect coding already centers linear and categorical terms
@@ -333,9 +307,8 @@ def covariate_design(
         constraints.append(np.ones((1, n)) @ raw)
     if spec.centering == "around_marginals":
         if spec.kind == "smooth_interaction":
-            for margin, cov in zip(cmap.margins, spec.covariates):
-                Bm = margin.design(_numeric_column(table, cov, n))
-                constraints.append(Bm.T @ raw)
+            for margin, zc in zip(cmap.margins, z):
+                constraints.append(margin.design(zc).T @ raw)
         if spec.parents:
             if parent_designs is None:
                 raise EffectError(f"effect {spec.name!r}: parent designs not supplied")

@@ -28,7 +28,6 @@ from .geometry import CurveSample, GeometryError, GeometryKind, PackedSample, ce
 from .effects import EffectError, PlsLearner
 
 __all__ = [
-    "GramPair",
     "Factorization",
     "DirectionVisual",
     "factorize_effect",
@@ -38,14 +37,6 @@ __all__ = [
     "direction_visual",
     "model_grams",
 ]
-
-
-@dataclass(frozen=True)
-class GramPair:
-    """Gram matrices of the tangent directions (G0) and a covariate basis (G1)."""
-
-    G0: np.ndarray
-    G1: np.ndarray
 
 
 @dataclass
@@ -173,22 +164,10 @@ def effect_factorization(
     method: str = "cholesky",
 ) -> Factorization:
     """Factorize one fitted effect under the model's empirical inner products."""
-    matches = [eff for eff in model.effects if eff.spec.name == effect_name]
-    if not matches:
+    keep = [k for k, eff in enumerate(model.effects) if eff.spec.name == effect_name]
+    if not keep:
         raise EffectError(f"unknown effect {effect_name!r}")
-    eff = matches[0]
-    n = len(sample)
-    B = eff.cmap.design(covariates, n)
-    if method == "qr":
-        A0 = _tangent_design_stack(model, sample)
-        fac = factorize_effect(eff.theta, method="qr", A0=A0, A1=B / np.sqrt(n))
-    else:
-        G0, _ = model_grams(model, sample, covariates)
-        pair = GramPair(G0=G0, G1=B.T @ B / n)
-        fac = factorize_effect(eff.theta, G0=pair.G0, G1=pair.G1, method="cholesky")
-    fac.effect_names = [effect_name]
-    fac.effect_slices = [slice(0, eff.cmap.m_j)]
-    return fac
+    return _factorize_effects(model, sample, covariates, keep[:1], method)
 
 
 def factorize_predictor(
@@ -236,13 +215,21 @@ def predictor_factorization(
     covariates: dict,
     method: str = "cholesky",
 ) -> Factorization:
+    """Joint factorization of all fitted effects (see ``factorize_predictor``)."""
+    return _factorize_effects(model, sample, covariates, list(range(len(model.effects))), method)
+
+
+def _factorize_effects(
+    model: FittedModel, sample: list[CurveSample], covariates: dict, keep: list[int], method: str
+) -> Factorization:
+    """Joint factorization of the effects with indices ``keep``."""
     G0, designs = model_grams(model, sample, covariates)
     A0 = _tangent_design_stack(model, sample) if method == "qr" else None
     return factorize_predictor(
-        [eff.theta for eff in model.effects],
-        [eff.spec.name for eff in model.effects],
+        [model.effects[k].theta for k in keep],
+        [model.effects[k].spec.name for k in keep],
         G0,
-        designs,
+        [designs[k] for k in keep],
         method=method,
         A0=A0,
     )

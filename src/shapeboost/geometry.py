@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -217,13 +216,6 @@ class CurveSample:
     @property
     def k(self) -> int:
         return self.grid.size
-
-    @cached_property
-    def weight_chol(self) -> np.ndarray | None:
-        """Lower Cholesky factor of a full weight matrix (None for diagonal weights)."""
-        if _is_full(self.weights):
-            return np.linalg.cholesky(self.weights)
-        return None
 
     @classmethod
     def from_landmarks(cls, id: str, values: np.ndarray, weights: np.ndarray | None = None) -> "CurveSample":

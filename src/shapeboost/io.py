@@ -30,6 +30,7 @@ __all__ = [
     "read_curves",
     "write_curves",
     "read_covariates",
+    "read_covariate_table",
     "read_residual_pool",
     "parse_config",
     "load_config",
@@ -154,30 +155,37 @@ def write_curves(path: str | Path, rows: list[tuple[str, np.ndarray, np.ndarray]
                 writer.writerow([cid, repr(float(t)), repr(float(v.real)), repr(float(v.imag))])
 
 
-def read_covariates(path: str | Path, curve_ids: list[str]) -> dict[str, np.ndarray]:
-    """Read the covariate table and align rows with the curve order."""
+def read_covariate_table(path: str | Path) -> tuple[list[str], dict[str, np.ndarray]]:
+    """Read a covariate table: its curve ids in file order and one column per covariate.
+
+    Columns stay strings: categorical levels keep their file spelling, and
+    numeric columns are converted where an effect actually needs numbers.
+    """
     header, rows = _read_rows(path)
-    if not header or header[0] != "curve_id":
+    if header[0] != "curve_id":
         raise SchemaError(f"{path}: first column must be curve_id, got {header[:1]}")
-    columns = header[1:]
-    if not columns:
-        raise SchemaError(f"{path}: no covariate columns")
-    by_id: dict[str, list[str]] = {}
+    first_line: dict[str, int] = {}
     for lineno, row in rows:
         if len(row) != len(header):
             raise SchemaError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        if row[0] in by_id:
-            raise SchemaError(f"{path}: duplicate curve_id {row[0]!r}")
-        by_id[row[0]] = row[1:]
-    missing = [cid for cid in curve_ids if cid not in by_id]
+        if row[0] in first_line:
+            raise SchemaError(f"{path}:{lineno}: duplicate curve_id {row[0]!r} (first on line {first_line[row[0]]})")
+        first_line[row[0]] = lineno
+    ids = [row[0] for _, row in rows]
+    return ids, {col: np.array([row[j] for _, row in rows]) for j, col in enumerate(header[1:], start=1)}
+
+
+def read_covariates(path: str | Path, curve_ids: list[str]) -> dict[str, np.ndarray]:
+    """Read the covariate table and align rows with the curve order."""
+    ids, table = read_covariate_table(path)
+    if not table:
+        raise SchemaError(f"{path}: no covariate columns")
+    position = {cid: i for i, cid in enumerate(ids)}
+    missing = [cid for cid in curve_ids if cid not in position]
     if missing:
         raise SchemaError(f"{path}: missing covariate rows for curve ids {missing[:5]}")
-    # columns stay strings: categorical levels keep their file spelling, and
-    # numeric columns are converted where an effect actually needs numbers
-    table: dict[str, np.ndarray] = {}
-    for j, col in enumerate(columns):
-        table[col] = np.array([by_id[cid][j] for cid in curve_ids])
-    return table
+    order = np.array([position[cid] for cid in curve_ids], dtype=int)
+    return {col: values[order] for col, values in table.items()}
 
 
 def read_residual_pool(path: str | Path) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -255,9 +255,7 @@ def gen_truth(
         centering="sum_to_zero",
     )
     _, tilt_map = covariate_design(smooth_spec, batch_table, BATCH_SIZE)
-    Bz = tilt_map.margins[0].design(angles)
-    if tilt_map.Zc is not None:
-        Bz = Bz @ tilt_map.Zc
+    Bz = tilt_map.design({"z1": angles}, angles.size)
     # keep the true smooth effect orthogonal to the linear nuisance learner:
     # constrain sum_z z * f(z) = 0 over the batch design
     Bz_batch = tilt_map.design(batch_table, BATCH_SIZE)

@@ -11,6 +11,7 @@ from shapeboost.boost import (
     empirical_risk,
     estimate_pole,
     predict_mean,
+    predict_means,
     rmse_effect,
     transported_residuals,
 )
@@ -227,6 +228,20 @@ class TestBoostFit:
             pole = estimate_pole(curves, kind, basis, config)
             model = boost_fit(curves, cov, config, pole, kind)
             assert model.risk_trace[-1] < model.risk_trace[0]
+
+    @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])
+    def test_curve_order_does_not_change_fit(self, rng, kind):
+        # at a fixed pole the fit depends on the (curve, covariate) pairs, not on their order
+        curves, cov, effects, basis, _ = make_dataset(rng, n=14, kind=kind)
+        config = BoostConfig(effects=effects, step_length=0.4, max_iterations=8, response_basis=BASIS)
+        pole = estimate_pole(curves, kind, basis, config)
+        perm = rng.permutation(len(curves))
+        model = boost_fit(curves, cov, config, pole, kind)
+        permuted = boost_fit([curves[i] for i in perm], {k: v[perm] for k, v in cov.items()}, config, pole, kind)
+        assert permuted.risk_trace == pytest.approx(model.risk_trace, rel=1e-9)
+        grids = [c.grid for c in curves]
+        for a, b in zip(predict_means(model, cov, grids), predict_means(permuted, cov, grids)):
+            assert np.abs(b - a).max() <= 1e-9 * np.abs(a).max()
 
     def test_transported_residuals_are_tangent(self, rng):
         curves, cov, effects, basis, _ = make_dataset(rng, n=10)

@@ -93,8 +93,66 @@ class TestCovariateDesign:
         with pytest.raises(EffectError):
             covariate_design(spec, {"other": np.array(["a", "b", "a"])}, 3)
         _, cmap = covariate_design(spec, {"g": np.array(["a", "b", "a"])}, 3)
-        with pytest.raises(EffectError):
+        with pytest.raises(EffectError, match="'zz'"):
             cmap.row({"g": "zz"})
+        with pytest.raises(EffectError, match="'zz' in curve row 1"):
+            cmap.design({"g": np.array(["b", "zz"])}, 2)
+
+
+ROW_SPECS = {
+    "constant": EffectSpec(name="c", kind="constant"),
+    "linear": EffectSpec(name="l", kind="linear", covariates=("a",)),
+    "categorical": EffectSpec(name="g", kind="categorical", covariates=("g",)),
+    "smooth": EffectSpec(
+        name="s", kind="smooth", covariates=("a",), covariate_basis=SplineConfig(3, 4),
+        penalty_covariate="second_diff",
+    ),
+    "smooth_interaction": EffectSpec(
+        name="i", kind="smooth_interaction", covariates=("a", "b"),
+        covariate_basis=SplineConfig(2, 2), centering="around_marginals",
+    ),
+}
+
+
+class TestRowMatchesDesign:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(ROW_SPECS)),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 40),
+        numeric_levels=st.booleans(),
+        as_text=st.booleans(),
+    )
+    def test_row_is_design_of_one_record(self, kind, seed, n, numeric_levels, as_text):
+        rng = np.random.default_rng(seed)
+        # numeric-looking levels sort as strings: "-0.5" < "1" < "10" < "1e3" < "2"
+        levels = ["1", "10", "2", "-0.5", "1e3"] if numeric_levels else ["b", "a", "ab", "B"]
+        g = rng.choice(levels, n)
+        g[:2] = levels[:2]
+        table = {"a": rng.uniform(-3, 5, n), "b": rng.normal(size=n), "g": g}
+        if as_text:
+            # as read from a covariate file
+            table = {k: v.astype(str) for k, v in table.items()}
+        design, cmap = covariate_design(ROW_SPECS[kind], table, n)
+        assert np.array_equal(cmap.design(table, n), design)
+        raw = cmap.raw_design(table, n)
+        if kind == "categorical":
+            # per-record effect-coding reference: unit row e_k, the last level all -1
+            K = len(cmap.levels)
+            codes = np.vstack([np.eye(K - 1), -np.ones(K - 1)])
+            assert np.array_equal(raw, np.array([codes[cmap.levels.index(str(v))] for v in table["g"]]))
+        for i in range(n):
+            record = {k: v[i] for k, v in table.items()}
+            # the raw row of a record does not depend on the table it sits in
+            assert np.array_equal(cmap.raw_design({k: np.array([v]) for k, v in record.items()}, 1)[0], raw[i])
+            row = cmap.row(record)
+            if cmap.Zc is None:
+                assert np.array_equal(row, design[i])
+            else:
+                # raw @ Zc is one BLAS product whose summation order depends on the row's
+                # position in the table: equal up to the rounding bound of a length-r dot product
+                bound = 2 * raw.shape[1] * np.finfo(float).eps * (np.abs(raw[i]) @ np.abs(cmap.Zc))
+                assert np.all(np.abs(row - design[i]) <= bound)
 
 
 def _toy_system(rng, n=6, m=3, m0=4, k=12):

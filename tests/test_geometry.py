@@ -302,9 +302,3 @@ class TestCurveSample:
         c = CurveSample.from_landmarks("lm", np.array([0, 1j, 2.0, 3j]))
         assert np.allclose(c.grid, [0, 1 / 3, 2 / 3, 1.0])
         assert np.allclose(c.weights, 0.25)
-
-    def test_full_weights_cached_cholesky(self):
-        W = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 1.5]])
-        c = CurveSample("g", np.array([0.0, 0.5, 1.0]), np.array([1, 2j, 3.0]), W)
-        L = c.weight_chol
-        assert np.allclose(L @ L.T, W)

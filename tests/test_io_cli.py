@@ -228,6 +228,30 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert f"{column!r}" in err and "row 2" in err
 
+    def test_predict_repeated_curve_id_exit2(self, dataset, tmp_path, capsys):
+        # a repeated id used to write a predictions file that read_curves rejects
+        base, curves, covars, truth, config = dataset
+        mfile = tmp_path / "m.json"
+        assert main(["fit", str(curves), str(covars), str(config), str(mfile)]) == 0
+        lines = covars.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("curve_id"))
+        bad = tmp_path / "dup_covars.csv"
+        bad.write_text("\n".join(lines + [lines[header + 3]]) + "\n")
+        rc = main(["predict", str(mfile), str(bad), str(tmp_path / "pred.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        cid = lines[header + 3].split(",")[0]
+        assert f"dup_covars.csv:{len(lines) + 1}:" in err and f"{cid!r}" in err
+
+    @pytest.mark.parametrize("points", ["0", "1", "2"])
+    def test_predict_too_few_points_exit2(self, dataset, tmp_path, capsys, points):
+        base, curves, covars, truth, config = dataset
+        mfile = tmp_path / "m.json"
+        assert main(["fit", str(curves), str(covars), str(config), str(mfile)]) == 0
+        rc = main(["predict", str(mfile), str(covars), str(tmp_path / "pred.csv"), "--points", points])
+        assert rc == 2
+        assert "--points" in capsys.readouterr().err
+
     def test_cv_writes_risk_table(self, dataset, tmp_path):
         base, curves, covars, truth, config = dataset
         out = tmp_path / "cv.csv"
