@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
 from .basis import (
     BSplineBasis,
     PenaltyBlock,
@@ -48,12 +47,14 @@ from .effects import (
     unvec,
 )
 from .geometry import (
+    WEIGHT_RULES,
     CurveSample,
     DegenerateAlignment,
     GeometryError,
     GeometryKind,
     PackedSample,
     TangentEvals,
+    rule_weights,
 )
 
 __all__ = [
@@ -94,10 +95,12 @@ class BoostConfig:
     rng_seed: int = 0
     response_basis: SplineConfig = field(default_factory=lambda: SplineConfig(degree=3, n_knots=20, cyclic=True))
     response_penalty: str = "second_diff"  # P_0 for the tangent direction
-    coef_mode: bool = False
+    weight_rule: str = "trapezoid"  # how the curves' weights were made; see geometry.rule_weights
     pole_max_iterations: int = 100
 
     def __post_init__(self):
+        if self.weight_rule not in WEIGHT_RULES:
+            raise EffectError(f"unknown weight rule {self.weight_rule!r}")
         if not (0.0 < self.step_length <= 1.0):
             raise EffectError(f"step length must be in (0, 1], got {self.step_length}")
         if self.cv_folds < 2:
@@ -113,6 +116,11 @@ class BoostConfig:
                 if parent not in seen:
                     raise EffectError(f"effect {e.name!r}: parent {parent!r} must be listed earlier")
             seen.add(e.name)
+
+    @property
+    def coef_mode(self) -> bool:
+        """Coefficient-level data: curves are basis coefficients weighted by the basis Gram matrix."""
+        return self.weight_rule == "gram"
 
 
 @dataclass
@@ -135,13 +143,16 @@ class FittedModel:
     m_stop: int
     selection_trace: np.ndarray
     response_penalty: str = "second_diff"
-    coef_mode: bool = False
     weight_rule: str = "trapezoid"
     rng_seed: int = 0
 
     @property
     def basis(self) -> BSplineBasis:
         return self.pole.basis
+
+    @property
+    def coef_mode(self) -> bool:
+        return self.weight_rule == "gram"
 
     def predictor_coefs(self, covariates: dict, n: int) -> np.ndarray:
         """Tangent coefficients (n, m) of the additive predictor for every row of a covariate table."""
@@ -270,20 +281,13 @@ class _FitContext:
 def _penalized_spline_fit(
     packed: PackedSample,
     targets: np.ndarray,
-    rows: np.ndarray,
+    selected: np.ndarray,
     basis: BSplineBasis,
     lam: float = 1e-6,
 ) -> np.ndarray:
-    """Weighted penalized LS fit of the packed targets on the selected rows, complex coefficients."""
-    D2 = basis.penalty("second_diff")
-    # symmetric square root via eigendecomposition; D2 is PSD
-    evals, evecs = np.linalg.eigh(D2)
-    evals = np.clip(evals, 0.0, None)
-    root = evecs * np.sqrt(lam * evals)
-    A = np.vstack([packed.whiten(packed.design)[rows], root.T.astype(complex)])
-    b = np.concatenate([packed.whiten(targets)[rows], np.zeros(root.shape[1], dtype=complex)])
-    coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return coef
+    """Weighted penalized LS fit of the packed targets on the selected curves, complex coefficients."""
+    A = packed.design_grams()[selected].sum(axis=0) + lam * basis.penalty("second_diff")
+    return PlsLearner(A, None, "preliminary pole").solve(packed.project(targets)[selected].sum(axis=0))
 
 
 def estimate_pole(
@@ -310,7 +314,7 @@ def estimate_pole(
         bas = build_response_basis(basis, pooled_t)
     packed = PackedSample.of(sample, sample_design(bas, sample, config.coef_mode))
 
-    ref_coef = _penalized_spline_fit(packed, packed.values, packed.seg == 0, bas)
+    ref_coef = _penalized_spline_fit(packed, packed.values, np.arange(packed.n) == 0, bas)
     u, skipped = packed.align(packed.y_c, packed.center(packed.design @ ref_coef))
     for i in np.flatnonzero(skipped):
         warnings.warn(f"curve {sample[i].id!r}: skipped in preliminary pole (degenerate alignment)", stacklevel=2)
@@ -319,7 +323,7 @@ def estimate_pole(
     reps = u[packed.seg] * packed.y_c
     if kind is GeometryKind.SHAPE:
         reps = reps / packed.norm(packed.y_c)[packed.seg]
-    p0_coef = _penalized_spline_fit(packed, reps, ~skipped[packed.seg], bas)
+    p0_coef = _penalized_spline_fit(packed, reps, ~skipped, bas)
     pole = center_pole(PoleCoef(coef=p0_coef, basis=bas), packed)
 
     # intercept-only boosting: unpenalized constant tangent effect, step length
@@ -439,7 +443,7 @@ def boost_fit(
         m_stop=config.max_iterations,
         selection_trace=np.array(selection, dtype=int),
         response_penalty=config.response_penalty,
-        coef_mode=config.coef_mode,
+        weight_rule=config.weight_rule,
         rng_seed=config.rng_seed,
     )
     if eval_sample is not None:
@@ -523,17 +527,6 @@ def cv_early_stop(
     return CvResult(m_stop=m_stop, cv_risk=cv_risk, fold_risks=fold_risks, fold_assignment=assignment)
 
 
-def _weights_for_grid(grid: np.ndarray, rule: str, basis: BSplineBasis | None = None) -> np.ndarray:
-    if rule == "uniform":
-        return geometry.uniform_weights(len(grid))
-    if rule == "gram":
-        if basis is None:
-            raise GeometryError("gram weights need the response basis")
-        return basis.gram
-    # trapezoid default; per-point file weights are not reconstructible here
-    return geometry.trapezoid_weights(np.asarray(grid, dtype=float))
-
-
 def predict_means(
     model: FittedModel,
     covariates: dict,
@@ -551,8 +544,10 @@ def predict_means(
     fields = model.predictor_coefs(covariates, n) @ model.transform.complex_columns.T
     grids = [np.asarray(g, dtype=float) for g in grids]
     if weights is None:
-        rule = "gram" if model.coef_mode else model.weight_rule
-        weights = [_weights_for_grid(g, rule, model.basis) for g in grids]
+        # per-point file weights are not reconstructible on a new grid
+        rule = "trapezoid" if model.weight_rule == "column" else model.weight_rule
+        gram = model.basis.gram if model.coef_mode else None
+        weights = [rule_weights(rule, g, gram) for g in grids]
     step = max(1, PREDICT_BLOCK_POINTS // max(g.size for g in grids))
     means = []
     for lo in range(0, n, step):

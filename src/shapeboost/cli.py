@@ -66,22 +66,19 @@ def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
 def _load_inputs(args: argparse.Namespace):
     doc, _, _, _ = sbio.load_config(args.config)
     doc = _apply_overrides(doc, args)
-    kind, weight_rule, config = sbio.parse_config(doc)
-    basis = None
-    if weight_rule == "gram":
-        basis = build_response_basis(config.response_basis, np.empty(0))
-    sample, _ = sbio.read_curves(args.curves, weight_rule=weight_rule, basis=basis)
+    kind, _, config = sbio.parse_config(doc)
+    basis = build_response_basis(config.response_basis, np.empty(0)) if config.coef_mode else None
+    sample, _ = sbio.read_curves(args.curves, weight_rule=config.weight_rule, basis=basis)
     covariates = sbio.read_covariates(args.covariates, [c.id for c in sample])
-    return doc, kind, weight_rule, config, sample, covariates
+    return doc, kind, config, sample, covariates
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    doc, kind, weight_rule, config, sample, covariates = _load_inputs(args)
+    doc, kind, config, sample, covariates = _load_inputs(args)
     pooled_t = np.concatenate([c.grid for c in sample])
     basis = build_response_basis(config.response_basis, pooled_t)
     pole = estimate_pole(sample, kind, basis, config)
     model = boost_fit(sample, covariates, config, pole, kind)
-    model.weight_rule = weight_rule
     sbio.save_model(args.out, model, sbio.config_hash(doc))
     log.info("fit done: %d iterations, final risk %.6g", config.max_iterations, model.risk_trace[-1])
     print(f"risk {model.risk_trace[-1]:.8g}")
@@ -89,7 +86,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
-    doc, kind, weight_rule, config, sample, covariates = _load_inputs(args)
+    doc, kind, config, sample, covariates = _load_inputs(args)
     pooled_t = np.concatenate([c.grid for c in sample])
     basis = build_response_basis(config.response_basis, pooled_t)
     pole = estimate_pole(sample, kind, basis, config)
@@ -129,8 +126,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_factorize(args: argparse.Namespace) -> int:
     model, digest = sbio.load_model(args.model)
-    basis = model.basis if model.coef_mode else None
-    sample, _ = sbio.read_curves(args.curves, weight_rule=model.weight_rule, basis=basis)
+    sample, _ = sbio.read_curves(args.curves, weight_rule=model.weight_rule, basis=model.basis)
     covariates = sbio.read_covariates(args.covariates, [c.id for c in sample])
     report = {"config_hash": digest, "method": args.method, "effects": {}, "predictor": None}
     facs = {}
@@ -254,8 +250,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .effects import CovariateMap
 
     model, digest = sbio.load_model(args.model)
-    basis_for_read = model.basis if model.coef_mode else None
-    sample, _ = sbio.read_curves(args.curves, weight_rule=model.weight_rule, basis=basis_for_read)
+    sample, _ = sbio.read_curves(args.curves, weight_rule=model.weight_rule, basis=model.basis)
     covariates = sbio.read_covariates(args.covariates, [c.id for c in sample])
     with open(args.truth) as fh:
         tdoc = json.load(fh)
@@ -322,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out")
     add_common(p)
     p.add_argument("--folds", type=int)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("predict", help="predict conditional mean curves for covariate rows")

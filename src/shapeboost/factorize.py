@@ -244,13 +244,6 @@ class DirectionVisual:
     displaced_polyline: np.ndarray  # complex (n_points,)
     segments: list[tuple[complex, complex]]
 
-    def as_dict(self) -> dict:
-        return {
-            "grid": self.grid.tolist(),
-            "pole": [[z.real, z.imag] for z in self.pole_polyline],
-            "displaced": [[z.real, z.imag] for z in self.displaced_polyline],
-        }
-
 
 def direction_visual(
     model: FittedModel,

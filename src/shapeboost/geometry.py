@@ -38,6 +38,8 @@ __all__ = [
     "TangentError",
     "trapezoid_weights",
     "uniform_weights",
+    "WEIGHT_RULES",
+    "rule_weights",
     "empirical_inner",
     "empirical_norm",
     "center",
@@ -104,6 +106,27 @@ def uniform_weights(k: int) -> np.ndarray:
     if k < 1:
         raise GeometryError("need at least one grid point")
     return np.full(k, 1.0 / k)
+
+
+WEIGHT_RULES = ("trapezoid", "uniform", "column", "gram")
+
+
+def rule_weights(rule: str, grid: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
+    """Weights of one curve under a weight rule: the one map from rule to weights.
+
+    ``trapezoid`` and ``uniform`` are quadrature rules on the grid; ``gram``
+    is the response-basis Gram matrix (coefficient-level data).  ``column``
+    weights are read per point from a curve file and have no rule here.
+    """
+    if rule == "trapezoid":
+        return trapezoid_weights(grid)
+    if rule == "uniform":
+        return uniform_weights(np.size(grid))
+    if rule == "gram":
+        if gram is None:
+            raise GeometryError("gram weights need the response basis")
+        return gram
+    raise GeometryError(f"weight rule {rule!r} has no weights of its own; one of trapezoid, uniform, gram")
 
 
 def _is_full(weights: np.ndarray) -> bool:
@@ -204,7 +227,10 @@ class CurveSample:
             raise GeometryError(f"curve {self.id!r}: grid must be strictly increasing")
         if grid[0] < -1e-12 or grid[-1] > 1 + 1e-12:
             raise GeometryError(f"curve {self.id!r}: grid must lie in [0, 1]")
-        weights = _validate_weights(self.weights, k)
+        try:
+            weights = _validate_weights(self.weights, k)
+        except GeometryError as exc:
+            raise GeometryError(f"curve {self.id!r}: {exc}") from None
         centered = values - _weighted_mean(values, weights)
         scale = max(1.0, float(np.abs(values).max()))
         if empirical_norm(centered, weights) <= 1e-14 * scale:

@@ -23,7 +23,7 @@ import numpy as np
 from .basis import BSplineBasis, PoleCoef, SplineConfig, TangentTransform
 from .boost import BoostConfig, FittedEffect, FittedModel
 from .effects import CovariateMap, EffectSpec
-from .geometry import CurveSample, GeometryError, GeometryKind, trapezoid_weights, uniform_weights
+from .geometry import WEIGHT_RULES, CurveSample, GeometryError, GeometryKind, rule_weights
 
 __all__ = [
     "SchemaError",
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "shapeboost-model-v1"
-WEIGHT_RULES = ("trapezoid", "uniform", "column", "gram")
 
 
 class SchemaError(ValueError):
@@ -66,7 +65,9 @@ def read_curves(
 
     Weight rules: trapezoid/uniform quadrature from the grid, ``column`` for a
     per-point ``w`` column, ``gram`` for the full response-basis Gram matrix
-    (coefficient-level data; every curve must then have k = basis dimension).
+    (coefficient-level data; every curve must then have k = basis dimension,
+    and only this rule reads ``basis``).  A curve that fails the check of
+    ``CurveSample`` is a ``SchemaError`` naming the file and the curve.
     """
     if weight_rule not in WEIGHT_RULES:
         raise SchemaError(f"unknown weight rule {weight_rule!r}")
@@ -103,6 +104,9 @@ def read_curves(
             order.append(cid)
         data[cid].append((t, val, w))
 
+    if weight_rule == "gram" and basis is None:
+        raise SchemaError("gram weights need the response basis")
+    gram = basis.gram if weight_rule == "gram" else None
     curves = []
     for cid in order:
         pts = data[cid]
@@ -110,36 +114,24 @@ def read_curves(
         vals = np.array([p[1] for p in pts])
         if landmark:
             k = len(pts)
-            expected = np.arange(1, k + 1, dtype=float)
-            if not np.array_equal(t, expected):
+            if not np.array_equal(t, np.arange(1, k + 1, dtype=float)):
                 raise SchemaError(f"{path}: curve {cid!r}: landmark indices must be 1..{k} in order")
-            grid = (t - 1) / (k - 1)
+            grid = (t - 1) / max(k - 1, 1)
         else:
             grid = t
-            if np.any(np.diff(grid) <= 0):
-                raise SchemaError(f"{path}: curve {cid!r}: t must be strictly increasing")
-        if len(pts) < 3:
-            raise SchemaError(f"{path}: curve {cid!r}: needs at least 3 points")
-        if weight_rule == "column":
-            w = np.array([p[2] for p in pts])
-            if np.any(~np.isfinite(w)) or np.any(w <= 0):
-                raise SchemaError(f"{path}: curve {cid!r}: weights must be positive")
-        elif weight_rule == "uniform":
-            w = uniform_weights(len(pts))
-        elif weight_rule == "gram":
-            if basis is None:
-                raise SchemaError("gram weights need the response basis")
-            if len(pts) != basis.dim:
-                raise SchemaError(
-                    f"{path}: curve {cid!r}: gram mode needs k = basis dimension {basis.dim}, got {len(pts)}"
-                )
-            w = basis.gram
-        else:
-            w = trapezoid_weights(grid)
+        if weight_rule == "gram" and len(pts) != basis.dim:
+            raise SchemaError(
+                f"{path}: curve {cid!r}: gram mode needs k = basis dimension {basis.dim}, got {len(pts)}"
+            )
+        try:
+            w = np.array([p[2] for p in pts]) if weight_rule == "column" else rule_weights(weight_rule, grid, gram)
+        except GeometryError as exc:  # e.g. a one-point grid has no trapezoid weights
+            raise SchemaError(f"{path}: curve {cid!r}: {exc}") from None
+        # CurveSample is the one curve check: grid, point count, weights and degenerate values
         try:
             curves.append(CurveSample(id=cid, grid=grid, values=vals, weights=w))
         except GeometryError as exc:
-            raise GeometryError(f"{path}: {exc}") from None
+            raise SchemaError(f"{path}: {exc}") from None
     return curves, landmark
 
 
@@ -295,7 +287,7 @@ def parse_config(doc: dict) -> tuple[GeometryKind, str, BoostConfig]:
             rng_seed=int(b.get("seed", 0)),
             response_basis=response_basis,
             response_penalty=response_penalty,
-            coef_mode=(weight_rule == "gram"),
+            weight_rule=weight_rule,
         )
     except ValueError as exc:
         raise SchemaError(f"config.boosting: {exc}") from None
@@ -328,7 +320,7 @@ def save_model(path: str | Path, model: FittedModel, config_digest: str = "") ->
         "geometry": model.kind.value,
         "weight_rule": model.weight_rule,
         "response_penalty": model.response_penalty,
-        "coef_mode": model.coef_mode,
+        "coef_mode": model.coef_mode,  # derived from weight_rule; older v1 readers expect the key
         "seed": model.rng_seed,
         "config_hash": config_digest,
         "response_basis": model.basis.to_dict(),
@@ -382,7 +374,6 @@ def load_model(path: str | Path) -> tuple[FittedModel, str]:
         m_stop=int(doc["m_stop"]),
         selection_trace=np.asarray(doc["selection_trace"], dtype=int),
         response_penalty=str(doc["response_penalty"]),
-        coef_mode=bool(doc["coef_mode"]),
         weight_rule=str(doc["weight_rule"]),
         rng_seed=int(doc["seed"]),
     )

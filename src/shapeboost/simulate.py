@@ -37,8 +37,8 @@ from .geometry import (
     center,
     empirical_inner,
     empirical_norm,
+    rule_weights,
     trapezoid_weights,
-    uniform_weights,
 )
 
 __all__ = [
@@ -116,11 +116,6 @@ class TruthSpec:
     template_grid: np.ndarray
     template_values: np.ndarray
     tilt_projection_residual: float = 0.0
-
-    def field_complex(self, name: str) -> np.ndarray:
-        V = self.effect_fields[name]
-        m0 = V.shape[0] // 2
-        return V[:m0] + 1j * V[m0:]
 
 
 @dataclass
@@ -380,7 +375,7 @@ def gen_dataset(
             sel = _subsample_grid(rng, K, cfg.k_bar)
             grid = truth.template_grid[sel]
         grids.append((sel, grid))
-        w = uniform_weights(grid.size) if cfg.weight_rule == "uniform" else trapezoid_weights(grid)
+        w = rule_weights(cfg.weight_rule, grid)
         weights.append(w)
         designs.append(basis.design(grid))
 

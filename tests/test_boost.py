@@ -325,6 +325,26 @@ class TestPrediction:
         mu = predict_mean(model, {"kappa": "1", "z": 1.5}, grid)
         assert empirical_norm(mu, trapezoid_weights(grid)) == pytest.approx(1.0, abs=1e-10)
 
+    def test_model_predicts_with_its_own_weight_rule(self, rng):
+        kind = GeometryKind.SHAPE
+        curves, cov, effects, basis, _ = make_dataset(rng, n=12, kind=kind)
+        curves = [CurveSample(c.id, c.grid, c.values, uniform_weights(c.k)) for c in curves]
+        config = BoostConfig(
+            effects=effects, step_length=0.4, max_iterations=6, response_basis=BASIS, weight_rule="uniform"
+        )
+        model = boost_fit(curves, cov, config, estimate_pole(curves, kind, basis, config), kind)
+        assert model.weight_rule == "uniform" and not model.coef_mode
+        grids = [c.grid for c in curves]
+        own = predict_means(model, cov, grids, [c.weights for c in curves])
+        default = predict_means(model, cov, grids)
+        assert all(np.array_equal(a, b) for a, b in zip(own, default))
+
+    def test_unknown_weight_rule_rejected(self):
+        from shapeboost.effects import EffectError
+
+        with pytest.raises(EffectError, match="bogus"):
+            BoostConfig(effects=[], weight_rule="bogus")
+
     def test_unseen_level_rejected(self, rng):
         from shapeboost.effects import EffectError
 
@@ -434,7 +454,7 @@ class TestPackedKernel:
                 curves = [CurveSample(c.id, c.grid, c.values, uniform_weights(c.k)) for c in curves]
         _, _, effects, _, _ = make_dataset(np.random.default_rng(0), n=2)
         config = BoostConfig(
-            effects=effects, step_length=0.5, max_iterations=6, response_basis=BASIS, coef_mode=weights == "gram"
+            effects=effects, step_length=0.5, max_iterations=6, response_basis=BASIS, weight_rule=weights
         )
         pole = estimate_pole(curves, kind, basis, config)
         model = boost_fit(curves, cov, config, pole, kind)

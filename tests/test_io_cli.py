@@ -5,7 +5,6 @@ import pytest
 
 from shapeboost import io as sbio
 from shapeboost.cli import main
-from shapeboost.geometry import GeometryError
 
 
 CONFIG = {
@@ -99,7 +98,7 @@ class TestCurveFiles:
     def test_degenerate_curve_rejected(self, tmp_path):
         path = tmp_path / "deg.csv"
         path.write_text("curve_id,t,re,im\na,0.0,1,1\na,0.5,1,1\na,1.0,1,1\n")
-        with pytest.raises(GeometryError):
+        with pytest.raises(sbio.SchemaError):
             sbio.read_curves(path)
 
 
@@ -175,6 +174,29 @@ class TestCliPipeline:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"bad_curves.csv:{header + 6}:" in err and f"curve {row[0]!r}" in err
+
+    @pytest.mark.parametrize("defect", ["all_equal_values", "t_below_zero"])
+    def test_invalid_curve_exit2(self, dataset, tmp_path, capsys, defect):
+        # the curve check of CurveSample used to surface as degenerate geometry, exit 3
+        base, curves, covars, truth, config = dataset
+        lines = curves.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("curve_id"))
+        cid = lines[header + 1].split(",")[0]
+        for i in range(header + 1, len(lines)):
+            row = lines[i].split(",")
+            if row[0] != cid:
+                break
+            if defect == "all_equal_values":
+                row[2:4] = ["1.5", "-0.5"]
+            elif i == header + 1:
+                row[1] = "-0.5"
+            lines[i] = ",".join(row)
+        bad = tmp_path / "bad_curves.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["fit", str(bad), str(covars), str(config), str(tmp_path / "m.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad_curves.csv" in err and f"curve {cid!r}" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_covariate_exit2(self, dataset, tmp_path, capsys, value):
