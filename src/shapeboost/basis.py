@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .geometry import CurveSample, GeometryError, GeometryKind, PackedSample, center, empirical_norm
 
@@ -78,6 +77,36 @@ class SplineConfig:
         )
 
 
+def _de_boor(knots: np.ndarray, degree: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero B-spline values at points t in [0, 1].
+
+    ``knots`` is the full knot vector: degree + 1 knots up to 0, the interior
+    knots, then degree + 1 knots from 1.  Returns ``(values, last)``: values
+    has shape (degree + 1, len(t)), and values[r, i] is basis function
+    last[i] - degree + r at t[i].  This is de Boor's recursion (C. de Boor,
+    J. Approx. Theory 6, 1972) with the arithmetic of scipy's ``_deBoor_D``:
+    each value is the same quotient and products, and the two products of a
+    value are added once (addition commutes, and t - a is -(a - t) exactly),
+    so the values equal ``BSpline.design_matrix`` bit for bit.  One recursion
+    level is one vector step over all points and terms.  The interval
+    knots[last] <= t < knots[last + 1] (closed at 1) lies between distinct
+    breakpoints, so no denominator is zero.
+    """
+    d = degree
+    # d plus the number of interior knots <= t: the interval, clipped to a nonempty one at both ends
+    last = np.searchsorted(knots[d + 1 : knots.size - d - 1], t, "right") + d
+    near = knots[np.arange(1 - d, d + 1)[:, None] + last]  # knots[last-d+1 .. last+d]
+    ahead = near - t
+    behind = t - near
+    h = np.zeros((d + 1, t.size))
+    h[0] = 1.0
+    for j in range(1, d + 1):
+        w = h[:j] / (near[d : d + j] - near[d - j : d])
+        np.multiply(w, ahead[d : d + j], out=h[:j])
+        h[1 : j + 1] += w * behind[d - j : d]
+    return h, last
+
+
 class BSplineBasis:
     """Evaluable B-spline basis on [0, 1], optionally periodic.
 
@@ -102,31 +131,40 @@ class BSplineBasis:
             left = breaks[-(d + 1) : -1] - 1.0
             right = breaks[1 : d + 1] + 1.0
             self.knots = np.concatenate([left, breaks, right])
-            self._n_full = breaks.size - 1 + d  # basis count before wrapping
             self.dim = breaks.size - 1
         else:
             self.knots = np.concatenate([np.zeros(d + 1), interior, np.ones(d + 1)])
-            self._n_full = self.knots.size - d - 1
-            self.dim = self._n_full
+            self.dim = self.knots.size - d - 1
 
     def design(self, t: np.ndarray) -> np.ndarray:
         """Design matrix of basis evaluations, shape (len(t), dim).
 
         Cyclic bases evaluate t modulo 1, so rows at t and t + 1 coincide.
+        Each row holds the d + 1 values of ``_de_boor`` at consecutive columns,
+        wrapped modulo dim on cyclic bases; d + 1 <= dim makes the wrapped
+        columns distinct, so wrapping is exact.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        if t.size == 0:
+            return np.zeros((0, self.dim))
+        lo, hi = t.min(), t.max()  # NaN and +-inf show in these
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            bad = np.flatnonzero(~np.isfinite(t))[0]
+            raise GeometryError(f"non-finite evaluation point {float(t[bad])!r} at index {bad}")
         if self.cfg.cyclic:
             t = t - np.floor(t)
-        elif t.min() < -1e-12 or t.max() > 1.0 + 1e-12:
+        elif lo < -1e-12 or hi > 1.0 + 1e-12:
             raise GeometryError("evaluation points outside [0, 1]")
-        t = np.clip(t, self.knots[0], self.knots[-1])
-        full = BSpline.design_matrix(t, self.knots, self.cfg.degree).toarray()
-        if not self.cfg.cyclic:
-            return full
-        folded = np.zeros((t.size, self.dim))
-        for i in range(self._n_full):
-            folded[:, i % self.dim] += full[:, i]
-        return folded
+        elif lo < 0.0 or hi > 1.0:
+            t = np.clip(t, 0.0, 1.0)
+        d = self.cfg.degree
+        values, last = _de_boor(self.knots, d, t)
+        cols = last + np.arange(-d, 1)[:, None]
+        if self.cfg.cyclic:
+            cols %= self.dim
+        out = np.zeros((t.size, self.dim))
+        out[np.arange(t.size), cols] = values
+        return out
 
     @cached_property
     def gram(self) -> np.ndarray:

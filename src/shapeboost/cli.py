@@ -33,7 +33,6 @@ from .effects import EffectError
 from .factorize import direction_visual, effect_factorization, predictor_factorization
 from .geometry import DegenerateAlignment, GeometryError, GeometryKind
 from .simulate import SimConfig, gen_dataset, gen_truth
-from .svgplot import direction_svg, scalar_effect_svg
 
 log = logging.getLogger("shapeboost")
 
@@ -157,6 +156,8 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         json.dump(report, fh, sort_keys=True, indent=1)
         fh.write("\n")
     if args.svg:
+        from .svgplot import direction_svg, scalar_effect_svg
+
         prefix = Path(args.svg)
         closed = model.basis.cfg.cyclic
         for name, fac in facs.items():

@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import math
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -143,8 +144,9 @@ def write_curves(path: str | Path, rows: list[tuple[str, np.ndarray, np.ndarray]
         writer = csv.writer(fh)
         writer.writerow(["curve_id", "t", "re", "im"])
         for cid, grid, values in rows:
-            for t, v in zip(grid, values):
-                writer.writerow([cid, repr(float(t)), repr(float(v.real)), repr(float(v.imag))])
+            values = np.asarray(values, dtype=complex)
+            columns = (np.asarray(grid, dtype=float).tolist(), values.real.tolist(), values.imag.tolist())
+            writer.writerows(zip(repeat(cid), *(map(repr, col) for col in columns)))
 
 
 def read_covariate_table(path: str | Path) -> tuple[list[str], dict[str, np.ndarray]]:

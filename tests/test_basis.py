@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 
+import shapeboost
 from shapeboost.basis import (
     PenaltyBlock,
     PoleCoef,
@@ -72,6 +80,88 @@ class TestResponseBasis:
         assert np.abs(P @ np.ones(open_.dim)).max() <= 1e-12
         assert np.allclose(open_.penalty("ridge"), np.eye(open_.dim))
         assert not open_.penalty("none").any()
+
+
+def _scipy_design(basis, t):
+    """Reference design: scipy's sparse design matrix, folded column by column on cyclic bases."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if basis.cfg.cyclic:
+        t = t - np.floor(t)
+    t = np.clip(t, basis.knots[0], basis.knots[-1])
+    full = BSpline.design_matrix(t, basis.knots, basis.cfg.degree).toarray()
+    if not basis.cfg.cyclic:
+        return full
+    folded = np.zeros((t.size, basis.dim))
+    for i in range(full.shape[1]):
+        folded[:, i % basis.dim] += full[:, i]
+    return folded
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(11)
+    skewed = rng.beta(2, 5, 300)
+    cases = [SplineConfig(degree, 10) for degree in (1, 2, 3)]
+    cases += [SplineConfig(degree, 27, cyclic=True) for degree in (2, 3)]
+    cases += [SplineConfig(3, 8, knot_rule="quantile"), SplineConfig(3, 5, cyclic=True, knot_rule="quantile")]
+    return [pytest.param(build_response_basis(cfg, skewed), id=repr(cfg)) for cfg in cases]
+
+
+class TestDesignKernel:
+    """The numpy de Boor kernel against scipy's B-spline design matrix, bit for bit."""
+
+    @pytest.mark.parametrize("basis", _kernel_cases())
+    def test_bitwise_equal_to_scipy(self, basis):
+        rng = np.random.default_rng(5)
+        knots = basis.knots[(basis.knots >= 0.0) & (basis.knots <= 1.0)]
+        t = np.concatenate(
+            [
+                np.linspace(0.0, 1.0, 20031),
+                knots,
+                rng.uniform(0.0, 1.0, 5000),
+                [0.0, 1.0, -1e-12, 1.0 + 1e-12, -5e-13, 1.0 + 5e-13],
+            ]
+        )
+        assert np.array_equal(basis.design(t), _scipy_design(basis, t))
+
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_small_calls_equal_scipy(self, n):
+        basis = build_response_basis(SplineConfig(3, 27, cyclic=True), np.linspace(0, 1, 9))
+        t = np.sort(np.random.default_rng(n).uniform(-0.5, 1.5, n))
+        assert np.array_equal(basis.design(t), _scipy_design(basis, t))
+
+    def test_cyclic_wraps_outside_unit_interval(self):
+        basis = build_response_basis(SplineConfig(3, 6, cyclic=True), np.linspace(0, 1, 9))
+        t = np.array([-0.3, -1e-17, 1.7, 2.0, 3.25])
+        assert np.array_equal(basis.design(t), _scipy_design(basis, t))
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, cyclic, bad):
+        basis = build_response_basis(SplineConfig(3, 6, cyclic=cyclic), np.linspace(0, 1, 9))
+        t = np.array([0.1, 0.2, bad, 0.4, bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="index 2"):
+                basis.design(t)
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_empty_points(self, cyclic):
+        basis = build_response_basis(SplineConfig(3, 6, cyclic=cyclic), np.linspace(0, 1, 9))
+        out = basis.design(np.empty(0))
+        assert out.shape == (0, basis.dim)
+
+
+@pytest.mark.parametrize("module", ["shapeboost", "shapeboost.cli"])
+def test_fresh_import_skips_interpolate_and_svg(module):
+    code = (
+        f"import sys, {module}\n"
+        "heavy = ('scipy.interpolate', 'scipy.special', 'scipy.sparse', 'shapeboost.svgplot')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    src = str(Path(shapeboost.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def _sample_and_pole(rng, n=5, kind=GeometryKind.FORM, m_knots=6):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -67,6 +69,23 @@ class TestCurveFiles:
         assert curves[0].id == "a"
         assert np.allclose(curves[0].grid, grid)
         assert np.allclose(curves[0].values, vals)
+
+    def test_write_bytes_match_per_row_formatter(self, tmp_path):
+        rng = np.random.default_rng(3)
+        grid = np.sort(rng.uniform(0, 1, 200))
+        vals = rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200) + 1j * rng.normal(size=200)
+        vals[:4] = [0.0, -0.0 + 0j, complex(1e-320, -0.0), 1 / 3 - 2j / 3]
+        rows = [("a", grid, vals), ('id, with "quotes"', grid[:3], vals[:3].real), ("b", grid[:5], vals[5:10])]
+        path = tmp_path / "c.csv"
+        sbio.write_curves(path, rows, comment="config=abc")
+        expected = io.StringIO(newline="")
+        expected.write("# config=abc\n")
+        writer = csv.writer(expected)
+        writer.writerow(["curve_id", "t", "re", "im"])
+        for cid, g, v in rows:
+            for t, z in zip(g, v):
+                writer.writerow([cid, repr(float(t)), repr(float(z.real)), repr(float(z.imag))])
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_landmark_mode(self, tmp_path):
         path = tmp_path / "lm.csv"
