@@ -4,7 +4,9 @@
 Replicates the synthetic benchmark: balanced binary + smooth tilt effect with
 three nuisance terms, irregular subsampled grids, residual noise calibrated to
 a target noise-to-signal ratio, random similarity frames.  Reports median
-relative mean squared errors per effect and nuisance selection shares.
+relative mean squared errors per effect and nuisance selection shares.  The
+cells and seeds are ``simulate.study_configs``, so ``--reps 20`` runs exactly
+the replicates of acceptance criterion 7.
 
 Usage:
     python scripts/run_simulation_study.py [--reps 20] [--out results.csv]
@@ -18,34 +20,7 @@ import warnings
 
 import numpy as np
 
-from shapeboost.boost import BoostConfig, boost_fit, estimate_pole, rmse_effect
-from shapeboost.simulate import SimConfig, default_effects, gen_dataset, gen_truth
-
-
-def run_cell(truth, kind, n, k_bar, nsr, seed, eta, iterations, df):
-    cfg = SimConfig(n=n, k_bar=k_bar, kind=kind, target_nsr=nsr, seed=seed)
-    sample, cov, dtruth = gen_dataset(truth, cfg)
-    effects = default_effects(cfg, df=df)
-    bc = BoostConfig(
-        effects=effects,
-        step_length=eta,
-        max_iterations=iterations,
-        response_basis=truth.pole.basis.cfg,
-        response_penalty="ridge",
-        rng_seed=seed,
-    )
-    pole = estimate_pole(sample, cfg.kind, truth.pole.basis, bc)
-    model = boost_fit(sample, cov, bc, pole, cfg.kind)
-    zero = [np.zeros(c.k, dtype=complex) for c in sample]
-    row = {"kind": kind, "n": n, "k_bar": k_bar, "seed": seed, "nsr": dtruth.nsr}
-    for name in ("tilt", "group", "const0", "lin_z1", "smooth_z2"):
-        evals = dtruth.effect_evals.get(name, zero)
-        row[f"rmse_{name}"] = rmse_effect(
-            model, sample, cov, name, evals, dtruth.total_evals, dtruth.pole_evals
-        )
-    nuisance = [j for j, e in enumerate(effects) if e.name in ("const0", "lin_z1", "smooth_z2")]
-    row["nuisance_share"] = float(np.mean(np.isin(model.selection_trace, nuisance)))
-    return row
+from shapeboost.simulate import gen_truth, run_replicate, study_configs
 
 
 def main(argv=None):
@@ -62,15 +37,15 @@ def main(argv=None):
     truth = gen_truth()
     rows = []
     t0 = time.time()
-    for kind, nsr in (("form", 1.05), ("shape", 0.65)):
-        for n in (54, 162):
-            for rep in range(args.reps):
-                row = run_cell(truth, kind, n, args.kbar, nsr, 1000 * n + rep, args.eta, args.iterations, args.df)
-                rows.append(row)
-            med_t = np.median([r["rmse_tilt"] for r in rows if r["kind"] == kind and r["n"] == n])
-            med_g = np.median([r["rmse_group"] for r in rows if r["kind"] == kind and r["n"] == n])
+    for cfg in study_configs(args.reps, k_bar=args.kbar):
+        row = {"kind": cfg.kind.value, "n": cfg.n, "k_bar": cfg.k_bar, "seed": cfg.seed}
+        rows.append(row | run_replicate(truth, cfg, eta=args.eta, iterations=args.iterations, df=args.df))
+        cell = [r for r in rows if (r["kind"], r["n"]) == (row["kind"], row["n"])]
+        if len(cell) == args.reps:
+            med_t = np.median([r["rmse_tilt"] for r in cell])
+            med_g = np.median([r["rmse_group"] for r in cell])
             print(
-                f"{kind} n={n}: median rMSE tilt {med_t:.4f}, group {med_g:.4f} "
+                f"{row['kind']} n={row['n']}: median rMSE tilt {med_t:.4f}, group {med_g:.4f} "
                 f"({time.time() - t0:.0f}s elapsed)"
             )
 

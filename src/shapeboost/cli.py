@@ -65,7 +65,7 @@ def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
 def _load_inputs(args: argparse.Namespace):
     doc, _, _, _ = sbio.load_config(args.config)
     doc = _apply_overrides(doc, args)
-    kind, _, config = sbio.parse_config(doc)
+    kind, config = sbio.parse_config(doc)
     basis = build_response_basis(config.response_basis, np.empty(0)) if config.coef_mode else None
     sample, _ = sbio.read_curves(args.curves, weight_rule=config.weight_rule, basis=basis)
     covariates = sbio.read_covariates(args.covariates, [c.id for c in sample])
@@ -208,13 +208,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         n=args.n,
         k_bar=args.kbar,
         kind=args.geometry or "form",
-        noise_mode="resample_pool" if args.pool else "gaussian_tangent",
         target_nsr=args.nsr,
         pre_aligned=args.pre_aligned,
         weight_rule=args.weights or "trapezoid",
-        nuisance_constant=not args.no_nuisance,
-        nuisance_linear=not args.no_nuisance,
-        nuisance_smooth=not args.no_nuisance,
         seed=args.seed if args.seed is not None else 0,
     )
     truth = gen_truth()
@@ -347,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kbar", type=float, default=40.0)
     p.add_argument("--nsr", type=float, default=1.05)
     p.add_argument("--pre-aligned", action="store_true", dest="pre_aligned")
-    p.add_argument("--no-nuisance", action="store_true", dest="no_nuisance")
     p.add_argument("--pool")
     p.add_argument("--geometry", choices=["shape", "form"])
     p.add_argument("--weights", choices=["trapezoid", "uniform"])

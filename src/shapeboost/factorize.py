@@ -38,6 +38,8 @@ __all__ = [
     "model_grams",
 ]
 
+VISUAL_SEGMENTS = 40  # connecting segments drawn by direction_visual
+
 
 @dataclass
 class Factorization:
@@ -250,7 +252,6 @@ def direction_visual(
     xi: np.ndarray,
     tau: float,
     n_points: int = 200,
-    n_segments: int = 40,
 ) -> DirectionVisual:
     """Pole representative and Exp_p(tau * xi) on a dense uniform grid.
 
@@ -277,6 +278,6 @@ def direction_visual(
         disp = np.cos(nh) * p_rep + (np.sin(nh) / nh if nh > 1e-12 else 1.0) * xv
     else:
         disp = p_rep + xv
-    step = max(1, n_points // n_segments)
+    step = max(1, n_points // VISUAL_SEGMENTS)
     segments = [(complex(p_rep[i]), complex(disp[i])) for i in range(0, n_points, step)]
     return DirectionVisual(grid=grid, pole_polyline=p_rep, displaced_polyline=disp, segments=segments)

@@ -523,11 +523,6 @@ class PackedSample:
         return eps - (c / denom)[self.seg] * (s_hat + d_hat)
 
 
-def _pole_rep(p_evals: np.ndarray, weights: np.ndarray, kind: GeometryKind) -> np.ndarray:
-    """Centered (and for shapes unit-norm) pole representative."""
-    return PackedSample([weights], ["pole"]).pole_rep(p_evals, kind)
-
-
 def representative(y: CurveSample, p_evals: np.ndarray, kind: GeometryKind) -> AlignedRep:
     """Centered, rotation-aligned (and for shapes normalized) representative of [y].
 

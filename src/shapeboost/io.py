@@ -228,7 +228,7 @@ def _parse_spline(d: dict, where: str) -> SplineConfig:
         raise SchemaError(f"{where}: {exc}") from None
 
 
-def parse_config(doc: dict) -> tuple[GeometryKind, str, BoostConfig]:
+def parse_config(doc: dict) -> tuple[GeometryKind, BoostConfig]:
     """Validate a model configuration document; unknown keys are rejected."""
     if not isinstance(doc, dict):
         raise SchemaError("config: expected a JSON object")
@@ -293,17 +293,18 @@ def parse_config(doc: dict) -> tuple[GeometryKind, str, BoostConfig]:
         )
     except ValueError as exc:
         raise SchemaError(f"config.boosting: {exc}") from None
-    return kind, weight_rule, config
+    return kind, config
 
 
 def load_config(path: str | Path) -> tuple[dict, GeometryKind, str, BoostConfig]:
+    """(document, geometry, weight rule, config); the rule repeats ``config.weight_rule`` for ``perfbench``."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
-    kind, weight_rule, config = parse_config(doc)
-    return doc, kind, weight_rule, config
+    kind, config = parse_config(doc)
+    return doc, kind, config.weight_rule, config
 
 
 def config_hash(doc: dict) -> str:

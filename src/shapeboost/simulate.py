@@ -1,17 +1,16 @@
 """Synthetic shape/form regression datasets with known ground truth.
 
-A built-in smooth closed outline (or a user template) defines the true pole.
-The true smooth effect is the family of 3D view transformations obtained by
-tilting the planar outline about its longitudinal axis by an angle z1 in
-[-60, 60] degrees under a perspective projection, expanded in the tangent
-basis; a fixed tangent contrast separates the two groups of a balanced binary
+A built-in smooth closed outline defines the true pole.  The true smooth
+effect is the family of 3D view transformations obtained by tilting the
+planar outline about its longitudinal axis by an angle z1 in [-60, 60]
+degrees under a perspective projection, expanded in the tangent basis; a fixed tangent contrast separates the two groups of a balanced binary
 covariate.  Responses are generated by drawing tangent residuals at the pole
-(smooth Gaussian fields by default, or resampled from a residual pool file),
+(smooth Gaussian fields, or resampled from a residual pool when one is given),
 subsampling each curve's grid down to an average size (three guaranteed
 points plus Bernoulli draws), parallel transporting the residual to the true
 conditional mean and applying the exponential map there.  Unless pre-aligned
 output is requested, every curve is then moved to a random similarity frame
-(rigid for forms).
+(rigid for forms).  ``study_configs`` and ``run_replicate`` run the study.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .basis import (
     constraint_matrix,
     nullspace_transform,
 )
+from .boost import BoostConfig, boost_fit, estimate_pole, rmse_effect
 from .effects import CovariateMap, EffectError, EffectSpec, covariate_design, curve_gram, curve_proj
 from .geometry import (
     ALIGN_TOL,
@@ -50,10 +50,15 @@ __all__ = [
     "gen_truth",
     "gen_dataset",
     "default_effects",
+    "study_configs",
+    "run_replicate",
 ]
 
 BATCH_ANGLES = np.arange(-60.0, 61.0, 15.0)  # 9 equidistant tilt angles
 BATCH_SIZE = 2 * BATCH_ANGLES.size
+NOISE_LENGTH_SCALE = 0.25  # squared-exponential correlation length, in units of the basis dimension
+RESPONSE_BASIS = SplineConfig(degree=3, n_knots=27, cyclic=True, knot_rule="quantile")
+COVARIATE_BASIS = SplineConfig(degree=3, n_knots=4, cyclic=False, knot_rule="equidistant")
 
 
 def builtin_template(n_points: int = 123) -> tuple[np.ndarray, np.ndarray]:
@@ -125,16 +130,9 @@ class SimConfig:
     n: int = 54
     k_bar: float = 40.0
     kind: GeometryKind | str = GeometryKind.FORM
-    noise_mode: str = "gaussian_tangent"  # or "resample_pool"
-    length_scale: float = 0.25
-    amplitude: float = 1.0
     target_nsr: float = 1.05
     pre_aligned: bool = False
     weight_rule: str = "trapezoid"
-    nuisance_constant: bool = True
-    nuisance_linear: bool = True
-    nuisance_smooth: bool = True
-    orthogonal_noise: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -143,8 +141,6 @@ class SimConfig:
             raise EffectError(f"sample size must be a multiple of {BATCH_SIZE}, got {self.n}")
         if self.k_bar < 3:
             raise EffectError("average grid size must be at least 3")
-        if self.noise_mode not in ("gaussian_tangent", "resample_pool"):
-            raise EffectError(f"unknown noise mode {self.noise_mode!r}")
         if self.weight_rule not in ("trapezoid", "uniform"):
             raise EffectError("simulation supports trapezoid or uniform weights")
 
@@ -180,32 +176,18 @@ def _form_log(p_evals: np.ndarray, values: np.ndarray, w: np.ndarray) -> np.ndar
     return ip / abs(ip) * y_c - p
 
 
-def gen_truth(
-    template: tuple[np.ndarray, np.ndarray] | None = None,
-    response_basis: SplineConfig | None = None,
-    covariate_basis: SplineConfig | None = None,
-    binary_scale: float = 1.0,
-) -> TruthSpec:
-    """Build the ground-truth model from a template outline.
+def gen_truth() -> TruthSpec:
+    """Build the ground-truth model from the built-in outline.
 
-    The pole is the spline projection of the template; the smooth effect
+    The pole is the spline projection of the outline; the smooth effect
     expands the tilt family into the tangent basis at the pole (fit over a
     fine angle grid, centered over the batch design); the binary effect is a
-    fixed tangent contrast from a width-stretch of the template.
+    fixed tangent contrast from a width-stretch of the outline.
     """
-    if template is None:
-        grid, values = builtin_template()
-    else:
-        grid, values = np.asarray(template[0], dtype=float), np.asarray(template[1], dtype=complex)
-        if grid.size < 10:
-            raise GeometryError("template needs a reasonably dense grid")
-    if response_basis is None:
-        response_basis = SplineConfig(degree=3, n_knots=27, cyclic=True, knot_rule="quantile")
-    if covariate_basis is None:
-        covariate_basis = SplineConfig(degree=3, n_knots=4, cyclic=False, knot_rule="equidistant")
+    grid, values = builtin_template()
     kind = GeometryKind.FORM  # fields are built in form mode; shape reuses them after per-curve projection
 
-    basis = build_response_basis(response_basis, grid)
+    basis = build_response_basis(RESPONSE_BASIS, grid)
     w = trapezoid_weights(grid)
     B = basis.design(grid)
     coef, *_ = np.linalg.lstsq(np.sqrt(w)[:, None] * B, np.sqrt(w) * values, rcond=None)
@@ -245,7 +227,7 @@ def gen_truth(
         name="tilt",
         kind="smooth",
         covariates=("z1",),
-        covariate_basis=covariate_basis,
+        covariate_basis=COVARIATE_BASIS,
         penalty_covariate="second_diff",
         centering="sum_to_zero",
     )
@@ -262,7 +244,7 @@ def gen_truth(
     cat_spec = EffectSpec(name="group", kind="categorical", covariates=("group",), centering="sum_to_zero")
     _, cat_map = covariate_design(cat_spec, batch_table, BATCH_SIZE)
     contrast = tangent_coef(_stretch_curve(values))
-    theta_cat = (binary_scale * 0.5 * contrast)[:, None]
+    theta_cat = (0.5 * contrast)[:, None]
 
     fields = {
         "group": transform.Z @ theta_cat,
@@ -279,13 +261,13 @@ def gen_truth(
     )
 
 
-def _smooth_coef_chol(m0: int, length_scale: float, cyclic: bool) -> np.ndarray:
+def _smooth_coef_chol(m0: int, cyclic: bool) -> np.ndarray:
     """Factor L with L L^T = squared-exponential covariance over coefficient index."""
     idx = np.arange(m0)
     diff = np.abs(idx[:, None] - idx[None, :])
     if cyclic:
         diff = np.minimum(diff, m0 - diff)
-    scale = max(length_scale * m0, 1e-6)
+    scale = max(NOISE_LENGTH_SCALE * m0, 1e-6)
     K = np.exp(-((diff / scale) ** 2))
     # squared-exponential covariances are numerically rank deficient
     evals, evecs = np.linalg.eigh(K)
@@ -301,35 +283,32 @@ def _subsample_grid(rng: np.random.Generator, K: int, k_bar: float) -> np.ndarra
     return np.flatnonzero(mask)
 
 
-def default_effects(cfg: SimConfig, df: float = 4.0) -> list[EffectSpec]:
-    """Fit-side effect list matching the simulation design (plus nuisance terms)."""
-    cov_basis = SplineConfig(degree=3, n_knots=4, cyclic=False, knot_rule="equidistant")
+def default_effects(df: float = 4.0, nuisance: bool = True) -> list[EffectSpec]:
+    """Fit-side effect list matching the simulation design, plus the three nuisance learners."""
     effects = [
         EffectSpec(name="group", kind="categorical", covariates=("group",), df_target=df),
         EffectSpec(
             name="tilt",
             kind="smooth",
             covariates=("z1",),
-            covariate_basis=cov_basis,
+            covariate_basis=COVARIATE_BASIS,
             df_target=df,
             penalty_covariate="second_diff",
         ),
     ]
-    if cfg.nuisance_constant:
-        effects.append(EffectSpec(name="const0", kind="constant", covariates=(), df_target=df, centering="none"))
-    if cfg.nuisance_linear:
-        effects.append(EffectSpec(name="lin_z1", kind="linear", covariates=("z1",), df_target=df))
-    if cfg.nuisance_smooth:
-        effects.append(
+    if nuisance:
+        effects += [
+            EffectSpec(name="const0", kind="constant", covariates=(), df_target=df, centering="none"),
+            EffectSpec(name="lin_z1", kind="linear", covariates=("z1",), df_target=df),
             EffectSpec(
                 name="smooth_z2",
                 kind="smooth",
                 covariates=("z2",),
-                covariate_basis=cov_basis,
+                covariate_basis=COVARIATE_BASIS,
                 df_target=df,
                 penalty_covariate="second_diff",
-            )
-        )
+            ),
+        ]
     return effects
 
 
@@ -343,7 +322,9 @@ def gen_dataset(
     Returns the curve sample, the covariate table and the realized truth
     (per-curve effect evaluations, after projecting the truth fields onto the
     tangent space implied by this dataset's grids, so the realized truth is
-    exactly representable by a fit on the same sample).
+    exactly representable by a fit on the same sample).  Residuals are smooth
+    Gaussian fields, or resampled (grid and values) from ``pool`` when one is
+    given.
     """
     kind = GeometryKind.parse(cfg.kind)
     rng = np.random.default_rng(cfg.seed)
@@ -357,9 +338,9 @@ def gen_dataset(
         "z2": rng.uniform(-60.0, 60.0, size=n),
     }
 
-    if cfg.noise_mode == "resample_pool":
+    if pool is not None:
         if not pool:
-            raise EffectError("resample_pool noise mode needs a residual pool")
+            raise EffectError("the residual pool is empty")
         pool_ids = rng.integers(0, len(pool), size=n)
 
     K = truth.template_grid.size
@@ -367,7 +348,7 @@ def gen_dataset(
     designs = []
     weights = []
     for i in range(n):
-        if cfg.noise_mode == "resample_pool":
+        if pool is not None:
             pg = np.asarray(pool[pool_ids[i]][0], dtype=float)
             sel = _subsample_grid(rng, pg.size, cfg.k_bar)
             grid = pg[sel]
@@ -421,20 +402,20 @@ def gen_dataset(
 
     # raw tangent residuals at the pole
     raw_eps: list[np.ndarray] = []
-    if cfg.noise_mode == "gaussian_tangent":
-        chol = _smooth_coef_chol(m0, cfg.length_scale, basis.cfg.cyclic)
+    if pool is None:
+        chol = _smooth_coef_chol(m0, basis.cfg.cyclic)
         for i in range(n):
             coef = chol @ rng.standard_normal(m0) + 1j * (chol @ rng.standard_normal(m0))
-            raw_eps.append(designs[i] @ (cfg.amplitude * coef))
+            raw_eps.append(designs[i] @ coef)
     else:
         for i in range(n):
             pv = np.asarray(pool[pool_ids[i]][1], dtype=complex)
             raw_eps.append(pv[grids[i][0]])
 
-    # tangent-project per curve; optionally remove components along the truth
-    # effect directions, mimicking residual resampling where model residuals
+    # tangent-project per curve, then remove components along the truth effect
+    # directions, mimicking residual resampling where model residuals
     # are orthogonal to the fitted effect directions by least squares
-    signal_fields = np.hstack([fields_c[name] for name in fields_c]) if cfg.orthogonal_noise else None
+    signal_fields = np.hstack([fields_c[name] for name in fields_c])
     eps_pole = []
     noise_sq = 0.0
     for i in range(n):
@@ -446,30 +427,29 @@ def gen_dataset(
             v = v - c * p_rep
         else:
             v = v - 1j * c.imag * p_rep
-        if signal_fields is not None and signal_fields.size:
-            # modified Gram-Schmidt on the tangent-projected signal directions;
-            # deflating against non-tangent vectors would push the noise out of
-            # the tangent space and break the transport isometry
-            S = designs[i] @ signal_fields
-            qs: list[np.ndarray] = []
-            for col in range(S.shape[1]):
-                s_col = center(S[:, col], w)
-                cs = empirical_inner(p_rep, s_col, w) / empirical_inner(p_rep, p_rep, w).real
-                if kind is GeometryKind.SHAPE:
-                    s_col = s_col - cs * p_rep
-                else:
-                    s_col = s_col - 1j * cs.imag * p_rep
-                for q in qs:
-                    s_col = s_col - empirical_inner(q, s_col, w) * q
-                nn = empirical_norm(s_col, w)
-                if nn > 1e-10:
-                    qs.append(s_col / nn)
+        # modified Gram-Schmidt on the tangent-projected signal directions;
+        # deflating against non-tangent vectors would push the noise out of
+        # the tangent space and break the transport isometry
+        S = designs[i] @ signal_fields
+        qs: list[np.ndarray] = []
+        for col in range(S.shape[1]):
+            s_col = center(S[:, col], w)
+            cs = empirical_inner(p_rep, s_col, w) / empirical_inner(p_rep, p_rep, w).real
+            if kind is GeometryKind.SHAPE:
+                s_col = s_col - cs * p_rep
+            else:
+                s_col = s_col - 1j * cs.imag * p_rep
             for q in qs:
-                v = v - empirical_inner(q, v, w) * q
+                s_col = s_col - empirical_inner(q, s_col, w) * q
+            nn = empirical_norm(s_col, w)
+            if nn > 1e-10:
+                qs.append(s_col / nn)
+        for q in qs:
+            v = v - empirical_inner(q, v, w) * q
         eps_pole.append(v)
         noise_sq += empirical_inner(v, v, w).real
 
-    if cfg.target_nsr > 0 and cfg.amplitude > 0 and noise_sq > 0:
+    if cfg.target_nsr > 0 and noise_sq > 0:
         s = np.sqrt(cfg.target_nsr * pred_sq / noise_sq)
     else:
         s = 0.0
@@ -528,3 +508,52 @@ def gen_dataset(
         nsr=float(nsr),
     )
     return sample, covariates, truth_out
+
+
+def study_configs(reps: int, k_bar: float = 40.0):
+    """The simulation study's datasets, cell by cell.
+
+    Forms at noise-to-signal 1.05, then shapes at 0.65, each at n = 54 and
+    then 162.  Replicate ``rep`` of a cell has seed
+    1000 * (n + (kind == "shape")) + rep, so no two cells share a seed.
+    """
+    for kind, nsr in (("form", 1.05), ("shape", 0.65)):
+        for n in (54, 162):
+            for rep in range(reps):
+                seed = 1000 * (n + (kind == "shape")) + rep
+                yield SimConfig(n=n, k_bar=k_bar, kind=kind, target_nsr=nsr, seed=seed)
+
+
+def run_replicate(
+    truth: TruthSpec, cfg: SimConfig, eta: float = 0.25, iterations: int = 250, df: float = 4.0
+) -> dict[str, float]:
+    """One study replicate: simulate, estimate the pole, fit all five learners and score the fit.
+
+    Returns the realized noise-to-signal ratio ``nsr``, ``rmse_<effect>`` for
+    every learner (relative to the total effect; the nuisance learners are
+    those with no true effect), ``nuisance_share`` (the share of iterations
+    that selected a nuisance learner) and the empirical risk before the first and after the
+    last iteration (``risk_first``, ``risk_last``).
+    """
+    sample, cov, dtruth = gen_dataset(truth, cfg)
+    effects = default_effects(df=df)
+    bc = BoostConfig(
+        effects=effects,
+        step_length=eta,
+        max_iterations=iterations,
+        response_basis=truth.pole.basis.cfg,
+        response_penalty="ridge",
+        rng_seed=cfg.seed,
+    )
+    pole = estimate_pole(sample, cfg.kind, truth.pole.basis, bc)
+    model = boost_fit(sample, cov, bc, pole, cfg.kind)
+    out = {"nsr": dtruth.nsr}
+    zero = [np.zeros(c.k, dtype=complex) for c in sample]
+    for e in effects:
+        evals = dtruth.effect_evals.get(e.name, zero)
+        out[f"rmse_{e.name}"] = rmse_effect(model, sample, cov, e.name, evals, dtruth.total_evals, dtruth.pole_evals)
+    nuisance = [j for j, e in enumerate(effects) if e.name not in dtruth.effect_evals]
+    out["nuisance_share"] = float(np.mean(np.isin(model.selection_trace, nuisance)))
+    out["risk_first"] = float(model.risk_trace[0])
+    out["risk_last"] = float(model.risk_trace[model.m_stop])
+    return out

@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from shapeboost.basis import SplineConfig, build_response_basis
-from shapeboost.boost import (
-    BoostConfig,
-    boost_fit,
-    estimate_pole,
-    rmse_effect,
-)
+from shapeboost.boost import BoostConfig, boost_fit, estimate_pole
 from shapeboost.effects import (
     KronPenalty,
     PlsLearner,
@@ -37,7 +32,7 @@ from shapeboost.geometry import (
     tangent_project,
     trapezoid_weights,
 )
-from shapeboost.simulate import SimConfig, default_effects, gen_dataset, gen_truth
+from shapeboost.simulate import SimConfig, default_effects, gen_dataset, gen_truth, run_replicate, study_configs
 
 from conftest import curve_from, irregular_grid, random_pole_and_tangent, smooth_curve
 
@@ -54,31 +49,6 @@ def _report(criterion, ok, detail=""):
 @pytest.fixture(scope="module")
 def truth():
     return gen_truth()
-
-
-def _fit_replicate(truth, kind, n, nsr, seed):
-    cfg = SimConfig(n=n, k_bar=40, kind=kind, target_nsr=nsr, seed=seed)
-    sample, cov, dtruth = gen_dataset(truth, cfg)
-    effects = default_effects(cfg, df=4.0)
-    bc = BoostConfig(
-        effects=effects,
-        step_length=0.25,
-        max_iterations=250,
-        response_basis=truth.pole.basis.cfg,
-        response_penalty="ridge",
-        rng_seed=seed,
-    )
-    pole = estimate_pole(sample, cfg.kind, truth.pole.basis, bc)
-    model = boost_fit(sample, cov, bc, pole, cfg.kind)
-    _RISK_DECREASE_LOG.append((model.risk_trace[0], model.risk_trace[model.m_stop]))
-    out = {}
-    zero = [np.zeros(c.k, dtype=complex) for c in sample]
-    for name in ("tilt", "group", "const0", "lin_z1", "smooth_z2"):
-        evals = dtruth.effect_evals.get(name, zero)
-        out[name] = rmse_effect(model, sample, cov, name, evals, dtruth.total_evals, dtruth.pole_evals)
-    nuisance_idx = [j for j, e in enumerate(effects) if e.name in ("const0", "lin_z1", "smooth_z2")]
-    out["nuisance_share"] = float(np.mean(np.isin(model.selection_trace, nuisance_idx)))
-    return out
 
 
 def test_criterion_1_geometry_round_trip():
@@ -140,7 +110,7 @@ def test_criterion_3_invariance_end_to_end(truth):
     for kind in KINDS:
         cfg = SimConfig(n=36, k_bar=25, kind=kind, target_nsr=0.6, seed=77)
         sample, cov, _ = gen_dataset(truth, cfg)
-        effects = default_effects(cfg, df=4.0)
+        effects = default_effects(df=4.0)
         bc = BoostConfig(
             effects=effects, step_length=0.25, max_iterations=20,
             response_basis=truth.pole.basis.cfg, response_penalty="ridge",
@@ -301,22 +271,19 @@ def test_criterion_6_frechet_mean():
 @pytest.mark.slow
 def test_criterion_7_simulation_study(truth):
     t0 = time.time()
-    reps = 20
-    medians = {}
-    nuisance_shares = []
-    nuisance_rmse = []
-    for kind in ("form", "shape"):
-        nsr = 1.05 if kind == "form" else 0.65
-        for n in (54, 162):
-            tilt_vals, group_vals = [], []
-            for rep in range(reps):
-                out = _fit_replicate(truth, kind, n, nsr, seed=1000 * (n + (kind == "shape")) + rep)
-                tilt_vals.append(out["tilt"])
-                group_vals.append(out["group"])
-                nuisance_shares.append(out["nuisance_share"])
-                nuisance_rmse.extend([out["const0"], out["lin_z1"], out["smooth_z2"]])
-            medians[(kind, n, "tilt")] = float(np.median(tilt_vals))
-            medians[(kind, n, "group")] = float(np.median(group_vals))
+    cells = {}
+    nuisance_shares, nuisance_rmse = [], []
+    for cfg in study_configs(reps=20):
+        out = run_replicate(truth, cfg)
+        _RISK_DECREASE_LOG.append((out["risk_first"], out["risk_last"]))
+        cells.setdefault((cfg.kind.value, cfg.n), []).append(out)
+        nuisance_shares.append(out["nuisance_share"])
+        nuisance_rmse.extend([out["rmse_const0"], out["rmse_lin_z1"], out["rmse_smooth_z2"]])
+    medians = {
+        (kind, n, effect): float(np.median([o[f"rmse_{effect}"] for o in outs]))
+        for (kind, n), outs in cells.items()
+        for effect in ("tilt", "group")
+    }
     elapsed = time.time() - t0
     ok = True
     detail = []
@@ -345,7 +312,7 @@ def test_criterion_8_extreme_sparsity(truth):
     cfg = SimConfig(n=720, k_bar=3, kind="form", target_nsr=1.05, seed=808, weight_rule="uniform")
     sample, cov, dtruth = gen_dataset(truth, cfg)
     assert all(c.k == 3 for c in sample)
-    effects = default_effects(cfg, df=4.0)
+    effects = default_effects(df=4.0)
     bc = BoostConfig(
         effects=effects, step_length=0.25, max_iterations=200,
         response_basis=truth.pole.basis.cfg, response_penalty="ridge",
@@ -389,7 +356,7 @@ def test_criterion_9_boosting_behavior(truth, tmp_path):
 
     cfg = SimConfig(n=36, k_bar=25, kind="form", target_nsr=0.8, seed=909)
     sample, cov, _ = gen_dataset(truth, cfg)
-    effects = default_effects(cfg, df=4.0)
+    effects = default_effects(df=4.0)
     assert len(effects) == 5
     bc = BoostConfig(
         effects=effects, step_length=0.3, max_iterations=30,

@@ -231,17 +231,27 @@ class TestBoostFit:
 
     @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])
     def test_curve_order_does_not_change_fit(self, rng, kind):
-        # at a fixed pole the fit depends on the (curve, covariate) pairs, not on their order
+        # the fit depends on the (curve, covariate) pairs, not on their order: at a fixed pole
+        # the predicted means agree pointwise, and with the pole re-estimated on the permuted
+        # sample they agree as shapes or forms (the pole's frame may differ)
         curves, cov, effects, basis, _ = make_dataset(rng, n=14, kind=kind)
         config = BoostConfig(effects=effects, step_length=0.4, max_iterations=8, response_basis=BASIS)
         pole = estimate_pole(curves, kind, basis, config)
         perm = rng.permutation(len(curves))
+        shuffled, shuffled_cov = [curves[i] for i in perm], {k: v[perm] for k, v in cov.items()}
         model = boost_fit(curves, cov, config, pole, kind)
-        permuted = boost_fit([curves[i] for i in perm], {k: v[perm] for k, v in cov.items()}, config, pole, kind)
-        assert permuted.risk_trace == pytest.approx(model.risk_trace, rel=1e-9)
+        permuted = boost_fit(shuffled, shuffled_cov, config, pole, kind)
+        repoled = boost_fit(shuffled, shuffled_cov, config, estimate_pole(shuffled, kind, basis, config), kind)
+        for other in (permuted, repoled):
+            assert other.risk_trace == pytest.approx(model.risk_trace, rel=1e-9)
+            assert np.array_equal(other.selection_trace, model.selection_trace)
         grids = [c.grid for c in curves]
-        for a, b in zip(predict_means(model, cov, grids), predict_means(permuted, cov, grids)):
+        means = predict_means(model, cov, grids)
+        for a, b in zip(means, predict_means(permuted, cov, grids)):
             assert np.abs(b - a).max() <= 1e-9 * np.abs(a).max()
+        for c, a, b in zip(curves, means, predict_means(repoled, cov, grids)):
+            scale = 1.0 if kind is GeometryKind.SHAPE else empirical_norm(center(a, c.weights), c.weights)
+            assert geodesic_dist(CurveSample(c.id, c.grid, b, c.weights), a, kind) <= 1e-9 * scale
 
     def test_transported_residuals_are_tangent(self, rng):
         curves, cov, effects, basis, _ = make_dataset(rng, n=10)
@@ -444,7 +454,7 @@ class TestPackedKernel:
     @pytest.mark.parametrize("weights", ["trapezoid", "uniform", "gram"])
     @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])
     def test_residual_pass_matches_per_curve_reference(self, rng, kind, weights):
-        from shapeboost.geometry import _pole_rep, log_map, parallel_transport
+        from shapeboost.geometry import PackedSample, log_map, parallel_transport
 
         if weights == "gram":
             curves, cov, basis = _coefficient_dataset(rng, kind)
@@ -467,7 +477,7 @@ class TestPackedKernel:
             mu = predict_mean(model, x, curve.grid, w)
             local = log_map(mu, curve, kind)
             B = np.eye(basis.dim) if model.coef_mode else basis.design(curve.grid)
-            p = _pole_rep(B @ pole.coef, w, kind)
+            p = PackedSample([w], ["pole"]).pole_rep(B @ pole.coef, kind)
             ref = parallel_transport(local.pole_evals, p, local, kind, check=False).values
             loop = _loop_reference(model, curve, coefs[i])
             scale = empirical_norm(packed[i].values, w)

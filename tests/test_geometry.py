@@ -9,6 +9,7 @@ from shapeboost.geometry import (
     DegenerateAlignment,
     GeometryError,
     GeometryKind,
+    PackedSample,
     TangentEvals,
     empirical_inner,
     empirical_norm,
@@ -88,9 +89,8 @@ class TestRepresentative:
             p = smooth_curve(rng, grid)
             rep = representative(curve_from(p, grid, w), p, kind)
             assert rep.rotation == pytest.approx(1.0)
-            from shapeboost.geometry import _pole_rep
-
-            assert np.allclose(rep.values, _pole_rep(p, w, kind), atol=1e-12)
+            pole_rep = PackedSample([w], ["pole"]).pole_rep(p, kind)
+            assert np.allclose(rep.values, pole_rep, atol=1e-12)
 
     def test_rotation_translation_invariance(self, rng):
         for kind in KINDS:

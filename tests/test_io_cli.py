@@ -329,7 +329,7 @@ class TestCliPipeline:
         rc = main(
             [
                 "simulate", str(tmp_path / "c.csv"), str(tmp_path / "v.csv"), str(tmp_path / "t.json"),
-                "--n", "18", "--kbar", "20", "--seed", "3", "--nsr", "0.2", "--no-nuisance",
+                "--n", "18", "--kbar", "20", "--seed", "3", "--nsr", "0.2",
             ]
         )
         assert rc == 0

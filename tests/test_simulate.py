@@ -11,6 +11,8 @@ from shapeboost.simulate import (
     default_effects,
     gen_dataset,
     gen_truth,
+    run_replicate,
+    study_configs,
     tilt_curve,
 )
 
@@ -102,10 +104,10 @@ class TestGenDataset:
             d1 = geodesic_dist(s_frame[i], mu, GeometryKind.SHAPE)
             assert abs(d0 - d1) <= 1e-8 * max(1.0, d0)
 
-    def test_pool_mode_requires_pool(self):
-        cfg = SimConfig(n=18, k_bar=10, kind="form", noise_mode="resample_pool", seed=1)
-        with pytest.raises(EffectError):
-            gen_dataset(TRUTH, cfg, pool=None)
+    def test_empty_pool_rejected(self):
+        cfg = SimConfig(n=18, k_bar=10, kind="form", seed=1)
+        with pytest.raises(EffectError, match="pool"):
+            gen_dataset(TRUTH, cfg, pool=[])
 
     def test_pool_mode_resamples_grids(self):
         rng = np.random.default_rng(0)
@@ -113,7 +115,7 @@ class TestGenDataset:
         for _ in range(7):
             g = np.sort(rng.uniform(0, 1, 60))
             pool.append((g, rng.normal(size=60) + 1j * rng.normal(size=60)))
-        cfg = SimConfig(n=18, k_bar=12, kind="form", noise_mode="resample_pool", seed=3)
+        cfg = SimConfig(n=18, k_bar=12, kind="form", seed=3)
         sample, _, dtruth = gen_dataset(TRUTH, cfg, pool=pool)
         assert len(sample) == 18
         assert min(c.k for c in sample) >= 3
@@ -125,10 +127,7 @@ class TestGenDataset:
 
 class TestNoiselessIdentifiability:
     def test_noiseless_prealigned_recovery(self):
-        cfg = SimConfig(
-            n=36, k_bar=60, kind="form", target_nsr=0.0, amplitude=0.0, pre_aligned=True,
-            seed=5, nuisance_constant=False, nuisance_linear=False, nuisance_smooth=False,
-        )
+        cfg = SimConfig(n=36, k_bar=60, kind="form", target_nsr=0.0, pre_aligned=True, seed=5)
         sample, cov, dtruth = gen_dataset(TRUTH, cfg)
         # noiseless data reproduce the conditional means exactly
         for i in (0, 7, 20):
@@ -138,7 +137,7 @@ class TestNoiselessIdentifiability:
             EffectSpec(name=e.name, kind=e.kind, covariates=e.covariates,
                        covariate_basis=e.covariate_basis, df_target=500.0,
                        penalty_covariate=e.penalty_covariate, centering=e.centering)
-            for e in default_effects(cfg, df=4.0)
+            for e in default_effects(df=4.0, nuisance=False)
         ]
         import warnings
 
@@ -152,3 +151,21 @@ class TestNoiselessIdentifiability:
             r = rmse_effect(model, sample, cov, name, dtruth.effect_evals[name],
                             dtruth.total_evals, dtruth.pole_evals)
             assert r < 1e-4
+
+
+class TestStudyDriver:
+    def test_study_configs_cells_and_seeds(self):
+        cells = [(c.kind.value, c.n, c.k_bar, c.target_nsr, c.seed) for c in study_configs(1)]
+        assert cells == [("form", 54, 40, 1.05, 54000), ("form", 162, 40, 1.05, 162000),
+                         ("shape", 54, 40, 0.65, 55000), ("shape", 162, 40, 0.65, 163000)]
+        assert [c.seed for c in study_configs(3)][:3] == [54000, 54001, 54002]
+        assert {c.k_bar for c in study_configs(2, k_bar=10)} == {10}
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_run_replicate_reports_every_learner(self):
+        out = run_replicate(TRUTH, SimConfig(n=18, k_bar=10, kind="form", seed=3), iterations=5)
+        effects = ("tilt", "group", "const0", "lin_z1", "smooth_z2")
+        assert set(out) == {"nsr", "nuisance_share", "risk_first", "risk_last"} | {f"rmse_{e}" for e in effects}
+        assert all(np.isfinite(v) for v in out.values())
+        assert 0.0 <= out["nuisance_share"] <= 1.0
+        assert out["risk_last"] < out["risk_first"]
