@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import serial_blas
 from .basis import (
     BSplineBasis,
     PenaltyBlock,
@@ -290,6 +291,7 @@ def _penalized_spline_fit(
     return PlsLearner(A, None, "preliminary pole").solve(packed.project(targets)[selected].sum(axis=0))
 
 
+@serial_blas
 def estimate_pole(
     sample: list[CurveSample],
     kind: GeometryKind,
@@ -373,6 +375,7 @@ def estimate_pole(
     return pole
 
 
+@serial_blas
 def boost_fit(
     sample: list[CurveSample],
     covariates: dict,
@@ -455,6 +458,7 @@ def _model_sample(model: FittedModel, sample: list[CurveSample]) -> _PoleSample:
     return _PoleSample.of(sample, model.pole, model.kind, model.coef_mode, model.transform)
 
 
+@serial_blas
 def transported_residuals(model: FittedModel, sample: list[CurveSample], covariates: dict) -> ResidualSet:
     """Transported residuals of a sample under a fitted model."""
     ps = _model_sample(model, sample)
@@ -482,6 +486,7 @@ def _cv_fold(args) -> np.ndarray:
     return val
 
 
+@serial_blas
 def cv_early_stop(
     sample: list[CurveSample],
     covariates: dict,
@@ -496,7 +501,9 @@ def cv_early_stop(
     shuffle; the pole is estimated once on the full sample and shared across
     folds.  Returns the argmin of the fold-averaged held-out risk curve (ties
     towards the smallest iteration).  Folds are independent and run in
-    parallel when workers > 1.
+    parallel when workers > 1.  Like every fit, each fold runs OpenBLAS at
+    one thread (``boost_fit`` pins it again inside a worker), so the fold
+    risks do not depend on the worker count, bit for bit.
     """
     kind = GeometryKind.parse(kind)
     n = len(sample)
@@ -527,6 +534,7 @@ def cv_early_stop(
     return CvResult(m_stop=m_stop, cv_risk=cv_risk, fold_risks=fold_risks, fold_assignment=assignment)
 
 
+@serial_blas
 def predict_means(
     model: FittedModel,
     covariates: dict,
@@ -573,6 +581,7 @@ def predict_mean(
     return predict_means(model, row, [grid], None if weights is None else [weights])[0]
 
 
+@serial_blas
 def empirical_risk(model: FittedModel, sample: list[CurveSample], covariates: dict) -> float:
     """Empirical mean squared geodesic distance between sample and fitted means."""
     d = _model_sample(model, sample).distances(model.predictor_coefs(covariates, len(sample)))
@@ -596,6 +605,7 @@ def _transport_between_poles(
     return packed.transport(u * from_rep, to_rep, u * vals, kind)
 
 
+@serial_blas
 def rmse_effect(
     model: FittedModel,
     sample: list[CurveSample],

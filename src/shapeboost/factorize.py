@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from ._blas import serial_blas
 from .basis import sample_design
 from .boost import FittedModel
 from .geometry import CurveSample, GeometryError, GeometryKind, PackedSample, center, empirical_norm
@@ -135,6 +136,7 @@ def _packed(model: FittedModel, sample: list[CurveSample]) -> PackedSample:
     return PackedSample.of(sample, sample_design(model.basis, sample, model.coef_mode))
 
 
+@serial_blas
 def model_grams(model: FittedModel, sample: list[CurveSample], covariates: dict) -> tuple[np.ndarray, list[np.ndarray]]:
     """Empirical tangent Gram G0 = mean_i Re(D_i^H W_i D_i) and per-effect covariate designs."""
     G0 = model.transform.gram(_packed(model, sample).design_grams().mean(axis=0))
@@ -158,6 +160,7 @@ def _tangent_design_stack(model: FittedModel, sample: list[CurveSample]) -> np.n
     return A0 / np.sqrt(len(sample))
 
 
+@serial_blas
 def effect_factorization(
     model: FittedModel,
     sample: list[CurveSample],
@@ -211,6 +214,7 @@ def factorize_predictor(
     return fac
 
 
+@serial_blas
 def predictor_factorization(
     model: FittedModel,
     sample: list[CurveSample],
@@ -247,6 +251,7 @@ class DirectionVisual:
     segments: list[tuple[complex, complex]]
 
 
+@serial_blas
 def direction_visual(
     model: FittedModel,
     xi: np.ndarray,

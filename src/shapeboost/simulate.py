@@ -59,9 +59,12 @@ BATCH_SIZE = 2 * BATCH_ANGLES.size
 NOISE_LENGTH_SCALE = 0.25  # squared-exponential correlation length, in units of the basis dimension
 RESPONSE_BASIS = SplineConfig(degree=3, n_knots=27, cyclic=True, knot_rule="quantile")
 COVARIATE_BASIS = SplineConfig(degree=3, n_knots=4, cyclic=False, knot_rule="equidistant")
+TEMPLATE_POINTS = 123  # grid size of the built-in outline
+CAMERA_DISTANCE = 9.0  # perspective camera distance of the tilt, in outline half-widths
+STRETCH = 1.1  # width/height factor of the binary-group contrast
 
 
-def builtin_template(n_points: int = 123) -> tuple[np.ndarray, np.ndarray]:
+def builtin_template() -> tuple[np.ndarray, np.ndarray]:
     """Smooth asymmetric closed outline on a unit-speed grid in [0, 1).
 
     Returns (grid, values).  The outline is tall (longitudinal axis = vertical)
@@ -74,12 +77,12 @@ def builtin_template(n_points: int = 123) -> tuple[np.ndarray, np.ndarray]:
     seg = np.abs(np.diff(np.concatenate([z, z[:1]])))
     arc = np.concatenate([[0.0], np.cumsum(seg)])[:-1]
     arc /= arc[-1] + seg[-1]
-    grid = np.arange(n_points) / n_points
+    grid = np.arange(TEMPLATE_POINTS) / TEMPLATE_POINTS
     values = np.interp(grid, arc, z.real) + 1j * np.interp(grid, arc, z.imag)
     return grid, values
 
 
-def tilt_curve(values: np.ndarray, angle_deg: float, cam_factor: float = 9.0) -> np.ndarray:
+def tilt_curve(values: np.ndarray, angle_deg: float) -> np.ndarray:
     """Perspective view of the outline tilted about its vertical axis.
 
     Rotates the plane about the longitudinal (vertical) axis through the
@@ -93,16 +96,16 @@ def tilt_curve(values: np.ndarray, angle_deg: float, cam_factor: float = 9.0) ->
     y = v.imag - cy
     om = np.deg2rad(angle_deg)
     depth = x * np.sin(om)
-    cam = cam_factor * max(np.abs(x).max(), 1e-12)
+    cam = CAMERA_DISTANCE * max(np.abs(x).max(), 1e-12)
     scale = cam / (cam - depth)
     return (cx + x * np.cos(om) * scale) + 1j * (cy + y * scale)
 
 
-def _stretch_curve(values: np.ndarray, factor: float = 1.1) -> np.ndarray:
+def _stretch_curve(values: np.ndarray) -> np.ndarray:
     """Width/height trade-off used as the fixed binary-group contrast."""
     v = np.asarray(values, dtype=complex)
     cx, cy = v.real.mean(), v.imag.mean()
-    return (cx + factor * (v.real - cx)) + 1j * (cy + (v.imag - cy) / factor)
+    return (cx + STRETCH * (v.real - cx)) + 1j * (cy + (v.imag - cy) / STRETCH)
 
 
 @dataclass
@@ -115,11 +118,9 @@ class TruthSpec:
     """
 
     pole: PoleCoef
-    kind: GeometryKind
     effect_fields: dict[str, np.ndarray]
     effect_maps: dict[str, CovariateMap]
     template_grid: np.ndarray
-    template_values: np.ndarray
     tilt_projection_residual: float = 0.0
 
 
@@ -149,8 +150,6 @@ class SimConfig:
 class DatasetTruth:
     """Per-curve evaluations of the realized true model, for error metrics."""
 
-    pole: PoleCoef
-    kind: GeometryKind
     effect_evals: dict[str, list[np.ndarray]]
     total_evals: list[np.ndarray]
     pole_evals: list[np.ndarray]
@@ -252,11 +251,9 @@ def gen_truth() -> TruthSpec:
     }
     return TruthSpec(
         pole=pole,
-        kind=kind,
         effect_fields=fields,
         effect_maps={"group": cat_map, "tilt": tilt_map},
         template_grid=grid,
-        template_values=values,
         tilt_projection_residual=float(proj_residual),
     )
 
@@ -498,8 +495,6 @@ def gen_dataset(
         CurveSample(f"sim{i:04d}", grids[i][1], values_raw[i], weights[i]) for i in range(n)
     ]
     truth_out = DatasetTruth(
-        pole=truth.pole,
-        kind=kind,
         effect_evals=effect_evals,
         total_evals=total_evals,
         pole_evals=pole_evals_list,

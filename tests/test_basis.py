@@ -153,10 +153,22 @@ class TestDesignKernel:
 
 @pytest.mark.parametrize("module", ["shapeboost", "shapeboost.cli"])
 def test_fresh_import_skips_interpolate_and_svg(module):
+    # nor does the import look up OpenBLAS: the BLAS pin reads /proc/self/maps on its first call
     code = (
-        f"import sys, {module}\n"
+        "import builtins, ctypes, sys\n"
+        "seen = []\n"
+        "real_open, real_cdll = builtins.open, ctypes.CDLL.__init__\n"
+        "def spy_open(file, *args, **kwargs):\n"
+        "    seen.append(f'open {file}')\n"
+        "    return real_open(file, *args, **kwargs)\n"
+        "def spy_cdll(self, name, *args, **kwargs):\n"
+        "    seen.append(f'CDLL {name}')\n"
+        "    real_cdll(self, name, *args, **kwargs)\n"
+        "builtins.open, ctypes.CDLL.__init__ = spy_open, spy_cdll\n"
+        f"import {module}\n"
         "heavy = ('scipy.interpolate', 'scipy.special', 'scipy.sparse', 'shapeboost.svgplot')\n"
-        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "seen += [m for m in heavy if m in sys.modules]\n"
+        "print(sorted(seen))\n"
     )
     src = str(Path(shapeboost.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from shapeboost import io as sbio
+from shapeboost.basis import build_response_basis
+from shapeboost.boost import cv_early_stop, estimate_pole
 from shapeboost.cli import main
 
 
@@ -302,6 +304,27 @@ class TestCliPipeline:
         assert lines[0].startswith("# config=")
         assert "m_stop=" in lines[0]
         assert len(lines) == 2 + 7  # comment, header, iterations 0..6
+
+    def test_cv_fold_risks_equal_library_calls(self, dataset, tmp_path):
+        # the command and a library caller run at the same BLAS thread count, so they agree bit for bit;
+        # with full steps, fold risks at 1 and at 2 OpenBLAS threads differ in the last bits on 2 cores
+        base, curves, covars, truth, config = dataset
+        out = tmp_path / "cv.csv"
+        args = ["--iterations", "6", "--eta", "1", "--threads", "1"]
+        assert main(["cv", str(curves), str(covars), str(config), str(out), *args]) == 0
+        with open(out, newline="") as fh:
+            rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+        written = np.array([[float(v) for v in r[2:]] for r in rows[1:]]).T
+
+        doc = {**CONFIG, "boosting": {**CONFIG["boosting"], "iterations": 6, "eta": 1.0}}
+        kind, cfg = sbio.parse_config(doc)
+        sample, _ = sbio.read_curves(curves, weight_rule=cfg.weight_rule)
+        cov = sbio.read_covariates(covars, [c.id for c in sample])
+        basis = build_response_basis(cfg.response_basis, np.concatenate([c.grid for c in sample]))
+        pole = estimate_pole(sample, kind, basis, cfg)
+        for workers in (1, 2):
+            fold_risks = cv_early_stop(sample, cov, cfg, kind, pole=pole, workers=workers).fold_risks
+            assert np.array_equal(written, fold_risks)
 
     def test_factorize_report_and_svg(self, dataset, tmp_path):
         base, curves, covars, truth, config = dataset
