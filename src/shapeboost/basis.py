@@ -274,18 +274,13 @@ class PoleCoef:
         object.__setattr__(self, "coef", coef)
 
 
-def center_pole(
-    pole: PoleCoef,
-    sample: list[CurveSample] | PackedSample,
-    designs: list[np.ndarray] | None = None,
-) -> PoleCoef:
+def center_pole(pole: PoleCoef, packed: PackedSample) -> PoleCoef:
     """Recenter pole coefficients so <1, p> = 0 under the product-space inner product.
 
     Uses partition of unity: subtracting a multiple of the all-ones coefficient
-    vector shifts every evaluation by that constant.  ``sample`` is a list of
-    curves with their designs, or a packed sample carrying its design.
+    vector shifts every evaluation by that constant.  ``packed`` carries the
+    sample's stacked design.
     """
-    packed = sample if isinstance(sample, PackedSample) else PackedSample.of(sample, np.vstack(designs))
     ones = packed.design @ np.ones(pole.basis.dim)
     num = np.sum(packed.inner(ones, packed.design @ pole.coef))
     den = np.sum(packed.inner(ones, ones).real)

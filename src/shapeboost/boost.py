@@ -545,12 +545,17 @@ def predict_means(
 
     One packed exponential per block of about PREDICT_BLOCK_POINTS evaluation points.
     Covariates are checked like the fitting table: bad values raise ``EffectError``.
+    A coefficient-mode grid without basis-dimension points raises ``GeometryError``.
     """
     n = len(grids)
     if n == 0:
         return []
-    fields = model.predictor_coefs(covariates, n) @ model.transform.complex_columns.T
     grids = [np.asarray(g, dtype=float) for g in grids]
+    if model.coef_mode:
+        for i, g in enumerate(grids):
+            if g.size != model.basis.dim:
+                raise GeometryError(f"prediction row {i}: coefficient mode needs {model.basis.dim} points, got {g.size}")
+    fields = model.predictor_coefs(covariates, n) @ model.transform.complex_columns.T
     if weights is None:
         # per-point file weights are not reconstructible on a new grid
         rule = "trapezoid" if model.weight_rule == "column" else model.weight_rule
@@ -592,14 +597,10 @@ def _transport_between_poles(
     vals: np.ndarray,
     from_rep: np.ndarray,
     to_rep: np.ndarray,
-    weights: np.ndarray | PackedSample,
+    packed: PackedSample,
     kind: GeometryKind,
 ) -> np.ndarray:
-    """Align the source pole to the target and transport tangent evaluations.
-
-    ``weights`` are one curve's weights, or the packed sample the arrays belong to.
-    """
-    packed = weights if isinstance(weights, PackedSample) else PackedSample([weights], ["pole"])
+    """Align the source pole to the target and transport tangent evaluations of the packed sample."""
     u, _ = packed.align(from_rep, to_rep, what="pole alignment degenerate in effect comparison")
     u = u[packed.seg]
     return packed.transport(u * from_rep, to_rep, u * vals, kind)
@@ -629,9 +630,7 @@ def rmse_effect(
     packed = ps.packed
     vals = ps.predictor(eff.cmap.design(covariates, len(sample)) @ eff.theta.T)
     if true_pole_evals is not None:
-        target = packed.center(np.concatenate(true_pole_evals).astype(complex))
-        if model.kind is GeometryKind.SHAPE:
-            target = target / packed.norm(target)[packed.seg]
+        target = packed.pole_rep(np.concatenate(true_pole_evals), model.kind)
         vals = _transport_between_poles(vals, ps.p_rep, target, packed, model.kind)
     diff = vals - np.concatenate(true_effect_evals)
     total = np.concatenate(true_total_evals)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import os
 import sys
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sbio
-from .basis import build_response_basis
+from .basis import build_response_basis, sample_design
 from .boost import (
     FitDiverged,
     boost_fit,
@@ -29,9 +28,9 @@ from .boost import (
     predict_means,
     rmse_effect,
 )
-from .effects import EffectError
+from .effects import CovariateMap, EffectError
 from .factorize import direction_visual, effect_factorization, predictor_factorization
-from .geometry import DegenerateAlignment, GeometryError, GeometryKind
+from .geometry import DegenerateAlignment, GeometryError, GeometryKind, PackedSample
 from .simulate import SimConfig, gen_dataset, gen_truth
 
 log = logging.getLogger("shapeboost")
@@ -48,35 +47,38 @@ def _setup_logging() -> None:
 
 
 def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
-    if getattr(args, "geometry", None):
-        doc["geometry"] = args.geometry
-    if getattr(args, "weights", None):
-        doc["weights"] = args.weights
-    boosting = dict(doc.get("boosting", {}))
-    for key, name in (("eta", "eta"), ("iterations", "iterations"), ("folds", "folds"), ("seed", "seed")):
-        val = getattr(args, name, None)
-        if val is not None:
-            boosting[key] = val
-    if boosting:
-        doc["boosting"] = boosting
+    """The config document with the command's flags written over its values, before it is validated."""
+    given = {name: val for name, val in vars(args).items() if val is not None}
+    doc.update({name: given[name] for name in ("geometry", "weights") if name in given})
+    boosting = {name: given[name] for name in ("eta", "iterations", "folds", "seed") if name in given}
+    if boosting and isinstance(doc.get("boosting", {}), dict):  # any other boosting entry is parse_config's to reject
+        doc["boosting"] = {**doc.get("boosting", {}), **boosting}
     return doc
 
 
+def _read_sample(args: argparse.Namespace, weight_rule: str, basis):
+    """The curves and the covariate rows aligned with them."""
+    sample, _ = sbio.read_curves(args.curves, weight_rule=weight_rule, basis=basis)
+    return sample, sbio.read_covariates(args.covariates, [c.id for c in sample])
+
+
 def _load_inputs(args: argparse.Namespace):
-    doc, _, _, _ = sbio.load_config(args.config)
-    doc = _apply_overrides(doc, args)
+    """Config (flags applied, parsed once), curves and covariates of fit and cv."""
+    doc = _apply_overrides(sbio.read_json(args.config), args)
     kind, config = sbio.parse_config(doc)
     basis = build_response_basis(config.response_basis, np.empty(0)) if config.coef_mode else None
-    sample, _ = sbio.read_curves(args.curves, weight_rule=config.weight_rule, basis=basis)
-    covariates = sbio.read_covariates(args.covariates, [c.id for c in sample])
-    return doc, kind, config, sample, covariates
+    return (doc, kind, config, *_read_sample(args, config.weight_rule, basis))
+
+
+def _load_model_inputs(args: argparse.Namespace):
+    """Model, its config hash, and the curves and covariates it is evaluated on (factorize, eval)."""
+    model, digest = sbio.load_model(args.model)
+    return (model, digest, *_read_sample(args, model.weight_rule, model.basis))
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     doc, kind, config, sample, covariates = _load_inputs(args)
-    pooled_t = np.concatenate([c.grid for c in sample])
-    basis = build_response_basis(config.response_basis, pooled_t)
-    pole = estimate_pole(sample, kind, basis, config)
+    pole = estimate_pole(sample, kind, config.response_basis, config)
     model = boost_fit(sample, covariates, config, pole, kind)
     sbio.save_model(args.out, model, sbio.config_hash(doc))
     log.info("fit done: %d iterations, final risk %.6g", config.max_iterations, model.risk_trace[-1])
@@ -86,10 +88,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_cv(args: argparse.Namespace) -> int:
     doc, kind, config, sample, covariates = _load_inputs(args)
-    pooled_t = np.concatenate([c.grid for c in sample])
-    basis = build_response_basis(config.response_basis, pooled_t)
-    pole = estimate_pole(sample, kind, basis, config)
-    result = cv_early_stop(sample, covariates, config, kind, pole=pole, workers=args.threads)
+    result = cv_early_stop(sample, covariates, config, kind, workers=args.threads)
     digest = sbio.config_hash(doc)
     with open(args.out, "w", newline="") as fh:
         fh.write(f"# config={digest} m_stop={result.m_stop}\n")
@@ -111,7 +110,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     ids, table = sbio.read_covariate_table(args.covariates)
     grids: dict[str, np.ndarray] = {}
     if args.grid_from:
-        ref, _ = sbio.read_curves(args.grid_from, weight_rule="uniform")
+        # the gram rule checks that every coefficient-mode grid has basis-dimension points
+        rule = "gram" if model.coef_mode else "uniform"
+        ref, _ = sbio.read_curves(args.grid_from, weight_rule=rule, basis=model.basis)
         grids = {c.id: c.grid for c in ref}
     if model.coef_mode:
         default_grid = np.arange(model.basis.dim, dtype=float) / (model.basis.dim - 1)
@@ -124,9 +125,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
-    model, digest = sbio.load_model(args.model)
-    sample, _ = sbio.read_curves(args.curves, weight_rule=model.weight_rule, basis=model.basis)
-    covariates = sbio.read_covariates(args.covariates, [c.id for c in sample])
+    model, digest, sample, covariates = _load_model_inputs(args)
     report = {"config_hash": digest, "method": args.method, "effects": {}, "predictor": None}
     facs = {}
     for eff in model.effects:
@@ -152,9 +151,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     if tau is None:
         tau = max(np.sqrt(f.total_variance) for f in facs.values()) if facs else 1.0
     report["tau"] = float(tau)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    sbio.write_json(args.out, report)
     if args.svg:
         from .svgplot import direction_svg, scalar_effect_svg
 
@@ -235,41 +232,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "fields": {name: V.tolist() for name, V in dtruth.fields.items()},
         "effect_maps": {name: m.to_dict() for name, m in dtruth.effect_maps.items()},
     }
-    with open(args.out_truth, "w") as fh:
-        json.dump(truth_doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    sbio.write_json(args.out_truth, truth_doc)
     print(f"simulated n={cfg.n} curves, realized noise-to-signal {dtruth.nsr:.4f}")
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .basis import BSplineBasis, PoleCoef
-    from .effects import CovariateMap
-
-    model, digest = sbio.load_model(args.model)
-    sample, _ = sbio.read_curves(args.curves, weight_rule=model.weight_rule, basis=model.basis)
-    covariates = sbio.read_covariates(args.covariates, [c.id for c in sample])
-    with open(args.truth) as fh:
-        tdoc = json.load(fh)
-    tbasis = BSplineBasis.from_dict(tdoc["response_basis"])
-    tpole = PoleCoef(
-        coef=np.asarray(tdoc["pole"]["re"]) + 1j * np.asarray(tdoc["pole"]["im"]), basis=tbasis
-    )
-    fields = {name: np.asarray(V, dtype=float) for name, V in tdoc["fields"].items()}
-    maps = {name: CovariateMap.from_dict(d) for name, d in tdoc["effect_maps"].items()}
+    model, digest, sample, covariates = _load_model_inputs(args)
+    tdoc = sbio.read_json(args.truth)
+    tpole = sbio.read_pole(args.truth, tdoc)
+    fields = sbio.json_value(args.truth, tdoc, "fields", lambda d: {k: np.asarray(v, float) for k, v in d.items()})
+    # every field needs its effect map; a missing one is reported as an ill-typed "effect_maps"
+    maps = sbio.json_value(args.truth, tdoc, "effect_maps", lambda d: {k: CovariateMap.from_dict(d[k]) for k in fields})
 
     # truth evaluations on the sample grids, split per curve; rmse_effect centers the true pole
-    n, m0 = len(sample), tbasis.dim
-    sizes = [c.k for c in sample]
-    B = tbasis.design(np.concatenate([c.grid for c in sample]))
-    seg, cuts = np.repeat(np.arange(n), sizes), np.cumsum(sizes)[:-1]
-    zero = np.zeros(B.shape[0], dtype=complex)
-    effect_evals = {}
-    for name, V in fields.items():
-        coefs = maps[name].design(covariates, n) @ (V[:m0] + 1j * V[m0:]).T
-        effect_evals[name] = np.sum(B * coefs[seg], axis=1)
+    n, m0 = len(sample), tpole.basis.dim
+    packed = PackedSample.of(sample, sample_design(tpole.basis, sample))
+    cuts = packed.offsets[1:-1]
+    zero = np.zeros(packed.offsets[-1], dtype=complex)
+    effect_evals = {
+        name: packed.field(maps[name].design(covariates, n) @ (V[:m0] + 1j * V[m0:]).T) for name, V in fields.items()
+    }
     total_evals = np.split(sum(effect_evals.values(), zero), cuts)
-    pole_evals = np.split(B @ tpole.coef, cuts)
+    pole_evals = np.split(packed.design @ tpole.coef, cuts)
     results = []
     for eff in model.effects:
         name = eff.spec.name

@@ -10,9 +10,10 @@ decomposed as V_0 D V_1^T and the direction coefficients recovered as
 U_j = M_j^- V_j.  Rank-L truncations of the result are optimal among all
 rank-L tensor approximations in the empirical norm.
 
-Two Gram factorizations are supported: a (pivoted) Cholesky of the Gram
-matrix, and a QR decomposition of the weighted design, which never forms the
-Gram product explicitly.
+Two Gram factorizations are supported: a pivoted Cholesky of the Gram
+matrix, and a column-pivoted QR decomposition of the weighted design, which
+never forms the Gram product explicitly.  Both cut the factor at the same
+relative rank tolerance, so they give the same number of components.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ import numpy as np
 import scipy.linalg
 
 from ._blas import serial_blas
-from .basis import sample_design
-from .boost import FittedModel
-from .geometry import CurveSample, GeometryError, GeometryKind, PackedSample, center, empirical_norm
+from .boost import FittedModel, _model_sample
+from .geometry import CurveSample, GeometryError, GeometryKind, PackedSample, empirical_norm, trapezoid_weights
 from .effects import EffectError, PlsLearner
 
 __all__ = [
@@ -73,9 +73,12 @@ def _gram_sqrt(G: np.ndarray) -> np.ndarray:
 
 
 def _design_sqrt(A: np.ndarray) -> np.ndarray:
-    """M = R from the QR decomposition of a stacked weighted design."""
-    R = np.linalg.qr(A, mode="r")
-    return R
+    """M with M^T M = A^T A via column-pivoted QR; rows are cut at the rank tolerance of ``_gram_sqrt``."""
+    R, piv = scipy.linalg.qr(A, mode="r", pivoting=True)
+    rank = int(np.sum(np.abs(np.diag(R)) ** 2 > 1e-12 * max(np.sum(A * A), 1e-300)))
+    M = np.empty((rank, A.shape[1]))
+    M[:, piv] = R[:rank]
+    return M
 
 
 def _generalized_inverse(M: np.ndarray) -> np.ndarray:
@@ -132,14 +135,10 @@ def factorize_effect(
     )
 
 
-def _packed(model: FittedModel, sample: list[CurveSample]) -> PackedSample:
-    return PackedSample.of(sample, sample_design(model.basis, sample, model.coef_mode))
-
-
 @serial_blas
 def model_grams(model: FittedModel, sample: list[CurveSample], covariates: dict) -> tuple[np.ndarray, list[np.ndarray]]:
     """Empirical tangent Gram G0 = mean_i Re(D_i^H W_i D_i) and per-effect covariate designs."""
-    G0 = model.transform.gram(_packed(model, sample).design_grams().mean(axis=0))
+    G0 = model.transform.gram(_model_sample(model, sample).packed.design_grams().mean(axis=0))
     n = len(sample)
     designs = [eff.cmap.design(covariates, n) for eff in model.effects]
     return G0, designs
@@ -151,7 +150,7 @@ def _tangent_design_stack(model: FittedModel, sample: list[CurveSample]) -> np.n
     Per curve, the real rows of its whitened tangent design R_i D_i are
     followed by the imaginary ones.
     """
-    packed = _packed(model, sample)
+    packed = _model_sample(model, sample).packed
     SD = packed.whiten(packed.design @ model.transform.complex_columns)
     rows = np.arange(SD.shape[0])
     A0 = np.empty((2 * SD.shape[0], SD.shape[1]))
@@ -264,16 +263,12 @@ def direction_visual(
     units along the direction, plus connecting segments between corresponding
     points for reading off the displacement.
     """
-    from .geometry import trapezoid_weights
-
     if model.coef_mode:
         raise EffectError("direction_visual needs evaluation-level curves, not coefficient mode")
     grid = np.linspace(0.0, 1.0, n_points)
     w = trapezoid_weights(grid)
     B = model.basis.design(grid)
-    p_c = center(B @ model.pole.coef, w)
-    pn = empirical_norm(p_c, w)
-    p_rep = p_c / pn if model.kind is GeometryKind.SHAPE else p_c
+    p_rep = PackedSample([w], ["pole"]).pole_rep(B @ model.pole.coef, model.kind)
     D = B @ model.transform.complex_columns
     xv = D @ (tau * np.asarray(xi, dtype=float))
     if model.kind is GeometryKind.SHAPE:

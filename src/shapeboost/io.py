@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -34,6 +35,10 @@ __all__ = [
     "read_covariate_table",
     "read_residual_pool",
     "parse_config",
+    "read_json",
+    "write_json",
+    "json_value",
+    "read_pole",
     "load_config",
     "config_hash",
     "save_model",
@@ -296,15 +301,44 @@ def parse_config(doc: dict) -> tuple[GeometryKind, BoostConfig]:
     return kind, config
 
 
-def load_config(path: str | Path) -> tuple[dict, GeometryKind, str, BoostConfig]:
-    """(document, geometry, weight rule, config); the rule repeats ``config.weight_rule`` for ``perfbench``."""
+def read_json(path: str | Path) -> dict:
+    """The one JSON reader: a file holding one object; invalid JSON is a ``SchemaError`` naming the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
+    return doc
+
+
+def json_value(path: str | Path, doc: dict, key: str, convert):
+    """``convert(doc[key])``; a missing or ill-typed value is a ``SchemaError`` naming the file and the key."""
+    try:
+        return convert(doc[key])
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+        raise SchemaError(f"{path}: key {key!r} missing or ill-typed ({type(exc).__name__}: {exc})") from None
+
+
+def read_pole(path: str | Path, doc: dict) -> PoleCoef:
+    """The pole of a model or truth document: its ``response_basis`` and ``pole`` re/im coefficients."""
+    basis = json_value(path, doc, "response_basis", BSplineBasis.from_dict)
+    return json_value(path, doc, "pole", lambda p: PoleCoef(np.asarray(p["re"]) + 1j * np.asarray(p["im"]), basis))
+
+
+def load_config(path: str | Path) -> tuple[dict, GeometryKind, str, BoostConfig]:
+    """(document, geometry, weight rule, config); the rule repeats ``config.weight_rule`` for ``perfbench``."""
+    doc = read_json(path)
     kind, config = parse_config(doc)
     return doc, kind, config.weight_rule, config
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """The one JSON writer: sorted keys, one-space indent, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def config_hash(doc: dict) -> str:
@@ -341,43 +375,34 @@ def save_model(path: str | Path, model: FittedModel, config_digest: str = "") ->
         "m_stop": int(model.m_stop),
         "selection_trace": model.selection_trace.tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
+
+
+def _fitted_effect(e: dict) -> FittedEffect:
+    return FittedEffect(
+        spec=EffectSpec.from_dict(e["cmap"]["spec"]),
+        cmap=CovariateMap.from_dict(e["cmap"]),
+        theta=np.asarray(e["theta"], dtype=float),
+        lam=tuple(e.get("lambda", (0.0, 0.0))),
+    )
 
 
 def load_model(path: str | Path) -> tuple[FittedModel, str]:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from None
+    doc = read_json(path)
     if doc.get("format") != MODEL_FORMAT:
         raise SchemaError(f"{path}: not a {MODEL_FORMAT} file")
-    basis = BSplineBasis.from_dict(doc["response_basis"])
-    pole = PoleCoef(
-        coef=np.asarray(doc["pole"]["re"], dtype=float) + 1j * np.asarray(doc["pole"]["im"], dtype=float),
-        basis=basis,
-    )
-    effects = [
-        FittedEffect(
-            spec=EffectSpec.from_dict(e["cmap"]["spec"]),
-            cmap=CovariateMap.from_dict(e["cmap"]),
-            theta=np.asarray(e["theta"], dtype=float),
-            lam=tuple(e.get("lambda", (0.0, 0.0))),
-        )
-        for e in doc["effects"]
-    ]
+
+    value = functools.partial(json_value, path, doc)
     model = FittedModel(
-        kind=GeometryKind.parse(doc["geometry"]),
-        pole=pole,
-        transform=TangentTransform(np.asarray(doc["transform"], dtype=float)),
-        effects=effects,
-        risk_trace=np.asarray(doc["risk_trace"], dtype=float),
-        m_stop=int(doc["m_stop"]),
-        selection_trace=np.asarray(doc["selection_trace"], dtype=int),
-        response_penalty=str(doc["response_penalty"]),
-        weight_rule=str(doc["weight_rule"]),
-        rng_seed=int(doc["seed"]),
+        kind=value("geometry", GeometryKind.parse),
+        pole=read_pole(path, doc),
+        transform=value("transform", lambda Z: TangentTransform(np.asarray(Z, dtype=float))),
+        effects=value("effects", lambda effects: [_fitted_effect(e) for e in effects]),
+        risk_trace=value("risk_trace", lambda v: np.asarray(v, dtype=float)),
+        m_stop=value("m_stop", int),
+        selection_trace=value("selection_trace", lambda v: np.asarray(v, dtype=int)),
+        response_penalty=value("response_penalty", str),
+        weight_rule=value("weight_rule", str),
+        rng_seed=value("seed", int),
     )
     return model, str(doc.get("config_hash", ""))

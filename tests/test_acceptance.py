@@ -307,7 +307,7 @@ def test_criterion_7_simulation_study(truth):
 @pytest.mark.slow
 def test_criterion_8_extreme_sparsity(truth):
     from shapeboost.boost import _transport_between_poles
-    from shapeboost.geometry import center
+    from shapeboost.geometry import PackedSample, center
 
     cfg = SimConfig(n=720, k_bar=3, kind="form", target_nsr=1.05, seed=808, weight_rule="uniform")
     sample, cov, dtruth = gen_dataset(truth, cfg)
@@ -342,7 +342,7 @@ def test_criterion_8_extreme_sparsity(truth):
     vt = tfac.directions[:, 0]
     xi_true = Bt @ (vt[:m0] + 1j * vt[m0:])
     p_true = center(Bt @ truth.pole.coef, w)
-    xi_fit_t = _transport_between_poles(xi_fit, p_fit, p_true, w, model.kind)
+    xi_fit_t = _transport_between_poles(xi_fit, p_fit, p_true, PackedSample([w], ["pole"]), model.kind)
     corr = abs(empirical_inner(xi_fit_t, xi_true, w).real) / (
         empirical_norm(xi_fit_t, w) * empirical_norm(xi_true, w)
     )

@@ -24,6 +24,7 @@ from shapeboost.geometry import (
     CurveSample,
     GeometryError,
     GeometryKind,
+    PackedSample,
     empirical_inner,
     uniform_weights,
 )
@@ -317,7 +318,7 @@ class TestPoleCoef:
     def test_centering(self, rng):
         basis, pole, sample = _sample_and_pole(rng)
         designs = [curve_design(basis, c) for c in sample]
-        centered = center_pole(pole, sample, designs)
+        centered = center_pole(pole, PackedSample.of(sample, np.vstack(designs)))
         num = 0.0 + 0.0j
         for c, B in zip(sample, designs):
             ones = np.ones(c.k)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from shapeboost.factorize import (
     model_grams,
     predictor_factorization,
 )
-from shapeboost.geometry import GeometryKind
+from shapeboost.geometry import CurveSample, GeometryKind
+from shapeboost.simulate import SimConfig, default_effects, gen_dataset, gen_truth
 
 from test_boost import BASIS, make_dataset
 
@@ -164,6 +167,38 @@ class TestPredictorFactorization:
             u = u / np.sqrt(u @ G0 @ u)
         oracle_var = u @ G0 @ A @ G0 @ u
         assert fac.variance_shares[0] == pytest.approx(oracle_var, rel=1e-4)
+
+
+class TestQrMatchesCholesky:
+    @pytest.mark.parametrize("kind, weight_rule", [("form", "trapezoid"), ("shape", "trapezoid"), ("form", "gram")])
+    def test_fitted_model_components(self, kind, weight_rule):
+        # five learners whose joint covariate Gram is singular: an unpivoted QR
+        # kept a spurious zero component that Cholesky's rank cut drops
+        truth = gen_truth()
+        sample, cov, _ = gen_dataset(truth, SimConfig(n=36, k_bar=40, kind=kind, seed=31))
+        basis = truth.pole.basis
+        if weight_rule == "gram":  # coefficient-level data: least-squares response-basis coefficients
+            grid = np.arange(basis.dim) / (basis.dim - 1)
+            sample = [
+                CurveSample(c.id, grid, np.linalg.lstsq(basis.design(c.grid), c.values, rcond=None)[0], basis.gram)
+                for c in sample
+            ]
+        config = BoostConfig(
+            effects=default_effects(), step_length=0.5, max_iterations=10, response_basis=basis.cfg,
+            weight_rule=weight_rule,
+        )
+        model = boost_fit(sample, cov, config, estimate_pole(sample, kind, basis, config), kind)
+        facs = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in ("qr", "cholesky"):
+                facs[method] = [predictor_factorization(model, sample, cov, method)] + [
+                    effect_factorization(model, sample, cov, eff.spec.name, method) for eff in model.effects
+                ]
+        for qr, chol in zip(facs["qr"], facs["cholesky"]):
+            assert qr.singular_values.size == chol.singular_values.size
+            # near-zero singular values are rounding noise, so compare against the leading one
+            assert np.abs(qr.singular_values - chol.singular_values).max() <= 1e-10 * chol.singular_values[0]
 
 
 class TestDirectionVisual:

@@ -428,32 +428,138 @@ class TestCliPipeline:
 
     def test_gram_weights_round_trip(self, tmp_path):
         # coefficient-level data: k = basis dimension, Gram weight matrix
-        from shapeboost.basis import SplineConfig, build_response_basis
-
-        cfg = {
-            "geometry": "form",
-            "response_basis": {"degree": 2, "n_knots": 5, "cyclic": True},
-            "weights": "gram",
-            "effects": [{"name": "group", "kind": "categorical", "covariates": ["group"], "df": 2}],
-            "boosting": {"eta": 0.5, "iterations": 5, "seed": 1},
-        }
-        basis = build_response_basis(SplineConfig(2, 5, cyclic=True), np.empty(0))
-        rng = np.random.default_rng(2)
-        rows = []
-        cov_lines = ["curve_id,group"]
-        base_coef = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-        for i in range(8):
-            coefs = base_coef + 0.3 * (rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim))
-            grid = np.linspace(0, 1, basis.dim)
-            rows.append((f"c{i}", grid, coefs))
-            cov_lines.append(f"c{i},{i % 2}")
-        sbio.write_curves(tmp_path / "coef.csv", rows)
-        (tmp_path / "cov.csv").write_text("\n".join(cov_lines) + "\n")
-        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-        rc = main(
-            ["fit", str(tmp_path / "coef.csv"), str(tmp_path / "cov.csv"), str(tmp_path / "cfg.json"), str(tmp_path / "m.json")]
-        )
+        coef, cov, cfg, basis = _gram_inputs(tmp_path)
+        rc = main(["fit", str(coef), str(cov), str(cfg), str(tmp_path / "m.json")])
         assert rc == 0
         model, _ = sbio.load_model(tmp_path / "m.json")
         assert model.coef_mode
         assert model.risk_trace[-1] <= model.risk_trace[0]
+
+    def test_predict_coef_mode_grid_needs_basis_dimension(self, tmp_path, capsys):
+        # a coefficient-mode row is one value per basis function: a shorter grid used to be
+        # written truncated, with the grid's t values against the first coefficients
+        from shapeboost.boost import predict_means
+        from shapeboost.geometry import GeometryError
+
+        coef, cov, cfg, basis = _gram_inputs(tmp_path)
+        mfile = tmp_path / "m.json"
+        assert main(["fit", str(coef), str(cov), str(cfg), str(mfile)]) == 0
+        pred = tmp_path / "pred.csv"
+        assert main(["predict", str(mfile), str(cov), str(pred), "--grid-from", str(coef)]) == 0
+        predicted, _ = sbio.read_curves(pred)
+        assert len(predicted) == 8 and all(c.k == basis.dim for c in predicted)
+
+        short = tmp_path / "short.csv"
+        rng = np.random.default_rng(3)
+        sbio.write_curves(short, [(f"c{i}", np.linspace(0, 1, 3), rng.normal(size=3) + 1j) for i in range(8)])
+        capsys.readouterr()
+        assert main(["predict", str(mfile), str(cov), str(pred), "--grid-from", str(short)]) == 2
+        err = capsys.readouterr().err
+        assert str(short) in err and "'c0'" in err
+
+        model, _ = sbio.load_model(mfile)
+        table = {"group": np.array(["0", "1"])}
+        with pytest.raises(GeometryError, match="prediction row 1"):
+            predict_means(model, table, [np.linspace(0, 1, basis.dim), np.linspace(0, 1, 3)])
+
+
+def _gram_inputs(tmp_path):
+    """Coefficient-level curves (k = basis dimension), covariates and a gram-weight config."""
+    from shapeboost.basis import SplineConfig
+
+    cfg = {
+        "geometry": "form",
+        "response_basis": {"degree": 2, "n_knots": 5, "cyclic": True},
+        "weights": "gram",
+        "effects": [{"name": "group", "kind": "categorical", "covariates": ["group"], "df": 2}],
+        "boosting": {"eta": 0.5, "iterations": 5, "seed": 1},
+    }
+    basis = build_response_basis(SplineConfig(2, 5, cyclic=True), np.empty(0))
+    rng = np.random.default_rng(2)
+    rows = []
+    cov_lines = ["curve_id,group"]
+    base_coef = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    for i in range(8):
+        coefs = base_coef + 0.3 * (rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim))
+        grid = np.linspace(0, 1, basis.dim)
+        rows.append((f"c{i}", grid, coefs))
+        cov_lines.append(f"c{i},{i % 2}")
+    sbio.write_curves(tmp_path / "coef.csv", rows)
+    (tmp_path / "cov.csv").write_text("\n".join(cov_lines) + "\n")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    return tmp_path / "coef.csv", tmp_path / "cov.csv", tmp_path / "cfg.json", basis
+
+
+@pytest.fixture(scope="module")
+def fitted(dataset, tmp_path_factory):
+    base, curves, covars, truth, config = dataset
+    mfile = tmp_path_factory.mktemp("fitted") / "m.json"
+    assert main(["fit", str(curves), str(covars), str(config), str(mfile)]) == 0
+    return mfile
+
+
+class TestSingleConfigParse:
+    @pytest.mark.parametrize(
+        "command, key, flag_value, file_value, out",
+        [("cv", "folds", 3, 1, "cv.csv"), ("fit", "eta", 0.5, 2.0, "m.json")],
+    )
+    def test_flag_fixes_invalid_file_value(self, dataset, tmp_path, command, key, flag_value, file_value, out):
+        # flags are written over the file's values before the one parse, so a flag can
+        # replace a value the file alone would fail validation with
+        base, curves, covars, truth, config = dataset
+        written = {}
+        for tag, value, flags in (("flag", file_value, [f"--{key}", str(flag_value)]), ("file", flag_value, [])):
+            doc = {**CONFIG, "boosting": {**CONFIG["boosting"], key: value}}
+            (tmp_path / f"{tag}.json").write_text(json.dumps(doc))
+            target = tmp_path / f"{tag}_{out}"
+            argv = [command, str(curves), str(covars), str(tmp_path / f"{tag}.json"), str(target), *flags]
+            assert main(argv) == 0
+            written[tag] = target.read_bytes()
+        assert written["flag"] == written["file"]
+
+    def test_invalid_file_value_without_flag_exit2(self, dataset, tmp_path):
+        base, curves, covars, truth, config = dataset
+        (tmp_path / "c.json").write_text(json.dumps({**CONFIG, "boosting": {**CONFIG["boosting"], "eta": 2.0}}))
+        assert main(["fit", str(curves), str(covars), str(tmp_path / "c.json"), str(tmp_path / "m.json")]) == 2
+
+
+class TestMalformedJsonInputs:
+    def _eval(self, dataset, fitted, tmp_path, truth_file):
+        base, curves, covars, truth, config = dataset
+        return main(["eval", str(fitted), str(curves), str(covars), str(truth_file), str(tmp_path / "rmse.csv")])
+
+    def test_eval_invalid_json_truth_exit2(self, dataset, fitted, tmp_path, capsys):
+        bad = tmp_path / "truth.json"
+        bad.write_text('{"fields": ')
+        assert self._eval(dataset, fitted, tmp_path, bad) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "invalid JSON" in err
+
+    def test_eval_truth_without_fields_exit2(self, dataset, fitted, tmp_path, capsys):
+        doc = json.loads(dataset[3].read_text())
+        del doc["fields"]
+        bad = tmp_path / "truth.json"
+        bad.write_text(json.dumps(doc))
+        assert self._eval(dataset, fitted, tmp_path, bad) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'fields'" in err
+
+    def test_predict_model_without_transform_exit2(self, dataset, fitted, tmp_path, capsys):
+        base, curves, covars, truth, config = dataset
+        doc = json.loads(fitted.read_text())
+        del doc["transform"]
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["predict", str(bad), str(covars), str(tmp_path / "pred.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'transform'" in err
+
+    def test_model_with_ill_typed_key_exit2(self, dataset, fitted, tmp_path, capsys):
+        base, curves, covars, truth, config = dataset
+        doc = json.loads(fitted.read_text())
+        doc["m_stop"] = "many"
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["predict", str(bad), str(covars), str(tmp_path / "pred.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'m_stop'" in err
