@@ -3,10 +3,17 @@
 A fit makes thousands of small dense products and factorizations (the PLS
 systems have a few hundred rows), for which OpenBLAS's worker threads cost
 more than they save.  ``serial_blas`` runs a call at one BLAS thread and then
-restores the previous counts.  numpy and scipy each bundle their own OpenBLAS;
-both are found on the first decorated call from ``/proc/self/maps``.  Where
-no OpenBLAS thread control is found (not Linux, MKL, Accelerate) the
-decorator does nothing.
+restores the previous counts.  The package itself loads only numpy, so the
+pin finds numpy's bundled OpenBLAS; if the caller has loaded scipy, which
+bundles its own, that one is pinned too.  Libraries are found on the first
+decorated call from ``/proc/self/maps``, so a scipy loaded after that call
+is not pinned.  Where no OpenBLAS thread control is found (not Linux, MKL,
+Accelerate) the decorator does nothing.
+
+The thread-control symbols carry a ``scipy_`` prefix in both bundles:
+numpy's wheels ship ``libscipy_openblas64_`` (``scipy_openblas_get_num_threads64_``),
+scipy's ship ``libscipy_openblas`` (``scipy_openblas_get_num_threads``).
+A plain OpenBLAS exports the unprefixed names.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ import ctypes
 import functools
 import threading
 
-# (get, set) symbol pairs: numpy's 64-bit-integer build, scipy's build, plain OpenBLAS
+# (get, set) symbol pairs: the scipy-openblas builds bundled by numpy (64-bit integers)
+# and by scipy, then a plain OpenBLAS
 _SYMBOLS = [
     (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
     for prefix in ("scipy_", "")
@@ -32,8 +40,6 @@ def controls() -> list[tuple[object, object]]:
     """(get_num_threads, set_num_threads) of every loaded OpenBLAS, looked up once."""
     global _found
     if _found is None:
-        import scipy.linalg  # noqa: F401  loads scipy's own OpenBLAS before the lookup
-
         try:
             with open("/proc/self/maps") as fh:
                 fields = [line.split(maxsplit=5) for line in fh]

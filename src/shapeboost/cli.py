@@ -28,7 +28,7 @@ from .boost import (
     predict_means,
     rmse_effect,
 )
-from .effects import CovariateMap, EffectError
+from .effects import EffectError
 from .factorize import direction_visual, effect_factorization, predictor_factorization
 from .geometry import DegenerateAlignment, GeometryError, GeometryKind, PackedSample
 from .simulate import SimConfig, gen_dataset, gen_truth
@@ -239,11 +239,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model, digest, sample, covariates = _load_model_inputs(args)
-    tdoc = sbio.read_json(args.truth)
-    tpole = sbio.read_pole(args.truth, tdoc)
-    fields = sbio.json_value(args.truth, tdoc, "fields", lambda d: {k: np.asarray(v, float) for k, v in d.items()})
-    # every field needs its effect map; a missing one is reported as an ill-typed "effect_maps"
-    maps = sbio.json_value(args.truth, tdoc, "effect_maps", lambda d: {k: CovariateMap.from_dict(d[k]) for k in fields})
+    tpole, fields, maps = sbio.read_truth(args.truth)
 
     # truth evaluations on the sample grids, split per curve; rmse_effect centers the true pole
     n, m0 = len(sample), tpole.basis.dim

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .basis import BSplineBasis, SplineConfig, build_response_basis
 
@@ -405,12 +404,38 @@ class KronPenalty:
         return 0.5 * (R + R.T)
 
 
+_INV_LEAF = 64  # rows below which a triangular block is inverted by np.linalg.inv
+
+
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular L, block-recursively.
+
+    With L = [[L11, 0], [L21, L22]] the inverse is [[A, 0], [-B L21 A, B]],
+    A = L11^{-1} and B = L22^{-1}; blocks of at most ``_INV_LEAF`` rows go
+    to ``np.linalg.inv``.  At 371 rows this takes about as long as the
+    Cholesky factorization, a quarter of ``np.linalg.inv`` on the whole
+    triangle, which LU-factors it as a general matrix.
+    """
+    n = L.shape[0]
+    if n <= _INV_LEAF:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    A = _tril_inverse(L[:h, :h])
+    B = _tril_inverse(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h] = A
+    out[h:, h:] = B
+    out[h:, :h] = -B @ L[h:, :h] @ A
+    return out
+
+
 class PlsLearner:
     """Penalized least-squares system A = Psi + R, factored once and solved many times.
 
-    ``solve`` returns A^{-1} rhs for a vector or matrix right-hand side.  A
-    singular A falls back to the least-norm pseudo-inverse, with one warning
-    naming the learner.
+    ``solve`` returns A^{-1} rhs for a vector or matrix right-hand side
+    through the inverse Cholesky factor, A^{-1} = L^{-T} L^{-1}.  A singular
+    A falls back to the least-norm pseudo-inverse, with one warning naming
+    the learner.
     """
 
     def __init__(self, Psi: np.ndarray, penalty: KronPenalty | None = None, label: str = "PLS system"):
@@ -418,16 +443,26 @@ class PlsLearner:
         self.penalty = penalty
         A = Psi if penalty is None else Psi + penalty.materialize()
         try:
-            self._chol = scipy.linalg.cho_factor(A, check_finite=False)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            self._linv = _tril_inverse(np.linalg.cholesky(A))
+        except np.linalg.LinAlgError:
             warnings.warn(f"{label}: singular PLS system, using pseudo-inverse", stacklevel=2)
-            self._chol = None
+            self._linv = None
             self._pinv = np.linalg.pinv(A, rcond=1e-12)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._chol is None:
+        if self._linv is None:
             return self._pinv @ rhs
-        return scipy.linalg.cho_solve(self._chol, rhs, check_finite=False)
+        return self._linv.T @ (self._linv @ rhs)
+
+
+def _kron_rotate(Psi: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """(U (x) V)^T Psi (U (x) V), one Kronecker factor and one side at a time."""
+    mj, m = U.shape[0], V.shape[0]
+    T = Psi.reshape(mj, m, mj, m) @ V  # [i, k, j, d]
+    T = np.swapaxes(T, 1, 3) @ V  # [i, d, j, b]
+    T = np.moveaxis(T, 0, -1) @ U  # [d, j, b, a]
+    T = np.moveaxis(T, 1, -1) @ U  # [d, b, a, c]
+    return T.transpose(2, 1, 3, 0).reshape(mj * m, mj * m)
 
 
 def df_to_lambda(
@@ -446,20 +481,19 @@ def df_to_lambda(
     targets are clamped to the nearest attainable value with a warning.
     Returns the shared scale for both penalty directions.
     """
-    S = KronPenalty(1.0, 1.0, P_cov, P_tan).materialize()
-    # the eigenvalues of P_cov (x) I + I (x) P_perp are the pairwise sums of the factors'
-    eig_min = float(np.linalg.eigvalsh(P_cov).min() + np.linalg.eigvalsh(P_tan).min()) if S.size else 0.0
-    s_scale = float(np.abs(S).max()) if S.size else 0.0
+    # S = Q diag(s) Q^T with Q = U (x) V and s the pairwise sums a_i + b_k of the
+    # factors' eigenvalues (the Demmler-Reinsch basis of the Kronecker sum)
+    a, U = np.linalg.eigh(P_cov)
+    b, V = np.linalg.eigh(P_tan)
+    s = (a[:, None] + b[None, :]).reshape(-1)
+    s_scale = float(np.abs(KronPenalty(1.0, 1.0, P_cov, P_tan).materialize()).max())
     if s_scale == 0.0:
-        S = np.eye(S.shape[0])
-        eig_min = 1.0
-    elif eig_min < 1e-10 * s_scale:
-        S = S + 1e-8 * s_scale * np.eye(S.shape[0])
+        s = np.ones_like(s)
+    elif s.min() < 1e-10 * s_scale:
+        s = s + 1e-8 * s_scale
 
     # generalized eigenvalues of (Psi, S): df(lam) = sum mu_i / (mu_i + lam)
-    L = np.linalg.cholesky(S)
-    M = scipy.linalg.solve_triangular(L, Psi, lower=True, check_finite=False)
-    M = scipy.linalg.solve_triangular(L, M.T, lower=True, check_finite=False)
+    M = _kron_rotate(Psi, U, V) / np.sqrt(np.outer(s, s))
     mu = np.linalg.eigvalsh(0.5 * (M + M.T))
     mu = np.where(mu > 1e-12 * max(mu.max(), 1e-300), mu, 0.0)
     rank = int(np.sum(mu > 0))

@@ -10,10 +10,13 @@ decomposed as V_0 D V_1^T and the direction coefficients recovered as
 U_j = M_j^- V_j.  Rank-L truncations of the result are optimal among all
 rank-L tensor approximations in the empirical norm.
 
-Two Gram factorizations are supported: a pivoted Cholesky of the Gram
-matrix, and a column-pivoted QR decomposition of the weighted design, which
-never forms the Gram product explicitly.  Both cut the factor at the same
-relative rank tolerance, so they give the same number of components.
+Two Gram roots are supported.  Method ``cholesky`` takes the Gram matrix
+and roots it by its symmetric eigendecomposition; method ``qr`` takes the
+weighted design and roots its Gram by the design's singular value
+decomposition, which never forms the Gram product explicitly (the method
+names are those of the factorizations the roots replaced).  Both cut the
+root at the same relative rank tolerance, so they give the same number of
+components, and both roots have orthogonal rows, so M_j^- needs no solve.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from ._blas import serial_blas
 from .boost import FittedModel, _model_sample
 from .geometry import CurveSample, GeometryError, GeometryKind, PackedSample, empirical_norm, trapezoid_weights
-from .effects import EffectError, PlsLearner
+from .effects import EffectError
 
 __all__ = [
     "Factorization",
@@ -59,31 +61,29 @@ class Factorization:
         return float(self.variance_shares.sum())
 
 
-def _gram_sqrt(G: np.ndarray) -> np.ndarray:
-    """M with M^T M = G via pivoted Cholesky; rank-deficient Grams reduce M's rows."""
+def _root(scale2: np.ndarray, W: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray]:
+    """M = diag(sqrt(scale2)) W^T and its generalized inverse W diag(1 / sqrt(scale2)).
+
+    W has orthonormal columns, so M^T M = W diag(scale2) W^T and M M^- = I.
+    Rows whose ``scale2`` is at most 1e-12 of ``total`` (the trace of M^T M
+    before the cut) are dropped, so a rank-deficient Gram gives fewer rows.
+    """
+    keep = scale2 > 1e-12 * max(total, 1e-300)
+    root = np.sqrt(scale2[keep])
+    return root[:, None] * W[:, keep].T, W[:, keep] / root
+
+
+def _gram_sqrt(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, M^-) with M^T M = G, from the symmetric eigendecomposition of G."""
     G = 0.5 * (G + G.T)
-    m = G.shape[0]
-    c, piv, rank, info = scipy.linalg.lapack.dpstrf(G, lower=1, tol=1e-12 * max(np.trace(G), 1e-300))
-    if info < 0:
-        raise GeometryError("pivoted Cholesky of the Gram matrix failed")
-    L = np.tril(c)[:, :rank]
-    P = np.zeros((m, m))
-    P[piv - 1, np.arange(m)] = 1.0
-    return (P @ L).T  # (rank, m)
+    w, W = np.linalg.eigh(G)
+    return _root(w[::-1], W[:, ::-1], float(np.trace(G)))
 
 
-def _design_sqrt(A: np.ndarray) -> np.ndarray:
-    """M with M^T M = A^T A via column-pivoted QR; rows are cut at the rank tolerance of ``_gram_sqrt``."""
-    R, piv = scipy.linalg.qr(A, mode="r", pivoting=True)
-    rank = int(np.sum(np.abs(np.diag(R)) ** 2 > 1e-12 * max(np.sum(A * A), 1e-300)))
-    M = np.empty((rank, A.shape[1]))
-    M[:, piv] = R[:rank]
-    return M
-
-
-def _generalized_inverse(M: np.ndarray) -> np.ndarray:
-    """M^- = M^T (M M^T)^{-1}, with a pseudo-inverse fallback for deficient M."""
-    return PlsLearner(M @ M.T, None, "Gram factor").solve(M).T
+def _design_sqrt(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, M^-) with M^T M = A^T A, from the SVD of A; the Gram product is never formed."""
+    _, sv, Wt = np.linalg.svd(A, full_matrices=False)
+    return _root(sv**2, Wt.T, float(np.sum(A * A)))
 
 
 def factorize_effect(
@@ -97,36 +97,35 @@ def factorize_effect(
     """Factorize one coefficient matrix into orthonormal direction components.
 
     ``cholesky`` consumes the Gram matrices, ``qr`` the stacked weighted
-    designs (A^T A = G).  Columns of the singular vector matrix on the
-    direction side are sign-fixed so the first clearly nonzero entry is
-    positive.
+    designs (A^T A = G).  Directions are sign-fixed so the first clearly
+    nonzero coefficient of each is positive; the scalar coefficients flip
+    with them.  The convention acts on the tangent coefficients, not on the
+    root's coordinates, so both methods give the same signed result.
     """
     theta = np.asarray(theta, dtype=float)
     if method == "cholesky":
         if G0 is None or G1 is None:
             raise EffectError("cholesky factorization needs both Gram matrices")
-        M0 = _gram_sqrt(np.asarray(G0))
-        M1 = _gram_sqrt(np.asarray(G1))
+        M0, M0inv = _gram_sqrt(np.asarray(G0))
+        M1, M1inv = _gram_sqrt(np.asarray(G1))
     elif method == "qr":
         if A0 is None or A1 is None:
             raise EffectError("qr factorization needs both stacked designs")
-        M0 = _design_sqrt(np.asarray(A0))
-        M1 = _design_sqrt(np.asarray(A1))
+        M0, M0inv = _design_sqrt(np.asarray(A0))
+        M1, M1inv = _design_sqrt(np.asarray(A1))
     else:
         raise EffectError(f"unknown factorization method {method!r}")
 
-    Xi = M0 @ theta @ M1.T
-    V0, d, V1t = np.linalg.svd(Xi, full_matrices=False)
-    V1 = V1t.T
-    # reproducible sign convention: first non-negligible entry of each direction positive
+    V0, d, V1t = np.linalg.svd(M0 @ theta @ M1.T, full_matrices=False)
+    U0 = M0inv @ V0
+    U1 = M1inv @ V1t.T
+    # reproducible sign convention: first clearly nonzero entry of each direction positive
     for r in range(d.size):
-        col = V0[:, r]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        col = U0[:, r]
+        nz = np.flatnonzero(np.abs(col) > 1e-8 * np.abs(col).max())
         if nz.size and col[nz[0]] < 0:
-            V0[:, r] = -col
-            V1[:, r] = -V1[:, r]
-    U0 = _generalized_inverse(M0) @ V0
-    U1 = _generalized_inverse(M1) @ V1
+            U0[:, r] = -col
+            U1[:, r] = -U1[:, r]
     return Factorization(
         directions=U0,
         singular_values=d,

@@ -39,6 +39,7 @@ __all__ = [
     "write_json",
     "json_value",
     "read_pole",
+    "read_truth",
     "load_config",
     "config_hash",
     "save_model",
@@ -327,6 +328,24 @@ def read_pole(path: str | Path, doc: dict) -> PoleCoef:
     return json_value(path, doc, "pole", lambda p: PoleCoef(np.asarray(p["re"]) + 1j * np.asarray(p["im"]), basis))
 
 
+def read_truth(path: str | Path) -> tuple[PoleCoef, dict[str, np.ndarray], dict[str, CovariateMap]]:
+    """Pole, effect fields and effect maps of a truth document (``shapeboost simulate``).
+
+    Each field is a real (2*m0, m_j) matrix: m0 is the response basis
+    dimension and m_j the dimension of the field's effect map.
+    """
+    doc = read_json(path)
+    pole = read_pole(path, doc)
+    fields = json_value(path, doc, "fields", lambda d: {k: np.asarray(v, float) for k, v in d.items()})
+    # every field needs its effect map; a missing one is reported as an ill-typed "effect_maps"
+    maps = json_value(path, doc, "effect_maps", lambda d: {k: CovariateMap.from_dict(d[k]) for k in fields})
+    for name, V in fields.items():
+        expected = (2 * pole.basis.dim, maps[name].m_j)
+        if V.shape != expected:
+            raise SchemaError(f"{path}: key 'fields': field {name!r} has shape {V.shape}, expected {expected}")
+    return pole, fields, maps
+
+
 def load_config(path: str | Path) -> tuple[dict, GeometryKind, str, BoostConfig]:
     """(document, geometry, weight rule, config); the rule repeats ``config.weight_rule`` for ``perfbench``."""
     doc = read_json(path)
@@ -405,4 +424,13 @@ def load_model(path: str | Path) -> tuple[FittedModel, str]:
         weight_rule=value("weight_rule", str),
         rng_seed=value("seed", int),
     )
+    rows = model.transform.Z.shape[0]
+    if rows != 2 * model.basis.dim:
+        raise SchemaError(f"{path}: key 'transform' has {rows} rows, expected 2 * {model.basis.dim} (the response basis)")
+    for eff in model.effects:
+        expected = (model.transform.m, eff.cmap.m_j)
+        if eff.theta.shape != expected:
+            raise SchemaError(
+                f"{path}: key 'effects': theta of {eff.spec.name!r} has shape {eff.theta.shape}, expected {expected}"
+            )
     return model, str(doc.get("config_hash", ""))

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -317,6 +320,113 @@ class TestPlsSolve:
         assert np.array_equal(unvec(vec(theta), m, mj), theta)
         v = vec(theta)
         assert np.array_equal(v[: m], theta[:, 0])  # column-major convention
+
+
+def random_spd(rng, n):
+    """Well-conditioned SPD matrix of size n."""
+    X = rng.normal(size=(n + 5, n))
+    return X.T @ X / (n + 5) + np.eye(n)
+
+
+class TestPlsSolveMatchesCholesky:
+    """The inverse-Cholesky solve against LAPACK's triangular solves (scipy as the oracle)."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 371])  # both sides of the 64-row leaf
+    def test_vector_and_matrix_rhs(self, n):
+        rng = np.random.default_rng(n)
+        A = random_spd(rng, n)
+        learner = PlsLearner(A)
+        factor = scipy.linalg.cho_factor(A)
+        for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            ref = scipy.linalg.cho_solve(factor, rhs)
+            assert np.linalg.norm(learner.solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_complex_rhs(self, rng):
+        # the preliminary pole fit solves for complex basis coefficients
+        A = random_spd(rng, 70)
+        rhs = rng.normal(size=70) + 1j * rng.normal(size=70)
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), rhs)
+        assert np.linalg.norm(PlsLearner(A).solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_singular_fallback_warns_once_least_norm(self, rng):
+        X = rng.normal(size=(3, 6))
+        A = X.T @ X  # rank 3
+        rhs = A @ rng.normal(size=6)  # in the range of A
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            learner = PlsLearner(A, None, "effect 'toy'")
+            x = learner.solve(rhs)
+            learner.solve(rhs)
+        assert [str(w.message) for w in caught] == ["effect 'toy': singular PLS system, using pseudo-inverse"]
+        # the least-norm solution lies in the row space of A
+        ref = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.linalg.norm(A @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def dense_df_to_lambda(Psi, P_cov, P_tan, df_target, tol=1e-4):
+    """Reference calibration: generalized eigenvalues through the Cholesky factor of the dense S."""
+    S = KronPenalty(1.0, 1.0, P_cov, P_tan).materialize()
+    eig_min = float(np.linalg.eigvalsh(P_cov).min() + np.linalg.eigvalsh(P_tan).min())
+    s_scale = float(np.abs(S).max())
+    if s_scale == 0.0:
+        S = np.eye(S.shape[0])
+    elif eig_min < 1e-10 * s_scale:
+        S = S + 1e-8 * s_scale * np.eye(S.shape[0])
+    L = np.linalg.cholesky(S)
+    M = scipy.linalg.solve_triangular(L, Psi, lower=True)
+    M = scipy.linalg.solve_triangular(L, M.T, lower=True)
+    mu = np.linalg.eigvalsh(0.5 * (M + M.T))
+    mu = np.where(mu > 1e-12 * max(mu.max(), 1e-300), mu, 0.0)
+    pos = mu[mu > 0]
+
+    def df(lam):
+        return float(np.sum(pos / (pos + lam)))
+
+    if df_target >= pos.size - tol:
+        return 0.0
+    lo, hi = -20.0, 30.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = df(np.exp(mid))
+        if abs(val - df_target) <= tol:
+            return float(np.exp(mid))
+        if val > df_target:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.exp(0.5 * (lo + hi)))
+
+
+def _second_diff(n):
+    """Second-difference penalty D^T D of n coefficients (the identity below three)."""
+    if n < 3:
+        return np.eye(n)
+    D = np.diff(np.eye(n), n=2, axis=0)
+    return D.T @ D
+
+
+class TestDfCalibrationMatchesDense:
+    """The Kronecker-eigenbasis calibration returns the lambda of the dense Cholesky one."""
+
+    @staticmethod
+    def _penalties(kind, mj, m):
+        if kind == "zero":
+            return np.zeros((mj, mj)), np.zeros((m, m))
+        if kind == "ridge":  # unridged S: the tangent ridge makes S positive definite
+            return _second_diff(mj), np.eye(m)
+        return _second_diff(mj), _second_diff(m)  # both margins singular: ridged S
+
+    @pytest.mark.parametrize("kind", ["ridge", "second_diff", "zero"])
+    @pytest.mark.parametrize("mj, m", [(1, 12), (4, 9), (7, 26)])
+    def test_equal_lambda(self, kind, mj, m):
+        rng = np.random.default_rng(mj * 100 + m)
+        P_cov, P_tan = self._penalties(kind, mj, m)
+        X = rng.normal(size=(3 * mj * m, mj * m)) * rng.uniform(0.1, 3.0, size=mj * m)
+        Psi = X.T @ X / X.shape[0]
+        for target in (1.5, 4.0, 0.5 * mj * m):
+            lam, lam_tan = df_to_lambda(Psi, P_cov, P_tan, target)
+            assert lam == lam_tan == dense_df_to_lambda(Psi, P_cov, P_tan, target)
 
 
 class TestDfCalibration:

@@ -107,6 +107,21 @@ class TestFactorizeEffect:
             nz = np.flatnonzero(np.abs(col) > 1e-12)
             assert col[nz[0]] > 0
 
+    def test_methods_agree_on_signs(self):
+        # the sign rule acts on the tangent coefficients, which do not depend on
+        # the Gram root, so both methods return the same signed components
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            m, mj = 8, 5
+            theta = rng.normal(size=(m, mj))
+            A0 = rng.normal(size=(30, m))
+            A1 = rng.normal(size=(25, mj))
+            f_chol = factorize_effect(theta, A0.T @ A0, A1.T @ A1, "cholesky")
+            f_qr = factorize_effect(theta, method="qr", A0=A0, A1=A1)
+            for key in ("directions", "scalar_coefs"):
+                a, b = getattr(f_chol, key), getattr(f_qr, key)
+                assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
+
     def test_variance_sum_matches_predictor_variance(self, rng):
         # sum of component variances equals the empirical predictor variance
         m, mj, n = 5, 3, 40

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shapeboost
 from shapeboost import io as sbio
 from shapeboost.basis import build_response_basis
 from shapeboost.boost import cv_early_stop, estimate_pole
@@ -28,6 +33,40 @@ CONFIG = {
     ],
     "boosting": {"eta": 0.3, "iterations": 12, "folds": 3, "seed": 5},
 }
+
+
+SCIPY_BLOCKED = """
+import json, sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+from shapeboost.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(name for name, mod in sys.modules.items() if name.startswith("scipy") and mod is not None)
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # the package is numpy-only: every command works with scipy unimportable
+    f = {name: str(tmp_path / name) for name in ("curves.csv", "covars.csv", "truth.json", "config.json", "m.json")}
+    Path(f["config.json"]).write_text(json.dumps({**CONFIG, "boosting": {**CONFIG["boosting"], "iterations": 4}}))
+    data = [f["curves.csv"], f["covars.csv"]]
+    commands = [
+        ["simulate", *data, f["truth.json"], "--n", "18", "--kbar", "12", "--seed", "3"],
+        ["fit", *data, f["config.json"], f["m.json"]],
+        ["cv", *data, f["config.json"], str(tmp_path / "cv.csv"), "--threads", "1"],
+        ["predict", f["m.json"], f["covars.csv"], str(tmp_path / "pred.csv"), "--points", "20"],
+        ["factorize", f["m.json"], *data, str(tmp_path / "chol.json"), "--method", "cholesky"],
+        ["factorize", f["m.json"], *data, str(tmp_path / "qr.json"), "--method", "qr"],
+        ["eval", f["m.json"], *data, f["truth.json"], str(tmp_path / "rmse.csv")],
+    ]
+    src = str(Path(shapeboost.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED, json.dumps(commands)], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0] * len(commands), "scipy": []}, out.stderr
 
 
 @pytest.fixture(scope="module")
@@ -563,3 +602,34 @@ class TestMalformedJsonInputs:
         assert main(["predict", str(bad), str(covars), str(tmp_path / "pred.csv")]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "'m_stop'" in err
+
+    def test_predict_model_with_mismatched_transform_exit2(self, dataset, fitted, tmp_path, capsys):
+        # a well-typed transform with the wrong number of rows used to crash with a broadcast error
+        base, curves, covars, truth, config = dataset
+        doc = json.loads(fitted.read_text())
+        doc["transform"] = [[1, 0], [0, 1]]
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["predict", str(bad), str(covars), str(tmp_path / "pred.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'transform'" in err and "Traceback" not in err
+
+    def test_predict_model_with_mismatched_theta_exit2(self, dataset, fitted, tmp_path, capsys):
+        base, curves, covars, truth, config = dataset
+        doc = json.loads(fitted.read_text())
+        doc["effects"][0]["theta"] = [row[:-1] for row in doc["effects"][0]["theta"]]
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["predict", str(bad), str(covars), str(tmp_path / "pred.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'effects'" in err and "Traceback" not in err
+
+    def test_eval_truth_with_mismatched_field_exit2(self, dataset, fitted, tmp_path, capsys):
+        # a field of the wrong shape used to crash in the truth evaluation
+        doc = json.loads(dataset[3].read_text())
+        doc["fields"]["tilt"] = [1, 2, 3]
+        bad = tmp_path / "truth.json"
+        bad.write_text(json.dumps(doc))
+        assert self._eval(dataset, fitted, tmp_path, bad) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'fields'" in err and "'tilt'" in err and "Traceback" not in err
