@@ -52,7 +52,6 @@ from .factorize import (
     predictor_factorization,
 )
 from .geometry import (
-    AlignedRep,
     AntipodalTransport,
     CurveSample,
     DegenerateAlignment,
@@ -62,12 +61,8 @@ from .geometry import (
     TangentEvals,
     empirical_inner,
     empirical_norm,
-    exp_map,
-    geodesic_dist,
     log_map,
     parallel_transport,
-    representative,
-    tangent_project,
     trapezoid_weights,
     uniform_weights,
 )

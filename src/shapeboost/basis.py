@@ -29,6 +29,7 @@ __all__ = [
     "curve_design",
     "sample_design",
     "constraint_matrix",
+    "nullspace",
     "nullspace_transform",
     "center_pole",
 ]
@@ -373,31 +374,35 @@ def constraint_matrix(
     return np.hstack([C.real, C.imag])
 
 
-def nullspace_transform(C_real: np.ndarray) -> TangentTransform:
-    """Orthonormal basis of the null space of the constraint matrix, via SVD.
+def nullspace(C: np.ndarray, abs_tol: float = 0.0) -> tuple[np.ndarray, int]:
+    """Orthonormal null-space basis (columns) of C by SVD, and the rank of C.
 
-    Singular values below RANK_TOL times the largest are treated as rank
-    deficiencies; a warning is emitted because that reduces the number of
-    constraints actually imposed.
+    Singular values at or below max(RANK_TOL * largest, ``abs_tol``) count as zero.
+    """
+    if not np.any(C):
+        return np.eye(C.shape[1]), 0
+    _, s, Vh = np.linalg.svd(C, full_matrices=True)
+    rank = int(np.sum(s > max(RANK_TOL * s[0], abs_tol)))
+    return Vh[rank:].T.copy(), rank
+
+
+def nullspace_transform(C_real: np.ndarray) -> TangentTransform:
+    """Tangent transform onto the null space of the constraint matrix (``nullspace``).
+
+    A rank deficiency warns, because it reduces the number of constraints
+    actually imposed.
     """
     C_real = np.asarray(C_real, dtype=float)
-    n_rows, n_cols = C_real.shape
-    if not np.any(C_real):
-        return TangentTransform(np.eye(n_cols))
-    _, s, Vh = np.linalg.svd(C_real, full_matrices=True)
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    if rank < min(n_rows, n_cols):
-        warnings.warn(
-            f"constraint matrix is rank deficient ({rank} < {min(n_rows, n_cols)}); "
-            "reducing the number of imposed constraints",
-            stacklevel=2,
-        )
-    return TangentTransform(Vh[rank:].T.copy())
+    Z, rank = nullspace(C_real)
+    if 0 < rank < min(C_real.shape):
+        message = f"constraint matrix is rank deficient ({rank} < {min(C_real.shape)})"
+        warnings.warn(message + "; reducing the number of imposed constraints", stacklevel=2)
+    return TangentTransform(Z)
 
 
 @dataclass(frozen=True)
 class PenaltyBlock:
-    """Penalty on the untransformed basis and its tangent-space version."""
+    """Penalty P0 on the untransformed basis and its tangent-space version Z^T (I_2 (x) P0) Z."""
 
     P0: np.ndarray
     P_perp: np.ndarray
@@ -405,10 +410,4 @@ class PenaltyBlock:
     @classmethod
     def build(cls, basis: BSplineBasis, transform: TangentTransform, kind: str = "second_diff") -> "PenaltyBlock":
         P0 = basis.penalty(kind)
-        Z = transform.Z
-        m0 = transform.m0
-        # Z^T (I_2 (x) P0) Z without forming the Kronecker product
-        top, bot = Z[:m0], Z[m0:]
-        P_perp = top.T @ P0 @ top + bot.T @ P0 @ bot
-        P_perp = 0.5 * (P_perp + P_perp.T)
-        return cls(P0=P0, P_perp=P_perp)
+        return cls(P0=P0, P_perp=transform.gram(P0))

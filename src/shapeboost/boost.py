@@ -147,6 +147,10 @@ class FittedModel:
     weight_rule: str = "trapezoid"
     rng_seed: int = 0
 
+    def __post_init__(self):
+        if self.weight_rule not in WEIGHT_RULES:
+            raise EffectError(f"unknown weight rule {self.weight_rule!r}")
+
     @property
     def basis(self) -> BSplineBasis:
         return self.pole.basis

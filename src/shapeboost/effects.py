@@ -19,12 +19,13 @@ degrees of freedom trace[(Psi + R(lambda))^{-1} Psi].
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BSplineBasis, SplineConfig, build_response_basis
+from .basis import BSplineBasis, SplineConfig, build_response_basis, nullspace
 
 __all__ = [
     "EffectError",
@@ -226,7 +227,8 @@ class CovariateMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CovariateMap":
-        return cls(
+        """Read a stored map and check that its parts fit together."""
+        cmap = cls(
             spec=EffectSpec.from_dict(d["spec"]),
             m_j=int(d["m_j"]),
             penalty=np.asarray(d["penalty"], dtype=float),
@@ -235,14 +237,19 @@ class CovariateMap:
             z_mean=d.get("z_mean"),
             margins=[_Margin.from_dict(m) for m in d.get("margins", [])],
         )
-
-
-def _nullspace(C: np.ndarray, abs_tol: float = 0.0) -> np.ndarray:
-    if C.size == 0 or not np.any(C):
-        return np.eye(C.shape[1])
-    _, s, Vh = np.linalg.svd(C, full_matrices=True)
-    rank = int(np.sum(s > max(1e-10 * s[0], abs_tol)))
-    return Vh[rank:].T.copy()
+        kind, label = cmap.spec.kind, f"effect {cmap.spec.name!r}"
+        n_margins = {"smooth": 1, "smooth_interaction": 2}.get(kind, 0)
+        if len(cmap.margins) != n_margins:
+            raise EffectError(f"{label}: a {kind} map needs {n_margins} spline margins, got {len(cmap.margins)}")
+        if kind == "categorical" and not (isinstance(cmap.levels, list) and len(cmap.levels) >= 2):
+            raise EffectError(f"{label}: a categorical map needs >= 2 levels, got {cmap.levels!r}")
+        raw_dim = len(cmap.levels) - 1 if kind == "categorical" else math.prod(m.basis.dim for m in cmap.margins)
+        zc_shape = (raw_dim, raw_dim) if cmap.Zc is None else cmap.Zc.shape  # no Zc: the identity
+        if zc_shape != (raw_dim, cmap.m_j):
+            raise EffectError(f"{label}: Zc has shape {zc_shape}, expected {(raw_dim, cmap.m_j)} (raw dim, m_j)")
+        if cmap.penalty.shape != (cmap.m_j, cmap.m_j):
+            raise EffectError(f"{label}: penalty has shape {cmap.penalty.shape}, expected {(cmap.m_j, cmap.m_j)}")
+        return cmap
 
 
 def _build_margin(cfg: SplineConfig, z: np.ndarray) -> _Margin:
@@ -322,7 +329,7 @@ def covariate_design(
 
     if constraints:
         C = np.vstack(constraints)
-        Zc = _nullspace(C, abs_tol=1e-10 * n * max(1.0, float(np.abs(raw).max())))
+        Zc, _ = nullspace(C, abs_tol=1e-10 * n * max(1.0, float(np.abs(raw).max())))
         if Zc.shape[1] == 0:
             raise EffectError(f"effect {spec.name!r}: constraints leave no free coefficients")
         cmap.Zc = Zc

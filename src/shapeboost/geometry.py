@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "CurveSample",
     "PackedSample",
     "TangentEvals",
-    "AlignedRep",
     "GeometryError",
     "DegenerateAlignment",
     "AntipodalTransport",
@@ -43,10 +41,6 @@ __all__ = [
     "empirical_inner",
     "empirical_norm",
     "center",
-    "tangent_project",
-    "representative",
-    "geodesic_dist",
-    "exp_map",
     "log_map",
     "parallel_transport",
 ]
@@ -261,7 +255,7 @@ class TangentEvals:
     ``pole_evals`` holds the pole representative on the same grid (centered,
     and unit-norm for shapes); ``values`` satisfies the tangent constraints
     <1, v> = 0 and Im<v, p> = 0 (plus Re<v, p> = 0 for shapes) up to
-    ``TANGENT_TOL`` relative to its norm.
+    ``TANGENT_TOL`` relative to its norm.  Returned by ``log_map`` and ``parallel_transport``.
     """
 
     grid: np.ndarray
@@ -293,14 +287,6 @@ class TangentEvals:
             raise TangentError(
                 f"tangent constraints violated: residuals {res} exceed {tol} * max(1, {scale:.3g})"
             )
-
-
-class AlignedRep(NamedTuple):
-    """Aligned representative with the rotation/scale applied to reach it."""
-
-    values: np.ndarray
-    rotation: complex
-    scale: float
 
 
 _ALIGN_FAILED = "rotation alignment undefined, |<y, p>| = {:.3e} below threshold"
@@ -523,59 +509,8 @@ class PackedSample:
         return eps - (c / denom)[self.seg] * (s_hat + d_hat)
 
 
-def representative(y: CurveSample, p_evals: np.ndarray, kind: GeometryKind) -> AlignedRep:
-    """Centered, rotation-aligned (and for shapes normalized) representative of [y].
-
-    Both the curve and the pole evaluations are centered first; the curve is
-    rotated by u = <ỹ, p̃>/|<ỹ, p̃>| so that the aligned inner product is real
-    and positive.  Returns the representative together with the rotation u and
-    the scale factor applied (1 for forms).
-    """
-    kind = GeometryKind.parse(kind)
-    ps = PackedSample.of([y])
-    u, _ = ps.align(ps.y_c, ps.center(np.asarray(p_evals, dtype=complex)), _ALIGN_FAILED)
-    aligned = u[0] * ps.y_c
-    lam = 1.0
-    if kind is GeometryKind.SHAPE:
-        lam = 1.0 / float(ps.norm(aligned)[0])
-        aligned = aligned * lam
-    return AlignedRep(values=aligned, rotation=complex(u[0]), scale=lam)
-
-
-def geodesic_dist(y: CurveSample, p_evals: np.ndarray, kind: GeometryKind) -> float:
-    """Geodesic distance between [y] and [p].
-
-    Forms: ||ỹ - p̃|| of the aligned centered representatives.  Shapes: the
-    Procrustes distance, the angle between the normalized representatives.
-    The distance only involves |<y, p>|, so it stays defined where the
-    aligning rotation itself is degenerate.
-    """
-    kind = GeometryKind.parse(kind)
-    ps = PackedSample.of([y])
-    _, d = ps.log(ps.pole_rep(p_evals, kind), kind, what=None)
-    return float(d[0])
-
-
-def exp_map(
-    p_evals: np.ndarray,
-    beta: TangentEvals,
-    kind: GeometryKind,
-    check: bool = True,
-) -> np.ndarray:
-    """Riemannian exponential: representative of Exp_[p](beta) on beta's grid.
-
-    Forms: p̃ + β.  Shapes: cos(||β||) p̃ + sin(||β||) β/||β||; values with
-    ||β|| >= π - 1e-6 are rejected, the map is undefined at and beyond the
-    cut locus.
-    """
-    kind = GeometryKind.parse(kind)
-    ps = PackedSample([beta.weights], ["tangent vector"])
-    p = ps.pole_rep(p_evals, kind)
-    if check:
-        beta.validate()
-    return ps.exp(p, np.asarray(beta.values, dtype=complex), kind)
-
-
+# One-curve wrappers of the packed kernel.  Nothing in the package calls them; they
+# stay while the benchmark's traced probes (perfbench/probes.py) check the kernel against them.
 def log_map(p_evals: np.ndarray, y: CurveSample, kind: GeometryKind) -> TangentEvals:
     """Riemannian logarithm Log_[p]([y]) as tangent evaluations at the pole.
 
@@ -610,29 +545,3 @@ def parallel_transport(
     vals = ps.transport(y, p, np.asarray(eps.values, dtype=complex), kind)
     pole_rep = p / ps.norm(p)[0] if kind is GeometryKind.SHAPE else p
     return TangentEvals(grid=eps.grid, values=vals, pole_evals=pole_rep, kind=kind, weights=eps.weights)
-
-
-def tangent_project(
-    values: np.ndarray,
-    p_evals: np.ndarray,
-    weights: np.ndarray,
-    kind: GeometryKind,
-    grid: np.ndarray | None = None,
-) -> TangentEvals:
-    """Orthogonal projection of arbitrary evaluations onto the tangent space at [p].
-
-    Removes the components along the normal directions 1, i*1, i*p̃ (and p̃ for
-    shapes) under the empirical inner product.  Mainly a helper for residual
-    simulation and for constructing valid test tangents.
-    """
-    kind = GeometryKind.parse(kind)
-    w = np.asarray(weights)
-    ps = PackedSample([w], ["tangent vector"])
-    v = ps.center(np.asarray(values, dtype=complex))
-    p = ps.pole_rep(p_evals, kind)
-    p_hat = p / ps.norm(p)
-    c = ps.inner(p_hat, v)
-    v = v - (c if kind is GeometryKind.SHAPE else 1j * c.imag) * p_hat
-    if grid is None:
-        grid = np.arange(v.size, dtype=float) / max(v.size - 1, 1)
-    return TangentEvals(grid=np.asarray(grid, dtype=float), values=v, pole_evals=p, kind=kind, weights=w)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import BSplineBasis, PoleCoef, SplineConfig, TangentTransform
 from .boost import BoostConfig, FittedEffect, FittedModel
-from .effects import CovariateMap, EffectSpec
+from .effects import CovariateMap, EffectError, EffectSpec
 from .geometry import WEIGHT_RULES, CurveSample, GeometryError, GeometryKind, rule_weights
 
 __all__ = [
@@ -398,11 +398,14 @@ def save_model(path: str | Path, model: FittedModel, config_digest: str = "") ->
 
 
 def _fitted_effect(e: dict) -> FittedEffect:
+    lam = np.asarray(e.get("lambda", (0.0, 0.0)), dtype=float)
+    if lam.shape != (2,) or not np.all(np.isfinite(lam) & (lam >= 0)):
+        raise ValueError(f"lambda must be two finite numbers >= 0, got {e['lambda']!r}")
     return FittedEffect(
         spec=EffectSpec.from_dict(e["cmap"]["spec"]),
         cmap=CovariateMap.from_dict(e["cmap"]),
         theta=np.asarray(e["theta"], dtype=float),
-        lam=tuple(e.get("lambda", (0.0, 0.0))),
+        lam=tuple(lam.tolist()),
     )
 
 
@@ -412,18 +415,21 @@ def load_model(path: str | Path) -> tuple[FittedModel, str]:
         raise SchemaError(f"{path}: not a {MODEL_FORMAT} file")
 
     value = functools.partial(json_value, path, doc)
-    model = FittedModel(
-        kind=value("geometry", GeometryKind.parse),
-        pole=read_pole(path, doc),
-        transform=value("transform", lambda Z: TangentTransform(np.asarray(Z, dtype=float))),
-        effects=value("effects", lambda effects: [_fitted_effect(e) for e in effects]),
-        risk_trace=value("risk_trace", lambda v: np.asarray(v, dtype=float)),
-        m_stop=value("m_stop", int),
-        selection_trace=value("selection_trace", lambda v: np.asarray(v, dtype=int)),
-        response_penalty=value("response_penalty", str),
-        weight_rule=value("weight_rule", str),
-        rng_seed=value("seed", int),
-    )
+    try:
+        model = FittedModel(
+            kind=value("geometry", GeometryKind.parse),
+            pole=read_pole(path, doc),
+            transform=value("transform", lambda Z: TangentTransform(np.asarray(Z, dtype=float))),
+            effects=value("effects", lambda effects: [_fitted_effect(e) for e in effects]),
+            risk_trace=value("risk_trace", lambda v: np.asarray(v, dtype=float)),
+            m_stop=value("m_stop", int),
+            selection_trace=value("selection_trace", lambda v: np.asarray(v, dtype=int)),
+            response_penalty=value("response_penalty", str),
+            weight_rule=value("weight_rule", str),
+            rng_seed=value("seed", int),
+        )
+    except EffectError as exc:  # the model's own check: its weight rule
+        raise SchemaError(f"{path}: key 'weight_rule': {exc}") from None
     rows = model.transform.Z.shape[0]
     if rows != 2 * model.basis.dim:
         raise SchemaError(f"{path}: key 'transform' has {rows} rows, expected 2 * {model.basis.dim} (the response basis)")

@@ -24,6 +24,7 @@ from .basis import (
     SplineConfig,
     build_response_basis,
     constraint_matrix,
+    nullspace,
     nullspace_transform,
 )
 from .boost import BoostConfig, boost_fit, estimate_pole, rmse_effect
@@ -236,8 +237,7 @@ def gen_truth() -> TruthSpec:
     # constrain sum_z z * f(z) = 0 over the batch design
     Bz_batch = tilt_map.design(batch_table, BATCH_SIZE)
     q = Bz_batch.T @ (batch_table["z1"] - batch_table["z1"].mean())
-    _, _, Vh = np.linalg.svd(q[None, :], full_matrices=True)
-    N = Vh[1:].T
+    N, _ = nullspace(q[None, :])
     theta_tilt = tilt_coefs @ Bz @ N @ np.linalg.inv(N.T @ Bz.T @ Bz @ N) @ N.T
 
     cat_spec = EffectSpec(name="group", kind="categorical", covariates=("group",), centering="sum_to_zero")

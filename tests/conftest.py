@@ -4,8 +4,8 @@ import pytest
 from shapeboost.geometry import (
     CurveSample,
     GeometryKind,
+    PackedSample,
     TangentEvals,
-    tangent_project,
     trapezoid_weights,
 )
 
@@ -23,6 +23,18 @@ def smooth_curve(rng, grid, n_freq=4):
     return v + (rng.normal() + 1j * rng.normal())
 
 
+def tangent_part(ps, v, p_rep, kind):
+    """v centred on every curve of ``ps``, without its components along i p̂ (and p̂ for shapes).
+
+    ``p_rep`` is the pole representative (``ps.pole_rep``); the result lies
+    in the tangent space at the pole.
+    """
+    p_hat = p_rep / ps.norm(p_rep)[ps.seg]
+    v = ps.center(np.asarray(v, dtype=complex))
+    c = ps.inner(p_hat, v)
+    return v - (c if kind is GeometryKind.SHAPE else 1j * c.imag)[ps.seg] * p_hat
+
+
 def random_pole_and_tangent(rng, kind, k=None, norm=None):
     """(grid, weights, pole evals, TangentEvals) with a valid random tangent."""
     kind = GeometryKind.parse(kind)
@@ -32,23 +44,18 @@ def random_pole_and_tangent(rng, kind, k=None, norm=None):
     w = trapezoid_weights(grid)
     p = smooth_curve(rng, grid)
     raw = smooth_curve(rng, grid) + 0.3 * (rng.normal(size=k) + 1j * rng.normal(size=k))
-    beta = tangent_project(raw, p, w, kind, grid)
-    n0 = beta.norm()
-    if n0 <= 1e-12:
-        raw = raw + 1.0 + 1j
-        beta = tangent_project(raw, p, w, kind, grid)
-        n0 = beta.norm()
+    ps = PackedSample([w], ["tangent"])
+    p_rep = ps.pole_rep(p, kind)
+    beta = tangent_part(ps, raw, p_rep, kind)
     if norm is None:
         if kind is GeometryKind.SHAPE:
             hi = np.pi / 2 - 0.11
         else:
             # stay inside the chart: larger offsets can realign through a
             # rotation and the quotient distance drops below the tangent norm
-            from shapeboost.geometry import empirical_norm
-
-            hi = 0.6 * empirical_norm(beta.pole_evals, w)
+            hi = 0.6 * ps.norm(p_rep)[0]
         norm = rng.uniform(0.05 * hi, hi)
-    beta = TangentEvals(grid, beta.values * (norm / n0), beta.pole_evals, kind, w)
+    beta = TangentEvals(grid, beta * (norm / ps.norm(beta)[0]), p_rep, kind, w)
     return grid, w, p, beta
 
 

@@ -22,19 +22,16 @@ from shapeboost.factorize import effect_factorization, factorize_effect
 from shapeboost.geometry import (
     CurveSample,
     GeometryKind,
+    PackedSample,
     empirical_inner,
     empirical_norm,
-    exp_map,
-    geodesic_dist,
     log_map,
     parallel_transport,
-    representative,
-    tangent_project,
     trapezoid_weights,
 )
 from shapeboost.simulate import SimConfig, default_effects, gen_dataset, gen_truth, run_replicate, study_configs
 
-from conftest import curve_from, irregular_grid, random_pole_and_tangent, smooth_curve
+from conftest import curve_from, irregular_grid, random_pole_and_tangent, smooth_curve, tangent_part
 
 KINDS = (GeometryKind.FORM, GeometryKind.SHAPE)
 _RISK_DECREASE_LOG = []
@@ -59,10 +56,11 @@ def test_criterion_1_geometry_round_trip():
         for _ in range(200):
             k = int(rng.integers(3, 121))
             grid, w, p, beta = random_pole_and_tangent(rng, kind, k=k)
-            y = exp_map(p, beta, kind)
+            y = PackedSample([w], ["beta"]).exp(beta.pole_evals, beta.values, kind)
             curve = curve_from(y, grid, w)
-            d = geodesic_dist(curve, p, kind)
-            worst_d = max(worst_d, abs(d - beta.norm()))
+            ps = PackedSample.of([curve])
+            _, d = ps.log(ps.pole_rep(p, kind), kind, what=None)
+            worst_d = max(worst_d, abs(d[0] - beta.norm()))
             back = log_map(p, curve, kind)
             worst_rt = max(
                 worst_rt,
@@ -81,19 +79,18 @@ def test_criterion_2_transport_suite():
     worst_iso, worst_tan, worst_geo, worst_id = 0.0, 0.0, 0.0, 0.0
     for kind in KINDS:
         for _ in range(100):
-            grid = irregular_grid(rng, int(rng.integers(4, 80)))
-            w = trapezoid_weights(grid)
+            # a random tangent eps at [y]; then p aligned to y and y aligned to p
+            grid, w, y, eps = random_pole_and_tangent(rng, kind, k=int(rng.integers(4, 80)))
             p = smooth_curve(rng, grid)
-            y = smooth_curve(rng, grid)
-            eps = tangent_project(smooth_curve(rng, grid), y, w, kind, grid)
-            rep_p = representative(curve_from(p, grid, w), y, kind).values
+            ps = PackedSample.of([curve_from(p, grid, w), curve_from(y, grid, w)])
+            u, _ = ps.align(ps.y_c, ps.pole_rep(np.concatenate([y, p]), kind))
+            rep_p, rep_y = np.split(ps.pole_rep(u[ps.seg] * ps.y_c, kind), 2)
             out = parallel_transport(eps.pole_evals, rep_p, eps, kind)
             worst_iso = max(worst_iso, abs(out.norm() - eps.norm()))
             worst_tan = max(worst_tan, out.constraint_residuals().max() / max(1.0, out.norm()))
             ident = parallel_transport(eps.pole_evals, eps.pole_evals, eps, kind)
             worst_id = max(worst_id, empirical_norm(ident.values - eps.values, w))
             lg = log_map(p, curve_from(y, grid, w), kind)
-            rep_y = representative(curve_from(y, grid, w), p, kind).values
             moved = parallel_transport(lg.pole_evals, rep_y, lg, kind)
             back = log_map(rep_y, curve_from(p, grid, w), kind)
             worst_geo = max(worst_geo, empirical_norm(moved.values + back.values, w))
@@ -232,9 +229,10 @@ def test_criterion_6_frechet_mean():
     cfg = BoostConfig(effects=[], response_basis=basis_cfg, pole_max_iterations=300)
     pole = estimate_pole([y1, y2], GeometryKind.FORM, basis, cfg)
     p_ev = basis.design(grid) @ pole.coef
-    d1 = geodesic_dist(y1, p_ev, GeometryKind.FORM)
-    d2 = geodesic_dist(y2, p_ev, GeometryKind.FORM)
-    d12 = geodesic_dist(y1, basis.design(grid) @ c2, GeometryKind.FORM)
+    # distances of y1 and y2 to the pole, and of y1 to y2
+    ps = PackedSample.of([y1, y2, y1])
+    targets = np.concatenate([p_ev, p_ev, basis.design(grid) @ c2])
+    _, (d1, d2, d12) = ps.log(ps.pole_rep(targets, GeometryKind.FORM), GeometryKind.FORM, what=None)
     mid_err = max(abs(d1 - d2), abs(d1 - d12 / 2))
 
     # first-order condition on 10 random samples
@@ -249,10 +247,9 @@ def test_criterion_6_frechet_mean():
             g = irregular_grid(rng, int(rng.integers(15, 40)))
             wg = trapezoid_weights(g)
             vals = basis.design(g) @ base_coef
-            noise = tangent_project(
-                0.15 * (rng.normal(size=g.size) + 1j * rng.normal(size=g.size)), vals, wg, kind, g
-            )
-            curves.append(CurveSample(f"r{i}", g, vals + noise.values, wg))
+            ps = PackedSample([wg], [f"r{i}"])
+            raw = 0.15 * (rng.normal(size=g.size) + 1j * rng.normal(size=g.size))
+            curves.append(CurveSample(f"r{i}", g, vals + tangent_part(ps, raw, ps.pole_rep(vals, kind), kind), wg))
         pole_t = estimate_pole(curves, kind, basis, cfg)
         ps = _PoleSample.of(curves, pole_t, kind, coef_mode=False)
         eps, _ = ps.residuals(np.zeros((len(curves), ps.transform.m)))

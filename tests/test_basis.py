@@ -18,6 +18,7 @@ from shapeboost.basis import (
     center_pole,
     constraint_matrix,
     curve_design,
+    nullspace,
     nullspace_transform,
 )
 from shapeboost.geometry import (
@@ -256,6 +257,19 @@ class TestNullspaceTransform:
         with pytest.warns(UserWarning):
             tr = nullspace_transform(C)
         assert tr.m == 9
+
+    def test_zero_constraints_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nullspace_transform(np.zeros((3, 6))).m == 6
+
+    def test_absolute_tolerance_drops_small_singular_values(self):
+        # the covariate constraints cut at an absolute floor as well as at RANK_TOL relative
+        C = np.diag([1.0, 1e-8, 0.0])
+        Z, rank = nullspace(C)
+        assert rank == 2 and np.allclose(Z, [[0.0], [0.0], [1.0]])
+        Z, rank = nullspace(C, abs_tol=1e-6)
+        assert rank == 1 and Z.shape == (3, 2) and np.abs(Z[0]).max() == 0.0
 
 
 class TestTangentDesign:

@@ -1,9 +1,10 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from shapeboost.basis import SplineConfig, build_response_basis
+from shapeboost.basis import SplineConfig, build_response_basis, sample_design
 from shapeboost.boost import (
     BoostConfig,
     boost_fit,
@@ -15,22 +16,19 @@ from shapeboost.boost import (
     rmse_effect,
     transported_residuals,
 )
-from shapeboost.effects import EffectSpec
+from shapeboost.effects import EffectError, EffectSpec
 from shapeboost.geometry import (
     CurveSample,
     GeometryKind,
-    TangentEvals,
+    PackedSample,
     center,
     empirical_inner,
     empirical_norm,
-    exp_map,
-    geodesic_dist,
-    tangent_project,
     trapezoid_weights,
     uniform_weights,
 )
 
-from conftest import irregular_grid, smooth_curve, tangent_design
+from conftest import irregular_grid, smooth_curve, tangent_design, tangent_part
 
 BASIS = SplineConfig(degree=3, n_knots=8, cyclic=True)
 
@@ -51,12 +49,11 @@ def make_dataset(rng, n=24, kind=GeometryKind.FORM, noise=0.04, k_range=(15, 35)
         kap = i % 2
         zz = (i // 2) % 6 - 2.5
         field = (0.1 if kap == 0 else -0.1) * (B @ wdir) + 0.04 * zz * (B @ (1j * wdir))
-        h = tangent_project(field, p_ev, w, kind, grid)
-        eps = tangent_project(
-            noise * (rng.normal(size=k) + 1j * rng.normal(size=k)), p_ev, w, kind, grid
-        )
-        beta = TangentEvals(grid, h.values + eps.values, h.pole_evals, kind, w)
-        yv = exp_map(p_ev, beta, kind, check=False)
+        ps = PackedSample([w], [f"c{i:03d}"])
+        p_rep = ps.pole_rep(p_ev, kind)
+        h = tangent_part(ps, field, p_rep, kind)
+        eps = tangent_part(ps, noise * (rng.normal(size=k) + 1j * rng.normal(size=k)), p_rep, kind)
+        yv = ps.exp(p_rep, h + eps, kind)
         yv = np.exp(1j * rng.normal(0, 0.2)) * yv + 0.3 * (rng.normal() + 1j * rng.normal())
         if kind is GeometryKind.SHAPE:
             yv = yv * rng.uniform(0.7, 1.4)
@@ -91,7 +88,8 @@ class TestEstimatePole:
                 )
             cfg = BoostConfig(effects=[], response_basis=BASIS)
             pole = estimate_pole(curves, kind, basis, cfg)
-            res = [geodesic_dist(c, basis.design(c.grid) @ pole.coef, kind) for c in curves]
+            ps = PackedSample.of(curves)
+            _, res = ps.log(ps.pole_rep(sample_design(basis, curves) @ pole.coef, kind), kind, what=None)
             assert np.mean(res) <= 1e-8
 
     def test_two_curve_midpoint_form(self, rng):
@@ -106,9 +104,10 @@ class TestEstimatePole:
         cfg = BoostConfig(effects=[], response_basis=BASIS, pole_max_iterations=200)
         pole = estimate_pole([y1, y2], GeometryKind.FORM, basis, cfg)
         p_ev = basis.design(grid) @ pole.coef
-        d1 = geodesic_dist(y1, p_ev, GeometryKind.FORM)
-        d2 = geodesic_dist(y2, p_ev, GeometryKind.FORM)
-        d12 = geodesic_dist(y1, basis.design(grid) @ c2, GeometryKind.FORM)
+        # distances of y1 and y2 to the pole, and of y1 to y2
+        ps = PackedSample.of([y1, y2, y1])
+        targets = np.concatenate([p_ev, p_ev, basis.design(grid) @ c2])
+        _, (d1, d2, d12) = ps.log(ps.pole_rep(targets, GeometryKind.FORM), GeometryKind.FORM, what=None)
         assert d1 == pytest.approx(d2, abs=1e-6)
         assert d1 == pytest.approx(d12 / 2, abs=1e-6)
 
@@ -131,6 +130,14 @@ class TestEstimatePole:
 
 
 class TestBoostFit:
+    def test_model_rejects_unknown_weight_rule(self, rng):
+        # a fitted model checks its weight rule as BoostConfig does
+        curves, cov, effects, basis, _ = make_dataset(rng, n=10)
+        config = BoostConfig(effects=effects[:1], step_length=0.5, max_iterations=2, response_basis=BASIS)
+        model = boost_fit(curves, cov, config, estimate_pole(curves, GeometryKind.FORM, basis, config), GeometryKind.FORM)
+        with pytest.raises(EffectError, match="unknown weight rule 'bogus'"):
+            dataclasses.replace(model, weight_rule="bogus")
+
     def test_single_learner_always_selected(self, rng):
         curves, cov, effects, basis, pole_true = make_dataset(rng, n=12)
         config = BoostConfig(effects=effects[:1], step_length=0.5, max_iterations=8, response_basis=BASIS)
@@ -144,9 +151,10 @@ class TestBoostFit:
         pole = estimate_pole(curves, GeometryKind.FORM, basis, config)
         model = boost_fit(curves, cov, config, pole, GeometryKind.FORM)
         assert model.risk_trace.size == 1
-        direct = np.mean([
-            geodesic_dist(c, basis.design(c.grid) @ pole.coef, GeometryKind.FORM) ** 2 for c in curves
-        ])
+        ps = PackedSample.of(curves)
+        p_rep = ps.pole_rep(sample_design(basis, curves) @ pole.coef, GeometryKind.FORM)
+        _, d = ps.log(p_rep, GeometryKind.FORM, what=None)
+        direct = np.mean(d**2)
         assert model.risk_trace[0] == pytest.approx(direct, rel=1e-10)
 
     def test_selection_matches_exhaustive_oracle(self, rng):
@@ -249,9 +257,12 @@ class TestBoostFit:
         means = predict_means(model, cov, grids)
         for a, b in zip(means, predict_means(permuted, cov, grids)):
             assert np.abs(b - a).max() <= 1e-9 * np.abs(a).max()
-        for c, a, b in zip(curves, means, predict_means(repoled, cov, grids)):
-            scale = 1.0 if kind is GeometryKind.SHAPE else empirical_norm(center(a, c.weights), c.weights)
-            assert geodesic_dist(CurveSample(c.id, c.grid, b, c.weights), a, kind) <= 1e-9 * scale
+        repoled_means = predict_means(repoled, cov, grids)
+        ps = PackedSample.of([CurveSample(c.id, c.grid, b, c.weights) for c, b in zip(curves, repoled_means)])
+        a = np.concatenate(means)
+        scale = 1.0 if kind is GeometryKind.SHAPE else ps.norm(ps.center(a))
+        _, d = ps.log(ps.pole_rep(a, kind), kind, what=None)
+        assert np.all(d <= 1e-9 * scale)
 
     def test_transported_residuals_are_tangent(self, rng):
         curves, cov, effects, basis, _ = make_dataset(rng, n=10)

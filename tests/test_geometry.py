@@ -10,15 +10,10 @@ from shapeboost.geometry import (
     GeometryError,
     GeometryKind,
     PackedSample,
-    TangentEvals,
     empirical_inner,
     empirical_norm,
-    exp_map,
-    geodesic_dist,
     log_map,
     parallel_transport,
-    representative,
-    tangent_project,
     trapezoid_weights,
     uniform_weights,
 )
@@ -87,10 +82,11 @@ class TestRepresentative:
             grid = irregular_grid(rng, 20)
             w = trapezoid_weights(grid)
             p = smooth_curve(rng, grid)
-            rep = representative(curve_from(p, grid, w), p, kind)
-            assert rep.rotation == pytest.approx(1.0)
-            pole_rep = PackedSample([w], ["pole"]).pole_rep(p, kind)
-            assert np.allclose(rep.values, pole_rep, atol=1e-12)
+            ps = PackedSample.of([curve_from(p, grid, w)])
+            pole_rep = ps.pole_rep(p, kind)
+            u, _ = ps.align(ps.y_c, pole_rep)
+            assert u[0] == pytest.approx(1.0)
+            assert np.allclose(ps.pole_rep(u[0] * ps.y_c, kind), pole_rep, atol=1e-12)
 
     def test_rotation_translation_invariance(self, rng):
         for kind in KINDS:
@@ -99,10 +95,12 @@ class TestRepresentative:
             p = smooth_curve(rng, grid)
             omega = 0.83
             y = np.exp(1j * omega) * p + (2.0 - 1.5j)
-            rep = representative(curve_from(y, grid, w), p, kind)
-            ref = representative(curve_from(p, grid, w), p, kind)
-            assert rep.rotation == pytest.approx(np.exp(-1j * omega), abs=1e-10)
-            assert np.allclose(rep.values, ref.values, atol=1e-10)
+            # the curve and the pole itself, aligned to the pole in one packed sample
+            ps = PackedSample.of([curve_from(y, grid, w), curve_from(p, grid, w)])
+            u, _ = ps.align(ps.y_c, ps.pole_rep(np.tile(p, 2), kind))
+            assert u[0] == pytest.approx(np.exp(-1j * omega), abs=1e-10)
+            rep = ps.pole_rep(u[ps.seg] * ps.y_c, kind)
+            assert np.allclose(rep[ps.seg == 0], rep[ps.seg == 1], atol=1e-10)
 
     def test_rotation_grid_search_oracle(self, rng):
         # aligned representative minimizes ||u y - p|| over all rotations
@@ -110,7 +108,8 @@ class TestRepresentative:
         w = trapezoid_weights(grid)
         p = smooth_curve(rng, grid)
         y = smooth_curve(rng, grid)
-        rep = representative(curve_from(y, grid, w), p, GeometryKind.FORM)
+        ps = PackedSample.of([curve_from(y, grid, w)])
+        u, _ = ps.align(ps.y_c, ps.pole_rep(p, GeometryKind.FORM))
         from shapeboost.geometry import center
 
         y_c, p_c = center(y, w), center(p, w)
@@ -118,15 +117,16 @@ class TestRepresentative:
             empirical_norm(np.exp(1j * om) * y_c - p_c, w)
             for om in np.linspace(0, 2 * np.pi, 3600, endpoint=False)
         )
-        assert empirical_norm(rep.values - p_c, w) <= best + 1e-6
+        assert empirical_norm(u[0] * ps.y_c - p_c, w) <= best + 1e-6
 
     def test_degenerate_alignment_raises(self):
         grid = np.array([0.0, 0.5, 1.0])
         w = uniform_weights(3)
         p = np.array([1.0 + 0j, 0.0, -1.0])
         y = np.array([1.0 + 0j, 0.0, 1.0])  # centered y is orthogonal to centered p
+        ps = PackedSample.of([curve_from(y, grid, w, "orth")])
         with pytest.raises(DegenerateAlignment):
-            representative(curve_from(y, grid, w, "orth"), p, GeometryKind.FORM)
+            ps.align(ps.y_c, ps.pole_rep(p, GeometryKind.FORM), "rotation alignment undefined")
 
 
 class TestGeodesicDist:
@@ -135,21 +135,26 @@ class TestGeodesicDist:
         w = trapezoid_weights(grid)
         p = smooth_curve(rng, grid)
         y = 2.5 * np.exp(0.7j) * p + (1 - 2j)
-        assert geodesic_dist(curve_from(y, grid, w), p, GeometryKind.SHAPE) == pytest.approx(0.0, abs=1e-8)
+        ps = PackedSample.of([curve_from(y, grid, w)])
+        _, d = ps.log(ps.pole_rep(p, GeometryKind.SHAPE), GeometryKind.SHAPE, what=None)
+        assert d[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_orthogonal_representatives_give_pi_half(self):
         grid = np.linspace(0, 1, 4)
         w = uniform_weights(4)
         p = np.array([1, 1j, -1, -1j], dtype=complex)
         y = np.array([1, -1j, -1, 1j], dtype=complex)  # <y, p> = 0 after centering
-        d = geodesic_dist(curve_from(y, grid, w), p, GeometryKind.SHAPE)
-        assert d == pytest.approx(np.pi / 2, abs=1e-10)
+        ps = PackedSample.of([curve_from(y, grid, w)])
+        # the distance stays defined where the aligning rotation is not: no alignment check
+        _, d = ps.log(ps.pole_rep(p, GeometryKind.SHAPE), GeometryKind.SHAPE, what=None)
+        assert d[0] == pytest.approx(np.pi / 2, abs=1e-10)
 
     def test_form_tangent_offset(self, rng):
         grid, w, p, beta = random_pole_and_tangent(rng, GeometryKind.FORM, k=40, norm=0.7)
         y = beta.pole_evals + beta.values
-        d = geodesic_dist(curve_from(y, grid, w), p, GeometryKind.FORM)
-        assert d == pytest.approx(0.7, abs=1e-8)
+        ps = PackedSample.of([curve_from(y, grid, w)])
+        _, d = ps.log(ps.pole_rep(p, GeometryKind.FORM), GeometryKind.FORM, what=None)
+        assert d[0] == pytest.approx(0.7, abs=1e-8)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
@@ -162,9 +167,9 @@ class TestGeodesicDist:
         u = np.exp(1j * rng.uniform(0, 2 * np.pi))
         gam = rng.normal() + 1j * rng.normal()
         for kind in KINDS:
-            d0 = geodesic_dist(curve_from(y, grid, w), p, kind)
             lam = rng.uniform(0.5, 2.0) if kind is GeometryKind.SHAPE else 1.0
-            d1 = geodesic_dist(curve_from(lam * u * y + gam, grid, w), p, kind)
+            ps = PackedSample.of([curve_from(y, grid, w), curve_from(lam * u * y + gam, grid, w)])
+            _, (d0, d1) = ps.log(ps.pole_rep(np.tile(p, 2), kind), kind, what=None)
             assert abs(d1 - d0) <= 1e-8 * max(1.0, d0)
 
 
@@ -172,27 +177,28 @@ class TestExpLog:
     def test_zero_tangent_is_identity(self, rng):
         for kind in KINDS:
             grid, w, p, beta = random_pole_and_tangent(rng, kind, k=25)
-            zero = TangentEvals(grid, np.zeros_like(beta.values), beta.pole_evals, kind, w)
-            assert np.allclose(exp_map(p, zero, kind), beta.pole_evals, atol=1e-12)
+            out = PackedSample([w], ["beta"]).exp(beta.pole_evals, np.zeros_like(beta.values), kind)
+            assert np.allclose(out, beta.pole_evals, atol=1e-12)
 
     def test_shape_quarter_circle(self, rng):
         grid, w, p, beta = random_pole_and_tangent(rng, GeometryKind.SHAPE, k=30, norm=np.pi / 2)
-        out = exp_map(p, beta, GeometryKind.SHAPE)
+        out = PackedSample([w], ["beta"]).exp(beta.pole_evals, beta.values, GeometryKind.SHAPE)
         assert np.allclose(out, beta.values / beta.norm() * (np.pi / 2) / (np.pi / 2), atol=1e-9)
 
     def test_exp_distance_matches_norm(self, rng):
         for kind in KINDS:
             for _ in range(25):
                 grid, w, p, beta = random_pole_and_tangent(rng, kind)
-                y = exp_map(p, beta, kind)
-                d = geodesic_dist(curve_from(y, grid, w), p, kind)
-                assert d == pytest.approx(beta.norm(), abs=1e-8)
+                y = PackedSample([w], ["beta"]).exp(beta.pole_evals, beta.values, kind)
+                ps = PackedSample.of([curve_from(y, grid, w)])
+                _, d = ps.log(ps.pole_rep(p, kind), kind, what=None)
+                assert d[0] == pytest.approx(beta.norm(), abs=1e-8)
 
     def test_cut_locus_rejected(self, rng):
         grid, w, p, beta = random_pole_and_tangent(rng, GeometryKind.SHAPE, k=20, norm=1.0)
-        big = TangentEvals(grid, beta.values * (np.pi / beta.norm()), beta.pole_evals, GeometryKind.SHAPE, w)
+        big = beta.values * (np.pi / beta.norm())
         with pytest.raises(GeometryError):
-            exp_map(p, big, GeometryKind.SHAPE)
+            PackedSample([w], ["beta"]).exp(beta.pole_evals, big, GeometryKind.SHAPE)
 
     def test_log_of_pole_is_zero(self, rng):
         for kind in KINDS:
@@ -208,7 +214,7 @@ class TestExpLog:
                 grid, w, p, beta = random_pole_and_tangent(rng, kind)
                 if kind is GeometryKind.SHAPE and beta.norm() > np.pi / 2 - 0.1:
                     continue
-                y = exp_map(p, beta, kind)
+                y = PackedSample([w], ["beta"]).exp(beta.pole_evals, beta.values, kind)
                 back = log_map(p, curve_from(y, grid, w), kind)
                 err = empirical_norm(back.values - beta.values, w)
                 assert err <= 1e-8 * max(1.0, beta.norm())
@@ -227,8 +233,9 @@ class TestExpLog:
             y = smooth_curve(rng, grid)
             lg = log_map(p, curve_from(y, grid, w), kind)
             lg.validate()
-            d = geodesic_dist(curve_from(y, grid, w), p, kind)
-            assert lg.norm() == pytest.approx(d, abs=1e-8)
+            ps = PackedSample.of([curve_from(y, grid, w)])
+            _, d = ps.log(ps.pole_rep(p, kind), kind, what=None)
+            assert lg.norm() == pytest.approx(d[0], abs=1e-8)
 
 
 class TestParallelTransport:
@@ -246,7 +253,9 @@ class TestParallelTransport:
                 p = smooth_curve(rng, grid)
                 y = smooth_curve(rng, grid)
                 lg = log_map(p, curve_from(y, grid, w), kind)
-                rep_y = representative(curve_from(y, grid, w), p, kind).values
+                ps = PackedSample.of([curve_from(y, grid, w)])
+                u, _ = ps.align(ps.y_c, ps.pole_rep(p, kind))
+                rep_y = ps.pole_rep(u[0] * ps.y_c, kind)
                 moved = parallel_transport(lg.pole_evals, rep_y, lg, kind)
                 # Log_y(p) expressed at the same aligned representative of [y]
                 back = log_map(rep_y, curve_from(p, grid, w), kind)
@@ -255,12 +264,11 @@ class TestParallelTransport:
     def test_norm_preservation_100_cases(self, rng):
         for _ in range(50):
             for kind in KINDS:
-                grid = irregular_grid(rng, int(rng.integers(4, 50)))
-                w = trapezoid_weights(grid)
-                p = smooth_curve(rng, grid)
-                y = smooth_curve(rng, grid)
-                eps = tangent_project(smooth_curve(rng, grid), y, w, kind, grid)
-                rep_p = representative(curve_from(p, grid, w), y, kind).values
+                # a random tangent eps at [y], and [p] aligned to y
+                grid, w, y, eps = random_pole_and_tangent(rng, kind, k=int(rng.integers(4, 50)))
+                ps = PackedSample.of([curve_from(smooth_curve(rng, grid), grid, w)])
+                u, _ = ps.align(ps.y_c, eps.pole_evals)
+                rep_p = ps.pole_rep(u[0] * ps.y_c, kind)
                 src = eps.pole_evals
                 out = parallel_transport(src, rep_p, eps, kind)
                 assert abs(out.norm() - eps.norm()) <= 1e-10 * max(1.0, eps.norm())
@@ -270,7 +278,7 @@ class TestParallelTransport:
         grid = np.linspace(0, 1, 4)
         w = uniform_weights(4)
         p = np.array([1, 1j, -1, -1j], dtype=complex)
-        eps = tangent_project(np.array([0, 1, 0, -1.0]), p, w, GeometryKind.SHAPE, grid)
+        eps = log_map(p, curve_from(np.array([0, 1, 0, -1.0]), grid, w), GeometryKind.SHAPE)
         with pytest.raises(AntipodalTransport):
             parallel_transport(eps.pole_evals, -eps.pole_evals, eps, GeometryKind.SHAPE)
 

@@ -624,6 +624,40 @@ class TestMalformedJsonInputs:
         err = capsys.readouterr().err
         assert str(bad) in err and "'effects'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "key, mutate",
+        [
+            ("weight_rule", lambda doc: doc.update(weight_rule="bogus")),
+            ("effects", lambda doc: doc["effects"][1]["cmap"].update(Zc=[[1.0]])),
+            ("effects", lambda doc: doc["effects"][1]["cmap"].update(Zc=None)),
+            ("effects", lambda doc: doc["effects"][1]["cmap"].update(margins=[])),
+            ("effects", lambda doc: doc["effects"][1]["cmap"].update(penalty=[[1.0]])),
+            ("effects", lambda doc: doc["effects"][0]["cmap"].update(levels=["a"])),
+            ("effects", lambda doc: doc["effects"][0]["cmap"].update(levels="ab")),
+            ("effects", lambda doc: doc["effects"][0].update({"lambda": "x"})),
+            ("effects", lambda doc: doc["effects"][0].update({"lambda": [1.0, float("nan")]})),
+            ("effects", lambda doc: doc["effects"][1].update({"lambda": [-1.0, 0.0]})),
+        ],
+        ids=["weight_rule", "Zc", "Zc_identity", "margins", "penalty", "levels", "levels_str", "lambda_str", "lambda_nan",
+             "lambda_neg"],
+    )
+    def test_inconsistent_model_exit2_in_every_reader(self, dataset, fitted, tmp_path, capsys, key, mutate):
+        # a bad weight rule used to exit 3 in predict and a mismatched covariate map to crash (exit 1)
+        base, curves, covars, truth, config = dataset
+        doc = json.loads(fitted.read_text())
+        mutate(doc)
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(doc))
+        commands = [
+            ["predict", str(bad), str(covars), str(tmp_path / "pred.csv")],
+            ["factorize", str(bad), str(curves), str(covars), str(tmp_path / "report.json")],
+            ["eval", str(bad), str(curves), str(covars), str(truth), str(tmp_path / "rmse.csv")],
+        ]
+        for argv in commands:
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert str(bad) in err and f"'{key}'" in err, (argv[0], err)
+
     def test_eval_truth_with_mismatched_field_exit2(self, dataset, fitted, tmp_path, capsys):
         # a field of the wrong shape used to crash in the truth evaluation
         doc = json.loads(dataset[3].read_text())

@@ -3,7 +3,7 @@ import pytest
 
 from shapeboost.boost import BoostConfig, boost_fit, estimate_pole, rmse_effect
 from shapeboost.effects import EffectError, EffectSpec
-from shapeboost.geometry import GeometryKind, geodesic_dist
+from shapeboost.geometry import GeometryKind, PackedSample
 from shapeboost.simulate import (
     BATCH_ANGLES,
     SimConfig,
@@ -97,12 +97,13 @@ class TestGenDataset:
         cfg_frame = SimConfig(n=36, k_bar=25, kind="shape", seed=13, pre_aligned=False)
         s_pre, _, t_pre = gen_dataset(TRUTH, cfg_pre)
         s_frame, _, t_frame = gen_dataset(TRUTH, cfg_frame)
-        for i in range(36):
-            # conditional mean representative on this grid
-            mu = t_pre.pole_evals[i] + 0  # pole rep; distances to the pole suffice
-            d0 = geodesic_dist(s_pre[i], mu, GeometryKind.SHAPE)
-            d1 = geodesic_dist(s_frame[i], mu, GeometryKind.SHAPE)
-            assert abs(d0 - d1) <= 1e-8 * max(1.0, d0)
+        # distances of every curve to the pole; the pole's representative suffices
+        mu = np.concatenate(t_pre.pole_evals)
+        d0, d1 = (
+            ps.log(ps.pole_rep(mu, GeometryKind.SHAPE), GeometryKind.SHAPE, what=None)[1]
+            for ps in (PackedSample.of(s_pre), PackedSample.of(s_frame))
+        )
+        assert np.all(np.abs(d0 - d1) <= 1e-8 * np.maximum(1.0, d0))
 
     def test_empty_pool_rejected(self):
         cfg = SimConfig(n=18, k_bar=10, kind="form", seed=1)
@@ -132,7 +133,9 @@ class TestNoiselessIdentifiability:
         # noiseless data reproduce the conditional means exactly
         for i in (0, 7, 20):
             mu = dtruth.pole_evals[i] + dtruth.total_evals[i]
-            assert geodesic_dist(sample[i], mu, GeometryKind.FORM) <= 1e-10
+            ps = PackedSample.of([sample[i]])
+            _, d = ps.log(ps.pole_rep(mu, GeometryKind.FORM), GeometryKind.FORM, what=None)
+            assert d[0] <= 1e-10
         effects = [
             EffectSpec(name=e.name, kind=e.kind, covariates=e.covariates,
                        covariate_basis=e.covariate_basis, df_target=500.0,
