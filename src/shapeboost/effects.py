@@ -243,6 +243,11 @@ class CovariateMap:
             raise EffectError(f"{label}: a {kind} map needs {n_margins} spline margins, got {len(cmap.margins)}")
         if kind == "categorical" and not (isinstance(cmap.levels, list) and len(cmap.levels) >= 2):
             raise EffectError(f"{label}: a categorical map needs >= 2 levels, got {cmap.levels!r}")
+        z_mean = cmap.z_mean
+        if kind == "linear" and not (
+            isinstance(z_mean, (int, float)) and not isinstance(z_mean, bool) and math.isfinite(z_mean)
+        ):
+            raise EffectError(f"{label}: a linear map needs a finite number z_mean, got {z_mean!r}")
         raw_dim = len(cmap.levels) - 1 if kind == "categorical" else math.prod(m.basis.dim for m in cmap.margins)
         zc_shape = (raw_dim, raw_dim) if cmap.Zc is None else cmap.Zc.shape  # no Zc: the identity
         if zc_shape != (raw_dim, cmap.m_j):
@@ -472,6 +477,21 @@ def _kron_rotate(Psi: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return T.transpose(2, 1, 3, 0).reshape(mj * m, mj * m)
 
 
+def _kron_sum_abs_max(P_cov: np.ndarray, P_tan: np.ndarray) -> float:
+    """max |S| of the unit-scale ``KronPenalty(1, 1, P_cov, P_tan).materialize()``, from its factors.
+
+    S has P_cov[i, i] + P_tan[k, k] on its diagonal, the off-diagonal
+    entries of the symmetric parts of P_cov and P_tan elsewhere, and zeros;
+    for finite factors the maximum equals the materialized one bit for bit.
+    """
+    scale = np.abs(np.diag(P_cov)[:, None] + np.diag(P_tan)[None, :]).max()
+    for P in (P_cov, P_tan):
+        sym = np.abs(0.5 * (P + P.T))
+        np.fill_diagonal(sym, 0.0)
+        scale = max(scale, sym.max())
+    return float(scale)
+
+
 def df_to_lambda(
     Psi: np.ndarray,
     P_cov: np.ndarray,
@@ -493,7 +513,7 @@ def df_to_lambda(
     a, U = np.linalg.eigh(P_cov)
     b, V = np.linalg.eigh(P_tan)
     s = (a[:, None] + b[None, :]).reshape(-1)
-    s_scale = float(np.abs(KronPenalty(1.0, 1.0, P_cov, P_tan).materialize()).max())
+    s_scale = _kron_sum_abs_max(P_cov, P_tan)
     if s_scale == 0.0:
         s = np.ones_like(s)
     elif s.min() < 1e-10 * s_scale:

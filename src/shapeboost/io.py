@@ -17,7 +17,7 @@ import functools
 import hashlib
 import json
 import math
-from itertools import repeat
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -142,17 +142,39 @@ def read_curves(
     return curves, landmark
 
 
+def _float_texts(col: np.ndarray) -> list[str]:
+    """``repr`` of every float of a 1-D array, from one ``repr`` of the whole list."""
+    return repr(col.tolist())[1:-1].split(", ") if col.size else []
+
+
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it inside a row (QUOTE_MINIMAL)."""
+    buf = StringIO(newline="")
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def write_curves(path: str | Path, rows: list[tuple[str, np.ndarray, np.ndarray]], comment: str | None = None) -> None:
-    """Write curves as long CSV (curve_id,t,re,im)."""
+    """Write curves as long CSV (curve_id,t,re,im).
+
+    The bytes are those of ``csv.writer`` with ``repr`` of every float: rows
+    end in CRLF and floats are shortest round-trip text.  Each column is
+    formatted in one pass, a grid object shared by consecutive rows only
+    once, and each curve goes to the file in one write.
+    """
+    last_grid, grid_text = None, []
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["curve_id", "t", "re", "im"])
+        fh.write("curve_id,t,re,im\r\n")
         for cid, grid, values in rows:
+            if grid is not last_grid:
+                last_grid, grid_text = grid, _float_texts(np.asarray(grid, dtype=float))
             values = np.asarray(values, dtype=complex)
-            columns = (np.asarray(grid, dtype=float).tolist(), values.real.tolist(), values.imag.tolist())
-            writer.writerows(zip(repeat(cid), *(map(repr, col) for col in columns)))
+            lines = list(map(",".join, zip(grid_text, _float_texts(values.real), _float_texts(values.imag))))
+            if lines:
+                head = _csv_field(cid) + ","
+                fh.write(head + ("\r\n" + head).join(lines) + "\r\n")
 
 
 def read_covariate_table(path: str | Path) -> tuple[list[str], dict[str, np.ndarray]]:

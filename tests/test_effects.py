@@ -12,6 +12,7 @@ from shapeboost.effects import (
     EffectSpec,
     KronPenalty,
     PlsLearner,
+    _kron_sum_abs_max,
     assemble_psi_matrix,
     assemble_psi_vector,
     covariate_design,
@@ -427,6 +428,21 @@ class TestDfCalibrationMatchesDense:
         for target in (1.5, 4.0, 0.5 * mj * m):
             lam, lam_tan = df_to_lambda(Psi, P_cov, P_tan, target)
             assert lam == lam_tan == dense_df_to_lambda(Psi, P_cov, P_tan, target)
+
+    def test_penalty_scale_from_factors_equals_materialized(self):
+        # df_to_lambda reads max |S| from the factors; the dense S gives the same float
+        rng = np.random.default_rng(17)
+        for trial in range(400):
+            mj, m = (int(d) for d in rng.integers(1, 9, size=2) * (1, 3))
+            P_cov, P_tan = (rng.normal(size=(d, d)) * 10.0 ** rng.integers(-6, 6) for d in (mj, m))
+            if trial % 4 == 0:
+                P_cov = np.zeros((mj, mj))
+            elif trial % 4 == 1:
+                P_tan = np.zeros((m, m))
+            elif trial % 4 == 2:  # symmetric positive semi-definite, as the learners' penalties
+                P_cov, P_tan = P_cov @ P_cov.T, P_tan @ P_tan.T
+            S = KronPenalty(1.0, 1.0, P_cov, P_tan).materialize()
+            assert _kron_sum_abs_max(P_cov, P_tan) == float(np.abs(S).max()), (trial, mj, m)
 
 
 class TestDfCalibration:

@@ -99,6 +99,19 @@ def _with_covariate(covars, tmp_path, column, value):
     return bad
 
 
+def _csv_reference(rows, comment=None):
+    """Bytes of the curve file as ``csv.writer`` writes it with ``repr`` of every float."""
+    expected = io.StringIO(newline="")
+    if comment:
+        expected.write(f"# {comment}\n")
+    writer = csv.writer(expected)
+    writer.writerow(["curve_id", "t", "re", "im"])
+    for cid, g, v in rows:
+        for t, z in zip(g, v):
+            writer.writerow([cid, repr(float(t)), repr(float(z.real)), repr(float(z.imag))])
+    return expected.getvalue().encode()
+
+
 class TestCurveFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -108,8 +121,8 @@ class TestCurveFiles:
         curves, landmark = sbio.read_curves(path)
         assert not landmark
         assert curves[0].id == "a"
-        assert np.allclose(curves[0].grid, grid)
-        assert np.allclose(curves[0].values, vals)
+        assert np.array_equal(curves[0].grid, grid)
+        assert np.array_equal(curves[0].values, vals)
 
     def test_write_bytes_match_per_row_formatter(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -127,6 +140,25 @@ class TestCurveFiles:
             for t, z in zip(g, v):
                 writer.writerow([cid, repr(float(t)), repr(float(z.real)), repr(float(z.imag))])
         assert path.read_bytes() == expected.getvalue().encode()
+
+    @pytest.mark.parametrize("case", ["shared_grid", "equal_grids", "quoted_ids", "no_rows"])
+    def test_write_bytes_match_reference(self, tmp_path, case):
+        rng = np.random.default_rng(5)
+        grid = np.sort(rng.uniform(0, 1, 40))
+        other = np.linspace(0.0, 1.0, 7)
+        ids = [f"c{i}" for i in range(12)]
+        grids = {
+            "shared_grid": [grid if i % 3 else other for i in range(12)],  # two grid objects, interleaved
+            "equal_grids": [grid.copy() for _ in range(12)],
+            "quoted_ids": [grid] * 6,
+            "no_rows": [],
+        }[case]
+        if case == "quoted_ids":
+            ids = ["a,b", 'say "hi"', "cr\rx", "lf\nx", "crlf\r\n", ""]
+        rows = [(cid, g, rng.normal(size=g.size) + 1j * rng.normal(size=g.size)) for cid, g in zip(ids, grids)]
+        path = tmp_path / "c.csv"
+        sbio.write_curves(path, rows, comment="config=abc")
+        assert path.read_bytes() == _csv_reference(rows, comment="config=abc")
 
     def test_landmark_mode(self, tmp_path):
         path = tmp_path / "lm.csv"
@@ -562,6 +594,15 @@ class TestSingleConfigParse:
         assert main(["fit", str(curves), str(covars), str(tmp_path / "c.json"), str(tmp_path / "m.json")]) == 2
 
 
+def _as_linear(doc, z_mean):
+    """Turn the model's smooth effect on z1 into a consistent linear one with the given ``z_mean``."""
+    eff = doc["effects"][1]
+    eff["cmap"].update(m_j=1, penalty=[[1.0]], Zc=None, margins=[], z_mean=z_mean)
+    eff["cmap"]["spec"].update(kind="linear")
+    eff["cmap"]["spec"].pop("covariate_basis", None)
+    eff["theta"] = [[0.0] for _ in eff["theta"]]
+
+
 class TestMalformedJsonInputs:
     def _eval(self, dataset, fitted, tmp_path, truth_file):
         base, curves, covars, truth, config = dataset
@@ -637,9 +678,11 @@ class TestMalformedJsonInputs:
             ("effects", lambda doc: doc["effects"][0].update({"lambda": "x"})),
             ("effects", lambda doc: doc["effects"][0].update({"lambda": [1.0, float("nan")]})),
             ("effects", lambda doc: doc["effects"][1].update({"lambda": [-1.0, 0.0]})),
+            ("effects", lambda doc: _as_linear(doc, None)),
+            ("effects", lambda doc: _as_linear(doc, float("nan"))),
         ],
         ids=["weight_rule", "Zc", "Zc_identity", "margins", "penalty", "levels", "levels_str", "lambda_str", "lambda_nan",
-             "lambda_neg"],
+             "lambda_neg", "z_mean_null", "z_mean_nan"],
     )
     def test_inconsistent_model_exit2_in_every_reader(self, dataset, fitted, tmp_path, capsys, key, mutate):
         # a bad weight rule used to exit 3 in predict and a mismatched covariate map to crash (exit 1)
@@ -657,6 +700,15 @@ class TestMalformedJsonInputs:
             assert main(argv) == 2, argv[0]
             err = capsys.readouterr().err
             assert str(bad) in err and f"'{key}'" in err, (argv[0], err)
+
+    def test_linear_map_with_finite_z_mean_predicts(self, dataset, fitted, tmp_path):
+        # control for the z_mean cases above: the same linear map with a number loads and predicts
+        base, curves, covars, truth, config = dataset
+        doc = json.loads(fitted.read_text())
+        _as_linear(doc, 0.25)
+        good = tmp_path / "m.json"
+        good.write_text(json.dumps(doc))
+        assert main(["predict", str(good), str(covars), str(tmp_path / "pred.csv")]) == 0
 
     def test_eval_truth_with_mismatched_field_exit2(self, dataset, fitted, tmp_path, capsys):
         # a field of the wrong shape used to crash in the truth evaluation
