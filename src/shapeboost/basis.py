@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import CurveSample, GeometryError, GeometryKind, PackedSample, center, empirical_norm
+from .geometry import CurveSample, DesignBand, GeometryError, GeometryKind, PackedSample, center, empirical_norm
 
 __all__ = [
     "SplineConfig",
@@ -137,17 +137,19 @@ class BSplineBasis:
             self.knots = np.concatenate([np.zeros(d + 1), interior, np.ones(d + 1)])
             self.dim = self.knots.size - d - 1
 
-    def design(self, t: np.ndarray) -> np.ndarray:
-        """Design matrix of basis evaluations, shape (len(t), dim).
+    def band(self, t: np.ndarray) -> DesignBand:
+        """Band of the design matrix at points t: d + 1 columns and values per point.
 
         Cyclic bases evaluate t modulo 1, so rows at t and t + 1 coincide.
         Each row holds the d + 1 values of ``_de_boor`` at consecutive columns,
         wrapped modulo dim on cyclic bases; d + 1 <= dim makes the wrapped
-        columns distinct, so wrapping is exact.
+        columns distinct.  A point on a knot keeps the slot of the basis
+        function that vanishes there, with value 0.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        d = self.cfg.degree
         if t.size == 0:
-            return np.zeros((0, self.dim))
+            return DesignBand(np.zeros((0, d + 1), dtype=int), np.zeros((0, d + 1)), self.dim)
         lo, hi = t.min(), t.max()  # NaN and +-inf show in these
         if not (np.isfinite(lo) and np.isfinite(hi)):
             bad = np.flatnonzero(~np.isfinite(t))[0]
@@ -158,14 +160,15 @@ class BSplineBasis:
             raise GeometryError("evaluation points outside [0, 1]")
         elif lo < 0.0 or hi > 1.0:
             t = np.clip(t, 0.0, 1.0)
-        d = self.cfg.degree
         values, last = _de_boor(self.knots, d, t)
-        cols = last + np.arange(-d, 1)[:, None]
+        cols = last[:, None] + np.arange(-d, 1)
         if self.cfg.cyclic:
             cols %= self.dim
-        out = np.zeros((t.size, self.dim))
-        out[np.arange(t.size), cols] = values
-        return out
+        return DesignBand(cols, np.ascontiguousarray(values.T), self.dim)
+
+    def design(self, t: np.ndarray) -> np.ndarray:
+        """Design matrix of basis evaluations, shape (len(t), dim): the dense ``band``."""
+        return self.band(t).dense()
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -252,13 +255,13 @@ def curve_design(basis: BSplineBasis, curve: CurveSample, coef_mode: bool = Fals
     return basis.design(curve.grid)
 
 
-def sample_design(basis: BSplineBasis, curves: list[CurveSample], coef_mode: bool = False) -> np.ndarray:
-    """Stacked response design of a whole sample: every curve's ``curve_design``, curve after curve."""
+def sample_design(basis: BSplineBasis, curves: list[CurveSample], coef_mode: bool = False) -> DesignBand:
+    """Band of the stacked response design of a whole sample: every curve's ``curve_design``, curve after curve."""
     if coef_mode:
         for curve in curves:
             curve_design(basis, curve, coef_mode=True)  # checks k == basis dim
-        return np.tile(np.eye(basis.dim), (len(curves), 1))
-    return basis.design(np.concatenate([c.grid for c in curves]))
+        return DesignBand.identity(basis.dim, len(curves))
+    return basis.band(np.concatenate([c.grid for c in curves]))
 
 
 @dataclass(frozen=True)
@@ -280,10 +283,10 @@ def center_pole(pole: PoleCoef, packed: PackedSample) -> PoleCoef:
 
     Uses partition of unity: subtracting a multiple of the all-ones coefficient
     vector shifts every evaluation by that constant.  ``packed`` carries the
-    sample's stacked design.
+    band of the sample's stacked design.
     """
-    ones = packed.design @ np.ones(pole.basis.dim)
-    num = np.sum(packed.inner(ones, packed.design @ pole.coef))
+    ones = packed.band @ np.ones(pole.basis.dim)
+    num = np.sum(packed.inner(ones, packed.band @ pole.coef))
     den = np.sum(packed.inner(ones, ones).real)
     return PoleCoef(coef=pole.coef - (num / den) * np.ones(pole.basis.dim), basis=pole.basis)
 

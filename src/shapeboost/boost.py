@@ -51,6 +51,7 @@ from .geometry import (
     WEIGHT_RULES,
     CurveSample,
     DegenerateAlignment,
+    DesignBand,
     GeometryError,
     GeometryKind,
     PackedSample,
@@ -65,6 +66,7 @@ __all__ = [
     "ResidualSet",
     "CvResult",
     "FitDiverged",
+    "ModelError",
     "estimate_pole",
     "boost_fit",
     "cv_early_stop",
@@ -78,11 +80,20 @@ __all__ = [
 log = logging.getLogger("shapeboost")
 
 POLE_REL_TOL = 1e-8
+ORTHONORMAL_TOL = 1e-8
 PREDICT_BLOCK_POINTS = 4096
 
 
 class FitDiverged(RuntimeError):
     """Numerical failure during fitting (NaN risk or cut-locus overshoot)."""
+
+
+class ModelError(EffectError):
+    """Fields of a fitted model that disagree; ``key`` names the offending field."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass
@@ -149,7 +160,19 @@ class FittedModel:
 
     def __post_init__(self):
         if self.weight_rule not in WEIGHT_RULES:
-            raise EffectError(f"unknown weight rule {self.weight_rule!r}")
+            raise ModelError("weight_rule", f"unknown weight rule {self.weight_rule!r}")
+        Z = self.transform.Z
+        off = float(np.abs(Z.T @ Z - np.eye(Z.shape[1])).max(initial=0.0))
+        if not off <= ORTHONORMAL_TOL:
+            raise ModelError("transform", f"columns are not orthonormal: max |Z^T Z - I| = {off:.3g}")
+        sel, iterations = np.asarray(self.selection_trace), len(self.risk_trace) - 1
+        if sel.shape != (iterations,):
+            raise ModelError("selection_trace", f"shape {sel.shape}, expected ({iterations},) from the risk trace")
+        unknown = sel[(sel < 0) | (sel >= len(self.effects))]
+        if unknown.size:
+            raise ModelError("selection_trace", f"index {unknown[0]} names no effect ({len(self.effects)} effects)")
+        if not 0 <= self.m_stop <= iterations:
+            raise ModelError("m_stop", f"{self.m_stop} is not an iteration of the risk trace (0 to {iterations})")
 
     @property
     def basis(self) -> BSplineBasis:
@@ -196,22 +219,24 @@ class _PoleSample:
     """A packed sample seen from one pole: pole representatives and tangent directions.
 
     Tangent coefficients c (m,) map to basis coefficients Z_c c and through
-    the stacked response design to evaluations, so the per-curve tangent
-    designs D_i = B_i Z_c are never formed.  Without a transform, the tangent
-    space is the null space of the constraints at the pole.
+    the band of the stacked response design to evaluations, so the per-curve
+    tangent designs D_i = B_i Z_c are never formed.  Without a transform, the
+    tangent space is the null space of the constraints at the pole.  The pole
+    representative and its norms are computed once.
     """
 
     def __init__(self, sample: list[CurveSample], packed: PackedSample, pole: PoleCoef, kind: GeometryKind,
                  transform: TangentTransform | None = None):
         if transform is None:
-            designs = np.split(packed.design, packed.offsets[1:-1])
+            designs = np.split(packed.band.dense(), packed.offsets[1:-1])
             transform = nullspace_transform(constraint_matrix(sample, pole, kind, designs=designs))
         self.packed = packed
         self.pole = pole
         self.kind = kind
         self.transform = transform
         self.Zc = transform.complex_columns
-        self.p_rep = packed.pole_rep(packed.design @ pole.coef, kind)
+        self.p_rep = packed.pole_rep(packed.band @ pole.coef, kind)
+        self.p_norm = packed.norm(self.p_rep)
 
     @classmethod
     def of(cls, sample: list[CurveSample], pole: PoleCoef, kind: GeometryKind, coef_mode: bool, transform=None):
@@ -229,8 +254,10 @@ class _PoleSample:
     def residuals(self, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Transported residuals Transp(Log_[mu_i] [y_i]) at the pole, mu_i = Exp_[p](h_i), and distances d_i."""
         mu = self.means(coefs)
-        eps, d = self.packed.log(mu, self.kind, what="alignment to the current mean is degenerate")
-        eps = self.packed.transport(mu, self.p_rep, eps, self.kind, what="antipodal transport in residual step")
+        mn = self.packed.norm(mu)  # shared by the Log's alignment and the transport
+        eps, d = self.packed.log(mu, self.kind, what="alignment to the current mean is degenerate", base_norm=mn)
+        eps = self.packed.transport(mu, self.p_rep, eps, self.kind, what="antipodal transport in residual step",
+                                    norms=(mn, self.p_norm))
         return eps, d
 
     def distances(self, coefs: np.ndarray) -> np.ndarray:
@@ -321,14 +348,14 @@ def estimate_pole(
     packed = PackedSample.of(sample, sample_design(bas, sample, config.coef_mode))
 
     ref_coef = _penalized_spline_fit(packed, packed.values, np.arange(packed.n) == 0, bas)
-    u, skipped = packed.align(packed.y_c, packed.center(packed.design @ ref_coef))
+    u, skipped = packed.align(packed.y_c, packed.center(packed.band @ ref_coef))
     for i in np.flatnonzero(skipped):
         warnings.warn(f"curve {sample[i].id!r}: skipped in preliminary pole (degenerate alignment)", stacklevel=2)
     if skipped.all():
         raise DegenerateAlignment("no curve could be aligned for the preliminary pole")
     reps = u[packed.seg] * packed.y_c
     if kind is GeometryKind.SHAPE:
-        reps = reps / packed.norm(packed.y_c)[packed.seg]
+        reps = reps / packed.y_norm[packed.seg]
     p0_coef = _penalized_spline_fit(packed, reps, ~skipped, bas)
     pole = center_pole(PoleCoef(coef=p0_coef, basis=bas), packed)
 
@@ -367,7 +394,7 @@ def estimate_pole(
             coef = pole.coef + F
         else:
             # product-space normalization of the current pole
-            scale = np.sqrt(np.mean(packed.norm(packed.center(packed.design @ pole.coef)) ** 2))
+            scale = np.sqrt(np.mean(packed.norm(packed.center(packed.band @ pole.coef)) ** 2))
             p_hat = pole.coef / scale
             coef = p_hat if n0 < 1e-14 else np.cos(n0) * p_hat + np.sin(n0) * F / n0
         pole = center_pole(PoleCoef(coef=coef, basis=bas), packed)
@@ -570,11 +597,11 @@ def predict_means(
     for lo in range(0, n, step):
         rows = range(lo, min(lo + step, n))
         if model.coef_mode:
-            B = np.tile(np.eye(model.basis.dim), (len(rows), 1))
+            band = DesignBand.identity(model.basis.dim, len(rows))
         else:
-            B = model.basis.design(np.concatenate([grids[i] for i in rows]))
-        packed = PackedSample([weights[i] for i in rows], [f"prediction row {i}" for i in rows], design=B)
-        p_rep = packed.pole_rep(B @ model.pole.coef, model.kind)
+            band = model.basis.band(np.concatenate([grids[i] for i in rows]))
+        packed = PackedSample([weights[i] for i in rows], [f"prediction row {i}" for i in rows], band=band)
+        p_rep = packed.pole_rep(band @ model.pole.coef, model.kind)
         means += np.split(packed.exp(p_rep, packed.field(fields[lo : lo + step]), model.kind), packed.offsets[1:-1])
     return means
 

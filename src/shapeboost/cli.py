@@ -250,7 +250,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         name: packed.field(maps[name].design(covariates, n) @ (V[:m0] + 1j * V[m0:]).T) for name, V in fields.items()
     }
     total_evals = np.split(sum(effect_evals.values(), zero), cuts)
-    pole_evals = np.split(packed.design @ tpole.coef, cuts)
+    pole_evals = np.split(packed.band @ tpole.coef, cuts)
     results = []
     for eff in model.effects:
         name = eff.spec.name

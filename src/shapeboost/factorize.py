@@ -150,7 +150,7 @@ def _tangent_design_stack(model: FittedModel, sample: list[CurveSample]) -> np.n
     followed by the imaginary ones.
     """
     packed = _model_sample(model, sample).packed
-    SD = packed.whiten(packed.design @ model.transform.complex_columns)
+    SD = packed.whiten(packed.band @ model.transform.complex_columns)
     rows = np.arange(SD.shape[0])
     A0 = np.empty((2 * SD.shape[0], SD.shape[1]))
     A0[rows + packed.offsets[packed.seg]] = SD.real

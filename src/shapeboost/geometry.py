@@ -28,6 +28,7 @@ import numpy as np
 __all__ = [
     "GeometryKind",
     "CurveSample",
+    "DesignBand",
     "PackedSample",
     "TangentEvals",
     "GeometryError",
@@ -289,6 +290,33 @@ class TangentEvals:
             )
 
 
+@dataclass(frozen=True)
+class DesignBand:
+    """Nonzero band of a stacked real design of shape (N, dim): row r is sum_j vals[r, j] e_cols[r, j].
+
+    ``cols`` and ``vals`` have shape (N, width); a slot of value 0 adds nothing.
+    """
+
+    cols: np.ndarray
+    vals: np.ndarray
+    dim: int
+
+    @classmethod
+    def identity(cls, dim: int, n: int) -> "DesignBand":
+        """n stacked dim x dim identities: the design of coefficient-level curves."""
+        return cls(np.tile(np.arange(dim), n)[:, None], np.ones((n * dim, 1)), dim)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """B x for one coefficient vector (dim,) or matrix (dim, c)."""
+        x = np.asarray(x)
+        return (self.vals.reshape(self.vals.shape + (1,) * (x.ndim - 1)) * x[self.cols]).sum(axis=1)
+
+    def dense(self) -> np.ndarray:
+        """The design matrix, (N, dim)."""
+        flat = self.cols + self.dim * np.arange(self.cols.shape[0])[:, None]
+        return np.bincount(flat.ravel(), self.vals.ravel(), self.cols.shape[0] * self.dim).reshape(-1, self.dim)
+
+
 _ALIGN_FAILED = "rotation alignment undefined, |<y, p>| = {:.3e} below threshold"
 _ANTIPODAL = "transport undefined: <y, p> = {:.6f} ~ -||y|| ||p||"
 
@@ -298,11 +326,12 @@ class PackedSample:
 
     The rows of curve i are ``offsets[i]:offsets[i + 1]``; ``seg`` maps rows
     to curves.  Weights are a concatenated vector ``w`` or an ``(n, k, k)``
-    stack ``W`` of SPD matrices (every curve then has the same k).  ``values``
-    and ``y_c`` are the raw and centered observations, ``design`` the stacked
-    response design, each when given.  Exp, Log, parallel transport and
-    geodesic distance act on all curves at once; per-curve scalars come back
-    as ``(n,)`` arrays.  A failed check raises for the first offending curve.
+    stack ``W`` of SPD matrices (every curve then has the same k).  ``values``,
+    ``y_c`` and ``y_norm`` are the raw and centered observations and the
+    norms of the latter, ``band`` the stacked response design, each when
+    given.  Exp, Log, parallel transport and geodesic distance act on all
+    curves at once; per-curve scalars come back as ``(n,)`` arrays.  A failed
+    check raises for the first offending curve.
     """
 
     def __init__(
@@ -310,7 +339,7 @@ class PackedSample:
         weights: list[np.ndarray],
         labels: list[str],
         values: list[np.ndarray] | None = None,
-        design: np.ndarray | None = None,
+        band: DesignBand | None = None,
     ):
         if not weights:
             raise GeometryError("a packed sample needs at least one curve")
@@ -334,14 +363,18 @@ class PackedSample:
             raise GeometryError("a sample cannot mix diagonal and full weight matrices")
         self._ones_w = ones_w
         self._ones_ww = self.segsum(ones_w)
-        self.design = design
+        self.band = band
+        if band is not None:
+            self._bins = self.seg[:, None] * band.dim + band.cols  # flat (curve, column) index of every slot
+            self._pair_bins = (2 * self._bins[:, :, None] + np.arange(2)).ravel()  # and of its (re, im) parts
         self.values = None if values is None else np.concatenate(values).astype(complex)
         self.y_c = None if values is None else self.center(self.values)
+        self.y_norm = None if values is None else self.norm(self.y_c)
 
     @classmethod
-    def of(cls, curves: list[CurveSample], design: np.ndarray | None = None) -> "PackedSample":
-        """Pack a sample of curves, optionally with its stacked response design."""
-        return cls([c.weights for c in curves], [f"curve {c.id!r}" for c in curves], [c.values for c in curves], design)
+    def of(cls, curves: list[CurveSample], band: DesignBand | None = None) -> "PackedSample":
+        """Pack a sample of curves, optionally with the band of its stacked response design."""
+        return cls([c.weights for c in curves], [f"curve {c.id!r}" for c in curves], [c.values for c in curves], band)
 
     # -- segment arithmetic ------------------------------------------------
 
@@ -354,6 +387,10 @@ class PackedSample:
         if self.W is None:
             return (self.w if x.ndim == 1 else self.w[:, None]) * x
         n, k = self.W.shape[:2]
+        if np.iscomplexobj(x):
+            # real arithmetic on the (re, im) pairs: W is not copied to complex
+            xr = np.ascontiguousarray(x).view(float)
+            return (self.W @ xr.reshape(n, k, -1)).reshape(xr.shape).view(complex)
         return (self.W @ x.reshape(n, k, -1)).reshape(x.shape)
 
     def whiten(self, x: np.ndarray) -> np.ndarray:
@@ -384,26 +421,26 @@ class PackedSample:
     # -- basis-coefficient space -------------------------------------------
 
     def field(self, coef: np.ndarray) -> np.ndarray:
-        """Evaluations B_i f_i of per-curve complex basis coefficients f (n, m0)."""
-        return (self.design * coef[self.seg]).sum(axis=1)
+        """Evaluations B_i f_i of per-curve complex basis coefficients f (n, m0), gathered over the band."""
+        return (self.band.vals * coef.reshape(-1)[self._bins]).sum(axis=1)
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """Per-curve B_i^T W_i v_i, shape (n, m0)."""
-        return self.segsum(self.design * self.weigh(v)[:, None])
+        """Per-curve B_i^T W_i v_i, shape (n, m0), summed into the band's columns."""
+        x = (self.band.vals * self.weigh(np.asarray(v, dtype=complex))[:, None]).view(float).ravel()
+        return np.bincount(self._pair_bins, x, 2 * self.n * self.band.dim).view(complex).reshape(self.n, -1)
 
     def design_grams(self) -> np.ndarray:
-        """Per-curve B_i^T W_i B_i, shape (n, m0, m0), in one batched product.
-
-        Diagonal weights zero-pad the whitened designs to the longest curve.
-        """
-        B = self.design
-        if self.W is not None:
-            Bs = B.reshape(self.n, self.W.shape[1], -1)
-            return Bs.transpose(0, 2, 1) @ (self.W @ Bs)
-        rows = np.arange(B.shape[0]) - self.offsets[self.seg]
-        padded = np.zeros((self.n, int(np.diff(self.offsets).max()), B.shape[1]))
-        padded[self.seg, rows] = self.whiten(B)
-        return padded.transpose(0, 2, 1) @ padded
+        """Per-curve B_i^T W_i B_i, shape (n, m0, m0), summed from products of band slots."""
+        cols, vals, m0 = self.band.cols, self.band.vals, self.band.dim
+        if self.W is None:
+            prods = self.w[:, None, None] * (vals[:, :, None] * vals[:, None, :])
+            rows = self._bins[:, :, None] * m0 + cols[:, None, :]
+        else:
+            n, k = self.W.shape[:2]
+            c, v, b = cols.reshape(n, k, -1), vals.reshape(n, k, -1), self._bins.reshape(n, k, -1)
+            prods = v[:, :, :, None, None] * self.W[:, :, None, :, None] * v[:, None, None, :, :]
+            rows = b[:, :, :, None, None] * m0 + c[:, None, None, :, :]
+        return np.bincount(rows.ravel(), prods.ravel(), self.n * m0 * m0).reshape(self.n, m0, m0)
 
     # -- geometry ----------------------------------------------------------
 
@@ -414,17 +451,19 @@ class PackedSample:
         self.check(pn <= 0, DegenerateAlignment, "pole degenerate on this grid")
         return p / pn[self.seg] if kind is GeometryKind.SHAPE else p
 
-    def align(self, a: np.ndarray, target: np.ndarray, what: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def align(self, a: np.ndarray, target: np.ndarray, what: str | None = None,
+              norms: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Rotations u_i making <u_i a_i, target_i> real and positive.
 
         Returns u (n,) and the mask of curves where |<a, target>| is below
-        ``ALIGN_TOL`` relative to the two norms; u = 1 where the inner
-        product vanishes.  With ``what`` given, a flagged curve raises
-        DegenerateAlignment with that message.
+        ``ALIGN_TOL`` relative to the two norms (``norms``, when the caller
+        has them); u = 1 where the inner product vanishes.  With ``what``
+        given, a flagged curve raises DegenerateAlignment with that message.
         """
         ip = self.inner(a, target)
         aip = np.abs(ip)
-        bad = aip < ALIGN_TOL * self.norm(a) * self.norm(target)
+        na, nt = (self.norm(a), self.norm(target)) if norms is None else norms
+        bad = aip < ALIGN_TOL * na * nt
         if what is not None:
             self.check(bad, DegenerateAlignment, what, aip)
         u = np.where(aip > 0, ip / np.where(aip > 0, aip, 1.0), 1.0)
@@ -459,21 +498,24 @@ class PackedSample:
             mu = mu / mn[self.seg]
         return mu
 
-    def log(self, base: np.ndarray, kind: GeometryKind, what: str | None = _ALIGN_FAILED) -> tuple[np.ndarray, ...]:
+    def log(self, base: np.ndarray, kind: GeometryKind, what: str | None = _ALIGN_FAILED,
+            base_norm: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
         """Log_[base]([y]) of the sample's observations, and the geodesic distances.
 
-        ``base`` holds centered representatives, unit norm for shapes.  Forms:
-        ũ ỹ - base.  Shapes: d (r - <base, r> base) / ||r - <base, r> base||
-        with the normalized aligned curve r and the geodesic distance d; zero
-        where [y] = [base].  ``what`` is the message for a degenerate
-        alignment; None accepts it, as distances stay defined there.
+        ``base`` holds centered representatives, unit norm for shapes, and
+        ``base_norm`` their norms when the caller has them.  Forms: ũ ỹ - base.
+        Shapes: d (r - <base, r> base) / ||r - <base, r> base|| with the
+        normalized aligned curve r and the geodesic distance d; zero where
+        [y] = [base].  ``what`` is the message for a degenerate alignment;
+        None accepts it, as distances stay defined there.
         """
-        u, _ = self.align(self.y_c, base, what)
+        nb = self.norm(base) if base_norm is None else base_norm
+        u, _ = self.align(self.y_c, base, what, norms=(self.y_norm, nb))
         rep = u[self.seg] * self.y_c
         if kind is GeometryKind.FORM:
             eps = rep - base
             return eps, self.norm(eps)
-        rep = rep / self.norm(self.y_c)[self.seg]
+        rep = rep / self.y_norm[self.seg]
         c0 = self.inner(base, rep)
         resid = rep - c0[self.seg] * base
         rn = self.norm(resid)
@@ -488,15 +530,17 @@ class PackedSample:
         eps: np.ndarray,
         kind: GeometryKind,
         what: str = _ANTIPODAL,
+        norms: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
         """Parallel transport of ``eps`` from T_[src] to T_[dst] along the geodesic.
 
         ``src`` and ``dst`` are mutually aligned centered representatives with
-        normalizations ŝ, d̂.  Shapes: eps - <d̂, eps> (ŝ + d̂) / (1 + <ŝ, d̂>),
-        the spherical transport with the complex inner product; forms only
-        rotate the Im<d̂, eps> coordinate orthogonal to the real ŝ-d̂ plane.
+        norms ``norms`` (computed when not given) and normalizations ŝ, d̂.
+        Shapes: eps - <d̂, eps> (ŝ + d̂) / (1 + <ŝ, d̂>), the spherical
+        transport with the complex inner product; forms only rotate the
+        Im<d̂, eps> coordinate orthogonal to the real ŝ-d̂ plane.
         """
-        ns, nd = self.norm(src), self.norm(dst)
+        ns, nd = (self.norm(src), self.norm(dst)) if norms is None else norms
         self.check((ns <= 0) | (nd <= 0), GeometryError, "transport endpoints are degenerate after centering")
         s_hat = src / ns[self.seg]
         d_hat = dst / nd[self.seg]

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .basis import BSplineBasis, PoleCoef, SplineConfig, TangentTransform
-from .boost import BoostConfig, FittedEffect, FittedModel
-from .effects import CovariateMap, EffectError, EffectSpec
+from .boost import BoostConfig, FittedEffect, FittedModel, ModelError
+from .effects import CovariateMap, EffectSpec
 from .geometry import WEIGHT_RULES, CurveSample, GeometryError, GeometryKind, rule_weights
 
 __all__ = [
@@ -450,8 +450,8 @@ def load_model(path: str | Path) -> tuple[FittedModel, str]:
             weight_rule=value("weight_rule", str),
             rng_seed=value("seed", int),
         )
-    except EffectError as exc:  # the model's own check: its weight rule
-        raise SchemaError(f"{path}: key 'weight_rule': {exc}") from None
+    except ModelError as exc:  # the model's own checks of its fields
+        raise SchemaError(f"{path}: key {exc.key!r}: {exc}") from None
     rows = model.transform.Z.shape[0]
     if rows != 2 * model.basis.dim:
         raise SchemaError(f"{path}: key 'transform' has {rows} rows, expected 2 * {model.basis.dim} (the response basis)")

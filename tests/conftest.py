@@ -23,6 +23,12 @@ def smooth_curve(rng, grid, n_freq=4):
     return v + (rng.normal() + 1j * rng.normal())
 
 
+def random_spd(rng, k):
+    """A random symmetric positive-definite k x k weight matrix (eigenvalues >= 1)."""
+    A = rng.normal(size=(k, k))
+    return (A @ A.T + A.T @ A) / (2 * k) + np.eye(k)
+
+
 def tangent_part(ps, v, p_rep, kind):
     """v centred on every curve of ``ps``, without its components along i p̂ (and p̂ for shapes).
 

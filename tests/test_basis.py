@@ -20,17 +20,20 @@ from shapeboost.basis import (
     curve_design,
     nullspace,
     nullspace_transform,
+    sample_design,
 )
 from shapeboost.geometry import (
     CurveSample,
+    DesignBand,
     GeometryError,
     GeometryKind,
     PackedSample,
     empirical_inner,
+    trapezoid_weights,
     uniform_weights,
 )
 
-from conftest import irregular_grid, smooth_curve, tangent_design
+from conftest import irregular_grid, random_spd, smooth_curve, tangent_design
 
 
 class TestResponseBasis:
@@ -151,6 +154,117 @@ class TestDesignKernel:
         basis = build_response_basis(SplineConfig(3, 6, cyclic=cyclic), np.linspace(0, 1, 9))
         out = basis.design(np.empty(0))
         assert out.shape == (0, basis.dim)
+
+
+def _band_sample(rng, basis, ks, weight_kind):
+    """Curves of lengths ks whose grids hold 0, 1 and interior knots exactly, with diagonal or full SPD weights."""
+    knots = basis.knots[(basis.knots > 0.0) & (basis.knots < 1.0)]
+    curves = []
+    for i, k in enumerate(ks):
+        fixed = np.concatenate([[0.0, 1.0], rng.choice(knots, size=min(k // 3, knots.size), replace=False)])
+        grid = np.sort(np.concatenate([fixed, rng.uniform(0.01, 0.99, k - fixed.size)]))
+        w = random_spd(rng, k) if weight_kind == "full" else trapezoid_weights(grid)
+        curves.append(CurveSample(f"c{i}", grid, smooth_curve(rng, grid), w))
+    return curves
+
+
+def _band_cases():
+    cyclic = build_response_basis(SplineConfig(3, 9, cyclic=True), np.linspace(0, 1, 9))
+    open_ = build_response_basis(SplineConfig(2, 6), np.linspace(0, 1, 9))
+    return [
+        pytest.param(cyclic, [7, 15, 11, 9], "diagonal", id="cyclic-diagonal"),
+        pytest.param(open_, [12, 6, 20], "diagonal", id="open-diagonal"),
+        pytest.param(cyclic, [14, 14, 14], "full", id="cyclic-full"),
+        pytest.param(open_, [9, 9], "full", id="open-full"),
+    ]
+
+
+class TestDesignBand:
+    """The packed sample's band operations against the dense design formulas, to rel 1e-12."""
+
+    @staticmethod
+    def _close(a, b):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-300)
+
+    def _check(self, packed, B, curves, rng):
+        """field, project, design_grams and B x of ``packed`` against the dense stacked design B."""
+        cuts = packed.offsets[1:-1]
+        Bs = np.split(B, cuts)
+        Ws = [np.diag(c.weights) if c.weights.ndim == 1 else c.weights for c in curves]
+        n, m0 = len(curves), B.shape[1]
+        f = rng.normal(size=(n, m0)) + 1j * rng.normal(size=(n, m0))
+        self._close(packed.field(f), np.concatenate([Bi @ fi for Bi, fi in zip(Bs, f)]))
+        v = rng.normal(size=B.shape[0]) + 1j * rng.normal(size=B.shape[0])
+        self._close(packed.project(v), np.array([Bi.T @ (Wi @ vi) for Bi, Wi, vi in zip(Bs, Ws, np.split(v, cuts))]))
+        self._close(packed.design_grams(), np.array([Bi.T @ Wi @ Bi for Bi, Wi in zip(Bs, Ws)]))
+        x = rng.normal(size=m0) + 1j * rng.normal(size=m0)
+        self._close(packed.band @ x, B @ x)
+        X = rng.normal(size=(m0, 4)) + 1j * rng.normal(size=(m0, 4))
+        self._close(packed.band @ X, B @ X)
+
+    @pytest.mark.parametrize("basis, ks, weight_kind", _band_cases())
+    def test_band_matches_dense_design(self, basis, ks, weight_kind):
+        rng = np.random.default_rng(len(ks) + basis.dim)
+        curves = _band_sample(rng, basis, ks, weight_kind)
+        band = sample_design(basis, curves)
+        t = np.concatenate([c.grid for c in curves])
+        B = _scipy_design(basis, t)
+        assert np.array_equal(band.dense(), B)
+        self._check(PackedSample.of(curves, band), B, curves, rng)
+
+    @pytest.mark.parametrize("basis, ks, weight_kind", _band_cases()[:1])
+    def test_pole_evaluations_match_dense_design(self, basis, ks, weight_kind):
+        from shapeboost.boost import _PoleSample
+
+        rng = np.random.default_rng(3)
+        curves = _band_sample(rng, basis, ks, weight_kind)
+        pole = PoleCoef(rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim), basis)
+        B = _scipy_design(basis, np.concatenate([c.grid for c in curves]))
+        for kind in (GeometryKind.FORM, GeometryKind.SHAPE):
+            ps = _PoleSample.of(curves, pole, kind, coef_mode=False)
+            self._close(ps.p_rep, ps.packed.pole_rep(B @ pole.coef, kind))
+            self._close(ps.predictor(np.eye(ps.transform.m)[: len(curves)]),
+                        np.concatenate([Bi @ z for Bi, z in zip(np.split(B, ps.packed.offsets[1:-1]), ps.Zc.T)]))
+
+    def test_coefficient_mode_band_is_identity(self):
+        rng = np.random.default_rng(8)
+        basis = build_response_basis(SplineConfig(3, 7, cyclic=True), np.linspace(0, 1, 9))
+        grid = np.arange(basis.dim) / (basis.dim - 1)
+        curves = [CurveSample(f"c{i}", grid, smooth_curve(rng, grid), basis.gram) for i in range(3)]
+        band = sample_design(basis, curves, coef_mode=True)
+        assert band.cols.shape == (3 * basis.dim, 1) and np.all(band.vals == 1.0)
+        B = np.tile(np.eye(basis.dim), (3, 1))
+        assert np.array_equal(band.dense(), B)
+        packed = PackedSample.of(curves, band)
+        self._check(packed, B, curves, rng)
+        assert np.array_equal(packed.design_grams(), np.stack([basis.gram] * 3))
+
+    def test_knot_points_keep_zero_slots(self):
+        # on a knot the basis function whose support ends there keeps its slot with the value 0,
+        # and no row names a column twice, so no column is counted twice
+        basis = build_response_basis(SplineConfig(3, 9, cyclic=True), np.linspace(0, 1, 9))
+        band = basis.band(np.concatenate([basis.interior_knots, [0.0, 1.0]]))
+        assert np.all(np.sum(band.vals == 0.0, axis=1) >= 1)
+        ordered = np.sort(band.cols, axis=1)
+        assert np.all(ordered[:, 1:] != ordered[:, :-1])
+        assert np.array_equal(band.dense(), _scipy_design(basis, np.concatenate([basis.interior_knots, [0.0, 1.0]])))
+
+    def test_padding_slot_must_be_zero(self):
+        # a padding slot (here: column 0) adds nothing only with the value 0; padding with
+        # column 0's own value counts that column twice
+        rng = np.random.default_rng(4)
+        basis = build_response_basis(SplineConfig(2, 6), np.linspace(0, 1, 9))
+        curves = _band_sample(rng, basis, [12, 6, 20], "diagonal")
+        band = sample_design(basis, curves)
+        B = band.dense()
+        zero_col = np.zeros((B.shape[0], 1), dtype=int)
+        padded = DesignBand(np.hstack([band.cols, zero_col]), np.hstack([band.vals, np.zeros_like(zero_col, float)]), band.dim)
+        assert np.array_equal(padded.dense(), B)
+        self._check(PackedSample.of(curves, padded), B, curves, rng)
+        doubled = DesignBand(padded.cols, np.hstack([band.vals, B[:, :1]]), band.dim)
+        with pytest.raises(AssertionError):
+            self._check(PackedSample.of(curves, doubled), B, curves, rng)
 
 
 @pytest.mark.parametrize("module", ["shapeboost", "shapeboost.cli"])
@@ -331,7 +445,7 @@ class TestPoleCoef:
     def test_centering(self, rng):
         basis, pole, sample = _sample_and_pole(rng)
         designs = [curve_design(basis, c) for c in sample]
-        centered = center_pole(pole, PackedSample.of(sample, np.vstack(designs)))
+        centered = center_pole(pole, PackedSample.of(sample, sample_design(basis, sample)))
         num = 0.0 + 0.0j
         for c, B in zip(sample, designs):
             ones = np.ones(c.k)

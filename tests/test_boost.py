@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from shapeboost.basis import SplineConfig, build_response_basis, sample_design
+from shapeboost.basis import SplineConfig, TangentTransform, build_response_basis, sample_design
 from shapeboost.boost import (
     BoostConfig,
+    ModelError,
     boost_fit,
     cv_early_stop,
     empirical_risk,
@@ -137,6 +138,26 @@ class TestBoostFit:
         model = boost_fit(curves, cov, config, estimate_pole(curves, GeometryKind.FORM, basis, config), GeometryKind.FORM)
         with pytest.raises(EffectError, match="unknown weight rule 'bogus'"):
             dataclasses.replace(model, weight_rule="bogus")
+
+    def test_model_rejects_inconsistent_fields(self, rng):
+        # a model built through the library is checked as a loaded one is
+        curves, cov, effects, basis, _ = make_dataset(rng, n=10)
+        config = BoostConfig(effects=effects[:2], step_length=0.5, max_iterations=2, response_basis=BASIS)
+        model = boost_fit(curves, cov, config, estimate_pole(curves, GeometryKind.FORM, basis, config), GeometryKind.FORM)
+        Z = model.transform.Z.copy()
+        Z[:, 1] = Z[:, 0]
+        cases = [
+            ("transform", dict(transform=TangentTransform(Z))),
+            ("selection_trace", dict(selection_trace=np.array([0, 2]))),
+            ("selection_trace", dict(selection_trace=np.array([0, 1, 1]))),
+            ("m_stop", dict(m_stop=3)),
+            ("m_stop", dict(m_stop=-1)),
+        ]
+        for key, change in cases:
+            with pytest.raises(ModelError) as info:
+                dataclasses.replace(model, **change)
+            assert info.value.key == key
+        dataclasses.replace(model, m_stop=0)
 
     def test_single_learner_always_selected(self, rng):
         curves, cov, effects, basis, pole_true = make_dataset(rng, n=12)

@@ -18,7 +18,7 @@ from shapeboost.geometry import (
     uniform_weights,
 )
 
-from conftest import curve_from, irregular_grid, random_pole_and_tangent, smooth_curve
+from conftest import curve_from, irregular_grid, random_pole_and_tangent, random_spd, smooth_curve, tangent_part
 
 KINDS = [GeometryKind.FORM, GeometryKind.SHAPE]
 
@@ -281,6 +281,79 @@ class TestParallelTransport:
         eps = log_map(p, curve_from(np.array([0, 1, 0, -1.0]), grid, w), GeometryKind.SHAPE)
         with pytest.raises(AntipodalTransport):
             parallel_transport(eps.pole_evals, -eps.pole_evals, eps, GeometryKind.SHAPE)
+
+
+def _rotation_case(seed, n, k, kind, weight_kind):
+    """A packed sample with a pole representative p, a tangent h at p and per-curve unit rotations u."""
+    rng = np.random.default_rng(seed)
+    ks = [k] * n if weight_kind == "full" else rng.integers(5, k + 1, n)
+    curves = []
+    for i, ki in enumerate(ks):
+        grid = irregular_grid(rng, int(ki))
+        w = random_spd(rng, ki) if weight_kind == "full" else trapezoid_weights(grid)
+        curves.append(curve_from(smooth_curve(rng, grid), grid, w, f"c{i}"))
+    ps = PackedSample.of(curves)
+    p = ps.pole_rep(np.concatenate([smooth_curve(rng, c.grid) for c in curves]), kind)
+    h = tangent_part(ps, rng.normal(size=p.size) + 1j * rng.normal(size=p.size), p, kind)
+    # per-curve norms inside the chart: below pi / 2 for shapes, 0.3 ||p|| for forms
+    target = rng.uniform(0.05, 1.0, n) * (np.pi / 2 if kind is GeometryKind.SHAPE else 0.3 * ps.norm(p))
+    h = h * (target / ps.norm(h))[ps.seg]
+    u = np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))[ps.seg]
+    return curves, ps, p, h, u
+
+
+_ROTATION_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(6, 12),
+    k=st.integers(5, 15),
+    kind=st.sampled_from(KINDS),
+    weight_kind=st.sampled_from(["diagonal", "full"]),
+)
+
+
+class TestRotationEquivariance:
+    """The packed kernel commutes with a per-curve rotation u_i of its inputs."""
+
+    @staticmethod
+    def _close(ps, a, b, tol=1e-10):
+        assert np.all(ps.norm(a - b) <= tol * np.maximum(1.0, ps.norm(b)))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(**_ROTATION_CASES)
+    def test_exp(self, seed, n, k, kind, weight_kind):
+        _, ps, p, h, u = _rotation_case(seed, n, k, kind, weight_kind)
+        self._close(ps, ps.exp(u * p, u * h, kind), u * ps.exp(p, h, kind))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(**_ROTATION_CASES)
+    def test_log(self, seed, n, k, kind, weight_kind):
+        _, ps, p, h, u = _rotation_case(seed, n, k, kind, weight_kind)
+        eps_u, d_u = ps.log(u * p, kind, what=None)
+        eps, d = ps.log(p, kind, what=None)
+        self._close(ps, eps_u, u * eps)
+        assert np.allclose(d_u, d, rtol=1e-10, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(**_ROTATION_CASES)
+    def test_transport(self, seed, n, k, kind, weight_kind):
+        _, ps, p, h, u = _rotation_case(seed, n, k, kind, weight_kind)
+        dst = ps.exp(p, h, kind)  # aligned to p: <p, Exp_p(h)> is real and positive
+        rng = np.random.default_rng(seed + 1)
+        eps = tangent_part(ps, rng.normal(size=p.size) + 1j * rng.normal(size=p.size), p, kind)
+        self._close(ps, ps.transport(u * p, u * dst, u * eps, kind), u * ps.transport(p, dst, eps, kind))
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(**_ROTATION_CASES)
+    def test_rescaling_changes_form_distance_only(self, seed, n, k, kind, weight_kind):
+        # negative control: a form distance sees the scale of the curve, a shape distance does not
+        curves, ps, p, h, u = _rotation_case(seed, n, k, kind, weight_kind)
+        scaled = PackedSample.of([curve_from(1.7 * c.values, c.grid, c.weights, c.id) for c in curves])
+        d = ps.log(p, kind, what=None)[1]
+        d_scaled = scaled.log(p, kind, what=None)[1]
+        if kind is GeometryKind.FORM:
+            assert np.all(np.abs(d_scaled - d) > 1e-6 * d)
+        else:
+            assert np.allclose(d_scaled, d, rtol=1e-10, atol=1e-12)
 
 
 class TestCurveSample:

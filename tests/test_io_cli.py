@@ -603,6 +603,12 @@ def _as_linear(doc, z_mean):
     eff["theta"] = [[0.0] for _ in eff["theta"]]
 
 
+def _repeat_transform_column(doc):
+    """Copy the transform's first column over its second: a wrong tangent basis of the right shape."""
+    for row in doc["transform"]:
+        row[1] = row[0]
+
+
 class TestMalformedJsonInputs:
     def _eval(self, dataset, fitted, tmp_path, truth_file):
         base, curves, covars, truth, config = dataset
@@ -680,12 +686,17 @@ class TestMalformedJsonInputs:
             ("effects", lambda doc: doc["effects"][1].update({"lambda": [-1.0, 0.0]})),
             ("effects", lambda doc: _as_linear(doc, None)),
             ("effects", lambda doc: _as_linear(doc, float("nan"))),
+            ("transform", _repeat_transform_column),
+            ("selection_trace", lambda doc: doc.update(selection_trace=[99] * len(doc["selection_trace"]))),
+            ("m_stop", lambda doc: doc.update(m_stop=10**6)),
         ],
         ids=["weight_rule", "Zc", "Zc_identity", "margins", "penalty", "levels", "levels_str", "lambda_str", "lambda_nan",
-             "lambda_neg", "z_mean_null", "z_mean_nan"],
+             "lambda_neg", "z_mean_null", "z_mean_nan", "transform_equal_columns", "selection_99", "m_stop_huge"],
     )
     def test_inconsistent_model_exit2_in_every_reader(self, dataset, fitted, tmp_path, capsys, key, mutate):
-        # a bad weight rule used to exit 3 in predict and a mismatched covariate map to crash (exit 1)
+        # a bad weight rule used to exit 3 in predict and a mismatched covariate map to crash (exit 1);
+        # a transform with two equal columns, unknown selection indices and an m_stop beyond the
+        # risk trace used to load, and predict and factorize exited 0
         base, curves, covars, truth, config = dataset
         doc = json.loads(fitted.read_text())
         mutate(doc)
