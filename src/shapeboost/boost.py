@@ -39,12 +39,10 @@ from .effects import (
     CovariateMap,
     EffectError,
     EffectSpec,
-    KronPenalty,
     PlsLearner,
     assemble_psi_matrix,
     assemble_psi_vector,
     covariate_design,
-    df_to_lambda,
     unvec,
 )
 from .geometry import (
@@ -274,7 +272,7 @@ class _PoleSample:
 
 
 class _FitContext:
-    """Base-learners of one boosting run: covariate designs and factored PLS learners."""
+    """Base-learners of one boosting run: covariate designs and decomposed PLS learners."""
 
     def __init__(self, ps: _PoleSample, covariates: dict, config: BoostConfig):
         self.ps = ps
@@ -291,14 +289,11 @@ class _FitContext:
         for spec in config.effects:
             design, cmap = covariate_design(spec, covariates, self.n, parent_designs)
             parent_designs[spec.name] = design
-            Psi = assemble_psi_matrix(design, grams)
             tan_kind = config.response_penalty if spec.penalty_tangent == "inherit" else spec.penalty_tangent
-            P_tan = p_tan[tan_kind]
-            lam, lam_tan = df_to_lambda(Psi, cmap.penalty, P_tan, spec.df_target)
-            pen = KronPenalty(lam, lam_tan, cmap.penalty, P_tan)
             self.cov_designs.append(design)
             self.cmaps.append(cmap)
-            self.learners.append(PlsLearner(Psi, pen, f"effect {spec.name!r}"))
+            self.learners.append(PlsLearner.calibrated(assemble_psi_matrix(design, grams), cmap.penalty,
+                                                       p_tan[tan_kind], spec.df_target, f"effect {spec.name!r}"))
 
     def predictor_coefs(self, thetas: list[np.ndarray]) -> np.ndarray:
         """Per-curve tangent coefficients of the current additive predictor, (n, m)."""
@@ -442,18 +437,10 @@ def boost_fit(
     selection: list[int] = []
 
     for it in range(config.max_iterations):
-        best_j = -1
-        best_obj = np.inf
-        best_theta = None
-        for j, learner in enumerate(ctx.learners):
-            psi = assemble_psi_vector(ctx.cov_designs[j], projs)
-            v = learner.solve(psi)
-            # SSE_j = const - 2 v^T psi + v^T Psi v; const shared across learners
-            obj = float(-2.0 * v @ psi + v @ (learner.Psi @ v))
-            if obj < best_obj:
-                best_obj = obj
-                best_j = j
-                best_theta = unvec(v, ctx.m, ctx.cmaps[j].m_j)
+        zs = [lr.coords(assemble_psi_vector(design, projs)) for lr, design in zip(ctx.learners, ctx.cov_designs)]
+        # SSE_j = const + objective_j with const shared across learners; argmin takes the first of ties
+        best_j = int(np.argmin([lr.objective(z) for lr, z in zip(ctx.learners, zs)]))
+        best_theta = unvec(ctx.learners[best_j].coefs(zs[best_j]), ctx.m, ctx.cmaps[best_j].m_j)
         thetas[best_j] = thetas[best_j] + config.step_length * best_theta
         selection.append(best_j)
         projs, dists = ctx.residual_pass(ctx.predictor_coefs(thetas))

@@ -416,57 +416,6 @@ class KronPenalty:
         return 0.5 * (R + R.T)
 
 
-_INV_LEAF = 64  # rows below which a triangular block is inverted by np.linalg.inv
-
-
-def _tril_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular L, block-recursively.
-
-    With L = [[L11, 0], [L21, L22]] the inverse is [[A, 0], [-B L21 A, B]],
-    A = L11^{-1} and B = L22^{-1}; blocks of at most ``_INV_LEAF`` rows go
-    to ``np.linalg.inv``.  At 371 rows this takes about as long as the
-    Cholesky factorization, a quarter of ``np.linalg.inv`` on the whole
-    triangle, which LU-factors it as a general matrix.
-    """
-    n = L.shape[0]
-    if n <= _INV_LEAF:
-        return np.tril(np.linalg.inv(L))
-    h = n // 2
-    A = _tril_inverse(L[:h, :h])
-    B = _tril_inverse(L[h:, h:])
-    out = np.zeros_like(L)
-    out[:h, :h] = A
-    out[h:, h:] = B
-    out[h:, :h] = -B @ L[h:, :h] @ A
-    return out
-
-
-class PlsLearner:
-    """Penalized least-squares system A = Psi + R, factored once and solved many times.
-
-    ``solve`` returns A^{-1} rhs for a vector or matrix right-hand side
-    through the inverse Cholesky factor, A^{-1} = L^{-T} L^{-1}.  A singular
-    A falls back to the least-norm pseudo-inverse, with one warning naming
-    the learner.
-    """
-
-    def __init__(self, Psi: np.ndarray, penalty: KronPenalty | None = None, label: str = "PLS system"):
-        self.Psi = Psi
-        self.penalty = penalty
-        A = Psi if penalty is None else Psi + penalty.materialize()
-        try:
-            self._linv = _tril_inverse(np.linalg.cholesky(A))
-        except np.linalg.LinAlgError:
-            warnings.warn(f"{label}: singular PLS system, using pseudo-inverse", stacklevel=2)
-            self._linv = None
-            self._pinv = np.linalg.pinv(A, rcond=1e-12)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._linv is None:
-            return self._pinv @ rhs
-        return self._linv.T @ (self._linv @ rhs)
-
-
 def _kron_rotate(Psi: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """(U (x) V)^T Psi (U (x) V), one Kronecker factor and one side at a time."""
     mj, m = U.shape[0], V.shape[0]
@@ -492,68 +441,131 @@ def _kron_sum_abs_max(P_cov: np.ndarray, P_tan: np.ndarray) -> float:
     return float(scale)
 
 
-def df_to_lambda(
-    Psi: np.ndarray,
-    P_cov: np.ndarray,
-    P_tan: np.ndarray,
-    df_target: float,
-    tol: float = 1e-4,
-) -> tuple[float, float]:
-    """Calibrate the penalty scale so the base-learner has the requested df.
+def _spectrum(Psi: np.ndarray, P_cov: np.ndarray | None = None, P_tan: np.ndarray | None = None):
+    """Psi in the Demmler-Reinsch basis of S = P_cov (x) I + I (x) P_tan: (mu, W, (U, V, c)).
 
-    One scalar lambda multiplies the combined penalty
-    S = P_cov (x) I + I (x) P_perp; a 1e-8 ridge is added to S during
-    calibration when S is singular, keeping df finite on penalty null
-    spaces.  Solved by bisection on log(lambda) in [-20, 30]; unreachable
-    targets are clamped to the nearest attainable value with a warning.
-    Returns the shared scale for both penalty directions.
+    S + delta I = (U (x) V) diag(s) (U (x) V)^T from the factors' eigenpairs (s = a_i + b_k + delta,
+    the ridge delta = 1e-8 max|S| only on a singular S), c = s^{-1/2} and diag(c) (U (x) V)^T Psi
+    (U (x) V) diag(c) = W diag(mu) W^T.  No penalty, or S = 0: U (x) V = I, c = 1, factors None.
     """
-    # S = Q diag(s) Q^T with Q = U (x) V and s the pairwise sums a_i + b_k of the
-    # factors' eigenvalues (the Demmler-Reinsch basis of the Kronecker sum)
+    if P_cov is None or (s_scale := _kron_sum_abs_max(P_cov, P_tan)) == 0.0:
+        return (*np.linalg.eigh(Psi), None)
     a, U = np.linalg.eigh(P_cov)
     b, V = np.linalg.eigh(P_tan)
     s = (a[:, None] + b[None, :]).reshape(-1)
-    s_scale = _kron_sum_abs_max(P_cov, P_tan)
-    if s_scale == 0.0:
-        s = np.ones_like(s)
-    elif s.min() < 1e-10 * s_scale:
+    if s.min() < 1e-10 * s_scale:
         s = s + 1e-8 * s_scale
+    c = 1.0 / np.sqrt(s)
+    M = _kron_rotate(Psi, U, V)
+    M *= c
+    M *= c[:, None]
+    return (*np.linalg.eigh(M), (U, V, c))  # eigh reads the lower triangle: M needs no symmetrizing
 
-    # generalized eigenvalues of (Psi, S): df(lam) = sum mu_i / (mu_i + lam)
-    M = _kron_rotate(Psi, U, V) / np.sqrt(np.outer(s, s))
-    mu = np.linalg.eigvalsh(0.5 * (M + M.T))
-    mu = np.where(mu > 1e-12 * max(mu.max(), 1e-300), mu, 0.0)
-    rank = int(np.sum(mu > 0))
+
+def _calibrate(mu: np.ndarray, penalized: bool, df_target: float, tol: float = 1e-4) -> float:
+    """The ``df_to_lambda`` scale from the eigenvalues mu of ``_spectrum``."""
+    pos = mu[mu > 1e-12 * max(mu.max(), 1e-300)]
+    rank = pos.size
 
     def df(lam: float) -> float:
-        pos = mu[mu > 0]
         return float(np.sum(pos / (pos + lam)))
 
-    if df_target >= rank - tol:
+    if df_target >= rank - tol or not penalized:
         if df_target > rank + tol:
-            warnings.warn(
-                f"df target {df_target} exceeds rank {rank}; clamping to the unpenalized fit",
-                stacklevel=2,
-            )
-        return 0.0, 0.0
+            warnings.warn(f"df target {df_target} exceeds rank {rank}; clamping to the unpenalized fit", stacklevel=3)
+        elif df_target < rank - tol:
+            warnings.warn(f"df target {df_target} unreachable without a penalty; fitting unpenalized", stacklevel=3)
+        return 0.0
+    for bound in (30.0, -20.0):  # df above the target at e^30, or below it at e^-20
+        if (df(np.exp(bound)) - df_target) * np.sign(bound) > tol:
+            warnings.warn(f"df target {df_target} unreachable; clamping at lambda = e^{bound:g}", stacklevel=3)
+            return float(np.exp(bound))
     lo, hi = -20.0, 30.0
-    if df(np.exp(hi)) > df_target + tol:
-        warnings.warn(f"df target {df_target} unreachable; clamping at lambda = e^30", stacklevel=2)
-        return float(np.exp(hi)), float(np.exp(hi))
-    if df(np.exp(lo)) < df_target - tol:
-        warnings.warn(f"df target {df_target} unreachable; clamping at lambda = e^-20", stacklevel=2)
-        return float(np.exp(lo)), float(np.exp(lo))
-    lam = np.exp(0.5 * (lo + hi))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = df(np.exp(mid))
         if abs(val - df_target) <= tol:
-            lam = np.exp(mid)
-            break
-        if val > df_target:
-            lo = mid
+            return float(np.exp(mid))
+        lo, hi = (mid, hi) if val > df_target else (lo, mid)
+    return float(np.exp(0.5 * (lo + hi)))
+
+
+def df_to_lambda(Psi: np.ndarray, P_cov: np.ndarray, P_tan: np.ndarray, df_target: float,
+                 tol: float = 1e-4) -> tuple[float, float]:
+    """Calibrate the penalty scale so the base-learner has the requested df.
+
+    One scalar lambda, returned for both penalty directions, multiplies
+    S = P_cov (x) I + I (x) P_perp (with the ridge of ``_spectrum`` on a
+    singular S).  df(lambda) = trace[(Psi + lambda S)^{-1} Psi] = sum mu_i /
+    (mu_i + lambda) is solved by bisection on log(lambda) in [-20, 30];
+    unreachable targets are clamped with a warning.  S = 0 has no scale:
+    lambda is 0 and any target below the rank is unreachable.
+    """
+    mu, _, factors = _spectrum(Psi, P_cov, P_tan)
+    lam = _calibrate(mu, factors is not None, df_target, tol)
+    return lam, lam
+
+
+class PlsLearner:
+    """Penalized least-squares system A = Psi + R, decomposed once and solved many times.
+
+    With ``_spectrum``'s T = (U (x) V) diag(c) W, A^{-1} = T diag(1 / (mu +
+    lambda)) T^T for vector, matrix and complex right-hand sides.  Equal
+    scales give R = lambda S; on a singular S the learner solves
+    Psi + lambda (S + delta I), delta = 1e-8 max|S|, the system the df
+    calibration sees.  Unequal scales take the basis of lambda_cov P_cov and
+    lambda_tan P_tan at unit scale; no penalty, or S = 0, is unpenalized.
+    Directions with mu + lambda <= 1e-12 max(mu + lambda) are dropped with
+    one warning naming the learner (for an unpenalized system, the
+    least-norm pseudo-inverse).
+    """
+
+    def __init__(self, Psi: np.ndarray, penalty: KronPenalty | None = None, label: str = "PLS system"):
+        if penalty is None:
+            self._factor(penalty, *_spectrum(Psi), 0.0, label)
+        elif penalty.lam_cov == penalty.lam_tan:
+            self._factor(penalty, *_spectrum(Psi, penalty.P_cov, penalty.P_tan), penalty.lam_cov, label)
         else:
-            hi = mid
-    else:
-        lam = np.exp(0.5 * (lo + hi))
-    return float(lam), float(lam)
+            scaled = (penalty.lam_cov * penalty.P_cov, penalty.lam_tan * penalty.P_tan)
+            self._factor(penalty, *_spectrum(Psi, *scaled), 1.0, label)
+
+    @classmethod
+    def calibrated(cls, Psi: np.ndarray, P_cov: np.ndarray, P_tan: np.ndarray, df_target: float,
+                   label: str = "PLS system") -> "PlsLearner":
+        """The learner at the ``df_to_lambda`` scale, calibrated and factored from one decomposition."""
+        mu, W, factors = _spectrum(Psi, P_cov, P_tan)
+        lam = _calibrate(mu, factors is not None, df_target)
+        learner = cls.__new__(cls)
+        learner._factor(KronPenalty(lam, lam, P_cov, P_tan), mu, W, factors, lam, label)
+        return learner
+
+    def _factor(self, penalty: KronPenalty | None, mu: np.ndarray, W: np.ndarray, factors, lam: float,
+                label: str) -> None:
+        self.penalty = penalty
+        if factors is None:
+            self._T, lam = W, 0.0  # S = 0: the scale multiplies nothing
+        else:
+            U, V, c = factors  # T = (U (x) V) diag(c) W, one Kronecker factor at a time
+            T = V @ (c[:, None] * W).reshape(U.shape[0], V.shape[0], -1)
+            self._T = (U @ T.reshape(U.shape[0], -1)).reshape(W.shape)
+        shifted = mu + lam
+        keep = shifted > 1e-12 * shifted.max()
+        if not keep.all():
+            warnings.warn(f"{label}: singular PLS system, using pseudo-inverse", stacklevel=3)
+        self._inv = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=keep)
+        self._gain = self._inv * self._inv * (mu + 2.0 * lam)
+
+    def coords(self, rhs: np.ndarray) -> np.ndarray:
+        """Coordinates z = T^T rhs of a right-hand side."""
+        return self._T.T @ rhs
+
+    def objective(self, z: np.ndarray) -> float:
+        """-2 v^T rhs + v^T Psi v at v = A^{-1} rhs from z = ``coords(rhs)``: -sum z^2 (mu + 2 lam) / (mu + lam)^2."""
+        return -float(self._gain @ (z * z))
+
+    def coefs(self, z: np.ndarray) -> np.ndarray:
+        """A^{-1} rhs from z = ``coords(rhs)``."""
+        return self._T @ (self._inv * z.T).T
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self.coefs(self.coords(rhs))

@@ -17,7 +17,7 @@ from shapeboost.boost import (
     rmse_effect,
     transported_residuals,
 )
-from shapeboost.effects import EffectError, EffectSpec
+from shapeboost.effects import EffectError, EffectSpec, KronPenalty
 from shapeboost.geometry import (
     CurveSample,
     GeometryKind,
@@ -293,6 +293,138 @@ class TestBoostFit:
         res = transported_residuals(model, curves, cov)
         for te in res.residuals:
             te.validate(1e-8)
+
+
+def dense_system(Psi, P_cov, P_tan, lam):
+    """Dense Psi + lam (S + delta I) with S = P_cov (x) I + I (x) P_tan and the ridge delta of a singular S."""
+    S = np.kron(P_cov, np.eye(P_tan.shape[0])) + np.kron(np.eye(P_cov.shape[0]), P_tan)
+    scale = float(np.abs(S).max())
+    if scale == 0.0:
+        return Psi.copy()
+    if np.linalg.eigvalsh(P_cov).min() + np.linalg.eigvalsh(P_tan).min() < 1e-10 * scale:
+        S = S + 1e-8 * scale * np.eye(S.shape[0])
+    return Psi + lam * S
+
+
+class TestLearnerSpectrum:
+    """The learners of a fit: one eigendecomposition each, shared by calibration, solves and selection."""
+
+    @staticmethod
+    def _inputs(rng, kind, extra=()):
+        """Pole sample, covariates and config of a small fit with the extra effects."""
+        from shapeboost.boost import _PoleSample
+
+        curves, cov, effects, basis, _ = make_dataset(rng, n=14, kind=kind)
+        cov = dict(cov, w3=np.array([float(i % 3) for i in range(len(curves))]))
+        config = BoostConfig(effects=[*effects, *extra], step_length=0.3, max_iterations=3, response_basis=BASIS)
+        pole = estimate_pole(curves, kind, basis, config)
+        return _PoleSample.of(curves, pole, kind, coef_mode=False), cov, config
+
+    @staticmethod
+    def _context(inputs):
+        """The fit's learners and the warnings their construction raised."""
+        from shapeboost.boost import _FitContext
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            return _FitContext(*inputs), [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])
+    def test_objective_equals_dense_sse_change(self, rng, kind):
+        from shapeboost.effects import PlsLearner, assemble_psi_matrix, assemble_psi_vector
+
+        extra = [
+            EffectSpec(name="lin", kind="linear", covariates=("z",), df_target=1.5),
+            # df target above the rank: lambda clamps to 0
+            EffectSpec(name="clamp", kind="categorical", covariates=("kappa",), df_target=1e9),
+            # unpenalized on 3 distinct values: a singular system, the least-norm pseudo-inverse
+            EffectSpec(name="flat", kind="smooth", covariates=("w3",), covariate_basis=SplineConfig(3, 4),
+                       df_target=100.0, penalty_covariate="none", penalty_tangent="none"),
+            # penalized and singular at lambda = 0
+            EffectSpec(name="flat2", kind="smooth", covariates=("w3",), covariate_basis=SplineConfig(3, 4),
+                       df_target=100.0, penalty_covariate="second_diff"),
+        ]
+        ctx, caught = self._context(self._inputs(rng, kind, extra))
+        assert [lr.penalty.lam_cov for lr in ctx.learners[3:]] == [0.0, 0.0, 0.0]
+        singular = [msg for msg in caught if "singular PLS system" in msg]
+        assert singular == [f"effect {name!r}: singular PLS system, using pseudo-inverse" for name in ("flat", "flat2")]
+        grams = ctx.ps.grams()
+        projs, _ = ctx.residual_pass(ctx.predictor_coefs([np.zeros((ctx.m, cm.m_j)) for cm in ctx.cmaps]))
+        for j, learner in enumerate(ctx.learners):
+            Psi = assemble_psi_matrix(ctx.cov_designs[j], grams)
+            psi = assemble_psi_vector(ctx.cov_designs[j], projs)
+            pen = learner.penalty
+            lam = pen.lam_cov
+            pairs = [(learner, dense_system(Psi, pen.P_cov, pen.P_tan, lam))]
+            # an unequal pair takes the basis of the scaled factors at unit scale
+            lam1, lam2 = 0.5 * lam + 0.1, 2.0 * lam + 0.3
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                unequal = PlsLearner(Psi, KronPenalty(lam1, lam2, pen.P_cov, pen.P_tan))
+            pairs.append((unequal, dense_system(Psi, lam1 * pen.P_cov, lam2 * pen.P_tan, 1.0)))
+            for lr, A in pairs:
+                v = np.linalg.lstsq(A, psi, rcond=None)[0]
+                ref = float(-2.0 * v @ psi + v @ Psi @ v)
+                assert lr.objective(lr.coords(psi)) == pytest.approx(ref, rel=1e-10), (j, lam)
+
+    def test_unpenalized_effect_stores_no_lambda(self, rng):
+        # both penalties "none": S = 0, so no scale can lower the df and none is stored
+        curves, cov, effects, basis, _ = make_dataset(rng, n=14)
+        lin = EffectSpec(name="lin", kind="linear", covariates=("z",), df_target=0.5,
+                         penalty_covariate="none", penalty_tangent="none")
+        config = BoostConfig(effects=[effects[0], lin], step_length=0.3, max_iterations=3, response_basis=BASIS)
+        pole = estimate_pole(curves, GeometryKind.FORM, basis, config)
+        with pytest.warns(UserWarning, match="df target 0.5 unreachable without a penalty"):
+            model = boost_fit(curves, cov, config, pole, GeometryKind.FORM)
+        assert model.effects[1].lam == (0.0, 0.0)
+
+    def test_singular_penalty_solved_with_its_ridge(self, rng):
+        # no tangent penalty on a second-difference smooth: S = P_cov (x) I is singular, so the
+        # learner solves Psi + lam (S + delta I), the system its df was calibrated on
+        from shapeboost.effects import assemble_psi_matrix
+
+        targets = (4.0, 20.0, 60.0)
+        extra = [EffectSpec(name=f"ridged{i}", kind="smooth", covariates=("z",), covariate_basis=SplineConfig(3, 4),
+                            df_target=t, penalty_covariate="second_diff", penalty_tangent="none")
+                 for i, t in enumerate(targets)]
+        ctx, _ = self._context(self._inputs(rng, GeometryKind.FORM, extra))
+        grams = ctx.ps.grams()
+        # the basis of S + delta I has condition up to 1/delta = 1e8, which scales the solve's rounding
+        tol = 10 * np.finfo(float).eps / 1e-8
+        for learner, design, target in zip(ctx.learners[2:], ctx.cov_designs[2:], targets):
+            pen = learner.penalty
+            scale = float(np.abs(KronPenalty(1.0, 1.0, pen.P_cov, pen.P_tan).materialize()).max())
+            assert np.linalg.eigvalsh(pen.P_cov).min() + np.linalg.eigvalsh(pen.P_tan).min() < 1e-10 * scale
+            Psi = assemble_psi_matrix(design, grams)
+            rhs = rng.normal(size=(Psi.shape[0], 2))
+            ref = np.linalg.solve(dense_system(Psi, pen.P_cov, pen.P_tan, pen.lam_cov), rhs)
+            assert np.linalg.norm(learner.solve(rhs) - ref) <= tol * np.linalg.norm(ref), target
+            # the learner's own df is the calibrated one
+            assert abs(np.trace(learner.solve(Psi)) - target) <= 1e-4 + 1e-6, target
+
+    def test_one_eigendecomposition_per_learner(self, rng, monkeypatch):
+        extra = [EffectSpec(name="lin", kind="linear", covariates=("z",), df_target=1.5),
+                 EffectSpec(name="ridged", kind="smooth", covariates=("z",), covariate_basis=SplineConfig(3, 4),
+                            df_target=2.5, penalty_covariate="second_diff", penalty_tangent="none")]
+        inputs = self._inputs(rng, GeometryKind.FORM, extra)
+        calls = []
+
+        def spy(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, a))  # the reference keeps each argument's id unique
+                return real(a, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("eigh", "eigvalsh", "cholesky", "inv", "pinv"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        ctx, _ = self._context(inputs)
+        factors = {id(P) for lr in ctx.learners for P in (lr.penalty.P_cov, lr.penalty.P_tan)}
+        assert [name for name, _ in calls if name != "eigh"] == []
+        systems = [a.shape for name, a in calls if name == "eigh" and id(a) not in factors]
+        assert systems == [(ctx.m * cm.m_j,) * 2 for cm in ctx.cmaps]
 
 
 class TestCrossValidation:

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -330,9 +331,9 @@ def random_spd(rng, n):
 
 
 class TestPlsSolveMatchesCholesky:
-    """The inverse-Cholesky solve against LAPACK's triangular solves (scipy as the oracle)."""
+    """The eigenbasis solve of an unpenalized system against LAPACK's Cholesky solve (scipy as the oracle)."""
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 371])  # both sides of the 64-row leaf
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 371])
     def test_vector_and_matrix_rhs(self, n):
         rng = np.random.default_rng(n)
         A = random_spd(rng, n)
@@ -371,8 +372,8 @@ def dense_df_to_lambda(Psi, P_cov, P_tan, df_target, tol=1e-4):
     eig_min = float(np.linalg.eigvalsh(P_cov).min() + np.linalg.eigvalsh(P_tan).min())
     s_scale = float(np.abs(S).max())
     if s_scale == 0.0:
-        S = np.eye(S.shape[0])
-    elif eig_min < 1e-10 * s_scale:
+        return 0.0  # S = 0: no penalty for a scale to act on
+    if eig_min < 1e-10 * s_scale:
         S = S + 1e-8 * s_scale * np.eye(S.shape[0])
     L = np.linalg.cholesky(S)
     M = scipy.linalg.solve_triangular(L, Psi, lower=True)
@@ -426,7 +427,10 @@ class TestDfCalibrationMatchesDense:
         X = rng.normal(size=(3 * mj * m, mj * m)) * rng.uniform(0.1, 3.0, size=mj * m)
         Psi = X.T @ X / X.shape[0]
         for target in (1.5, 4.0, 0.5 * mj * m):
-            lam, lam_tan = df_to_lambda(Psi, P_cov, P_tan, target)
+            # without a penalty every target below the rank is unreachable
+            unreachable = pytest.warns(UserWarning, match="unreachable without a penalty")
+            with unreachable if kind == "zero" else contextlib.nullcontext():
+                lam, lam_tan = df_to_lambda(Psi, P_cov, P_tan, target)
             assert lam == lam_tan == dense_df_to_lambda(Psi, P_cov, P_tan, target)
 
     def test_penalty_scale_from_factors_equals_materialized(self):
@@ -486,6 +490,17 @@ class TestDfCalibration:
         S = np.kron(np.eye(1), np.eye(m)) + np.kron(np.eye(1), np.eye(m))
         df = np.trace(np.linalg.solve(Psi + lam * S, Psi))
         assert df == pytest.approx(1.0, abs=1e-4)
+
+    def test_no_penalty_has_no_scale(self, rng):
+        # S = 0: lambda multiplies nothing, so a df below the rank is unreachable and lambda is 0
+        m, mj = 4, 3
+        A = rng.normal(size=(30, m * mj))
+        Psi = A.T @ A
+        P_cov, P_tan = np.zeros((mj, mj)), np.zeros((m, m))
+        with pytest.warns(UserWarning, match="df target 4.0 unreachable without a penalty"):
+            assert df_to_lambda(Psi, P_cov, P_tan, 4.0) == (0.0, 0.0)
+        # whatever its scale, the learner fits unpenalized: df = rank
+        assert df_of_lambda(Psi, P_cov, P_tan, 71.4) == pytest.approx(m * mj, rel=1e-12)
 
     def test_unreachable_target_clamped(self, rng):
         m, mj = 3, 2
