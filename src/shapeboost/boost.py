@@ -271,8 +271,25 @@ class _PoleSample:
         return self.transform.gram(self.packed.design_grams())
 
 
+# tangent penalties q I: ZᵀZ = I for the orthonormal transform ("ridge") and zero ("none")
+SCALAR_TANGENT_PENALTIES = {"ridge": 1.0, "none": 0.0}
+
+
+def _shared_gram(grams: np.ndarray) -> np.ndarray | None:
+    """The tangent Gram that every curve of the stack has, bit for bit, or None."""
+    return grams[0] if (grams == grams[0]).all() else None
+
+
 class _FitContext:
-    """Base-learners of one boosting run: covariate designs and decomposed PLS learners."""
+    """Base-learners of one boosting run: covariate designs and decomposed PLS learners.
+
+    When every curve has the same tangent Gram G (coefficient mode, or one
+    grid and weights shared by all curves) and a learner's tangent penalty is
+    q I, its Psi is (X^T X) (x) G and it is built from eigh(G), computed once,
+    and two m_j-sized decompositions (``PlsLearner.calibrated_kron``).  Every
+    other learner decomposes its assembled Psi, with eigh(P_tan) computed
+    once per tangent penalty.
+    """
 
     def __init__(self, ps: _PoleSample, covariates: dict, config: BoostConfig):
         self.ps = ps
@@ -282,18 +299,30 @@ class _FitContext:
         self.cmaps: list[CovariateMap] = []
         self.learners: list[PlsLearner] = []
         grams = ps.grams()
-        p_tan = {}
-        for tk in ("ridge", "second_diff", "none"):
-            p_tan[tk] = PenaltyBlock.build(ps.pole.basis, ps.transform, tk).P_perp
+        shared = _shared_gram(grams)
+        gram_eig = None
+        p_tan: dict[str, tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]] = {}
         parent_designs: dict[str, np.ndarray] = {}
         for spec in config.effects:
             design, cmap = covariate_design(spec, covariates, self.n, parent_designs)
             parent_designs[spec.name] = design
             tan_kind = config.response_penalty if spec.penalty_tangent == "inherit" else spec.penalty_tangent
+            label = f"effect {spec.name!r}"
+            if shared is not None and tan_kind in SCALAR_TANGENT_PENALTIES:
+                if gram_eig is None:
+                    gram_eig = np.linalg.eigh(shared)
+                learner = PlsLearner.calibrated_kron(design.T @ design, gram_eig, cmap.penalty,
+                                                     SCALAR_TANGENT_PENALTIES[tan_kind], spec.df_target, label)
+            else:
+                if tan_kind not in p_tan:
+                    P = PenaltyBlock.build(ps.pole.basis, ps.transform, tan_kind).P_perp
+                    p_tan[tan_kind] = P, np.linalg.eigh(P)
+                P, eig = p_tan[tan_kind]
+                learner = PlsLearner.calibrated(assemble_psi_matrix(design, grams), cmap.penalty, P,
+                                                spec.df_target, label, eig)
             self.cov_designs.append(design)
             self.cmaps.append(cmap)
-            self.learners.append(PlsLearner.calibrated(assemble_psi_matrix(design, grams), cmap.penalty,
-                                                       p_tan[tan_kind], spec.df_target, f"effect {spec.name!r}"))
+            self.learners.append(learner)
 
     def predictor_coefs(self, thetas: list[np.ndarray]) -> np.ndarray:
         """Per-curve tangent coefficients of the current additive predictor, (n, m)."""

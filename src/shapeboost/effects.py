@@ -135,7 +135,14 @@ def _numeric_column(table: dict, name: str, n: int) -> np.ndarray:
         raise EffectError(f"covariate column {name!r} must be numeric") from None
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise EffectError(f"covariate column {name!r}: non-finite value {col[bad[0]]!r} in curve row {bad[0]}")
+        raise EffectError(f"covariate column {name!r}: non-finite value {str(col[bad[0]])!r} in curve row {bad[0]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = np.flatnonzero(~np.isfinite((values - np.mean(values)) ** 2))
+    if bad.size:
+        # the largest magnitude is the culprit, also when the mean itself overflows
+        row = bad[np.argmax(np.abs(values[bad]))]
+        raise EffectError(f"covariate column {name!r}: value {str(col[row])!r} in curve row {row} overflows when "
+                          f"squared about the column mean")
     return values
 
 
@@ -441,17 +448,19 @@ def _kron_sum_abs_max(P_cov: np.ndarray, P_tan: np.ndarray) -> float:
     return float(scale)
 
 
-def _spectrum(Psi: np.ndarray, P_cov: np.ndarray | None = None, P_tan: np.ndarray | None = None):
+def _spectrum(Psi: np.ndarray, P_cov: np.ndarray | None = None, P_tan: np.ndarray | None = None,
+              tan_eig: tuple[np.ndarray, np.ndarray] | None = None):
     """Psi in the Demmler-Reinsch basis of S = P_cov (x) I + I (x) P_tan: (mu, W, (U, V, c)).
 
     S + delta I = (U (x) V) diag(s) (U (x) V)^T from the factors' eigenpairs (s = a_i + b_k + delta,
     the ridge delta = 1e-8 max|S| only on a singular S), c = s^{-1/2} and diag(c) (U (x) V)^T Psi
-    (U (x) V) diag(c) = W diag(mu) W^T.  No penalty, or S = 0: U (x) V = I, c = 1, factors None.
+    (U (x) V) diag(c) = W diag(mu) W^T.  ``tan_eig`` is ``eigh(P_tan)`` when the caller already has
+    it.  No penalty, or S = 0: U (x) V = I, c = 1, factors None.
     """
     if P_cov is None or (s_scale := _kron_sum_abs_max(P_cov, P_tan)) == 0.0:
         return (*np.linalg.eigh(Psi), None)
     a, U = np.linalg.eigh(P_cov)
-    b, V = np.linalg.eigh(P_tan)
+    b, V = np.linalg.eigh(P_tan) if tan_eig is None else tan_eig
     s = (a[:, None] + b[None, :]).reshape(-1)
     if s.min() < 1e-10 * s_scale:
         s = s + 1e-8 * s_scale
@@ -460,6 +469,38 @@ def _spectrum(Psi: np.ndarray, P_cov: np.ndarray | None = None, P_tan: np.ndarra
     M *= c
     M *= c[:, None]
     return (*np.linalg.eigh(M), (U, V, c))  # eigh reads the lower triangle: M needs no symmetrizing
+
+
+def _kron_spectrum(A: np.ndarray, gram_eig: tuple[np.ndarray, np.ndarray], P_cov: np.ndarray, q: float):
+    """``_spectrum`` of Psi = A (x) G with P_tan = q I, from its m_j- and m-sized factors: (mu, L, F, penalized).
+
+    S = (P_cov + q I) (x) I.  With a, U = eigh(P_cov), s = a + q (plus the same ridge delta on a
+    singular S), c = s^{-1/2}, alpha, E = eigh(diag(c) U^T A U diag(c)) and gamma, F = ``gram_eig``
+    = eigh(G): mu = alpha (x) gamma and T = (U diag(c) E) (x) F = L (x) F.  S = 0: U = I, c = 1.
+    """
+    gamma, F = gram_eig
+    s_scale = _kron_sum_abs_max(P_cov, np.full((1, 1), q))
+    if s_scale == 0.0:
+        alpha, L = np.linalg.eigh(A)
+    else:
+        a, U = np.linalg.eigh(P_cov)
+        s = a + q
+        if s.min() < 1e-10 * s_scale:
+            s = s + 1e-8 * s_scale
+        c = 1.0 / np.sqrt(s)
+        M = U.T @ A @ U
+        M *= c
+        M *= c[:, None]
+        alpha, E = np.linalg.eigh(M)
+        L = (U * c) @ E
+    return np.kron(alpha, gamma), L, F, s_scale != 0.0
+
+
+def _kron_apply(A: np.ndarray, B: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(A (x) B) x for the vec layout (index = row of A * rows of B + row of B), x of shape (p,) or (p, k)."""
+    X = x.reshape(A.shape[1], B.shape[1], -1)
+    Y = (X[:, :, 0] @ B.T)[:, :, None] if X.shape[2] == 1 else B @ X  # one GEMM for a vector right-hand side
+    return (A @ Y.reshape(A.shape[1], -1)).reshape(A.shape[0] * B.shape[0], *x.shape[1:])
 
 
 def _calibrate(mu: np.ndarray, penalized: bool, df_target: float, tol: float = 1e-4) -> float:
@@ -515,6 +556,7 @@ class PlsLearner:
     Psi + lambda (S + delta I), delta = 1e-8 max|S|, the system the df
     calibration sees.  Unequal scales take the basis of lambda_cov P_cov and
     lambda_tan P_tan at unit scale; no penalty, or S = 0, is unpenalized.
+    A learner from ``calibrated_kron`` holds T = L (x) F as its two factors.
     Directions with mu + lambda <= 1e-12 max(mu + lambda) are dropped with
     one warning naming the learner (for an unpenalized system, the
     least-norm pseudo-inverse).
@@ -522,32 +564,40 @@ class PlsLearner:
 
     def __init__(self, Psi: np.ndarray, penalty: KronPenalty | None = None, label: str = "PLS system"):
         if penalty is None:
-            self._factor(penalty, *_spectrum(Psi), 0.0, label)
+            (mu, W, factors), lam = _spectrum(Psi), 0.0
         elif penalty.lam_cov == penalty.lam_tan:
-            self._factor(penalty, *_spectrum(Psi, penalty.P_cov, penalty.P_tan), penalty.lam_cov, label)
+            (mu, W, factors), lam = _spectrum(Psi, penalty.P_cov, penalty.P_tan), penalty.lam_cov
         else:
             scaled = (penalty.lam_cov * penalty.P_cov, penalty.lam_tan * penalty.P_tan)
-            self._factor(penalty, *_spectrum(Psi, *scaled), 1.0, label)
+            (mu, W, factors), lam = _spectrum(Psi, *scaled), 1.0
+        # S = 0 (no factors): the scale multiplies nothing
+        self._factor(penalty, mu, _dense_basis(W, factors), None, lam if factors else 0.0, label)
 
     @classmethod
     def calibrated(cls, Psi: np.ndarray, P_cov: np.ndarray, P_tan: np.ndarray, df_target: float,
-                   label: str = "PLS system") -> "PlsLearner":
+                   label: str = "PLS system", tan_eig: tuple[np.ndarray, np.ndarray] | None = None) -> "PlsLearner":
         """The learner at the ``df_to_lambda`` scale, calibrated and factored from one decomposition."""
-        mu, W, factors = _spectrum(Psi, P_cov, P_tan)
+        mu, W, factors = _spectrum(Psi, P_cov, P_tan, tan_eig)
         lam = _calibrate(mu, factors is not None, df_target)
         learner = cls.__new__(cls)
-        learner._factor(KronPenalty(lam, lam, P_cov, P_tan), mu, W, factors, lam, label)
+        learner._factor(KronPenalty(lam, lam, P_cov, P_tan), mu, _dense_basis(W, factors), None, lam, label)
         return learner
 
-    def _factor(self, penalty: KronPenalty | None, mu: np.ndarray, W: np.ndarray, factors, lam: float,
+    @classmethod
+    def calibrated_kron(cls, A: np.ndarray, gram_eig: tuple[np.ndarray, np.ndarray], P_cov: np.ndarray, q: float,
+                        df_target: float, label: str = "PLS system") -> "PlsLearner":
+        """``calibrated`` for Psi = A (x) G and P_tan = q I, from ``gram_eig`` = eigh(G) and two m_j-sized ``eigh``."""
+        mu, L, F, penalized = _kron_spectrum(A, gram_eig, P_cov, q)
+        lam = _calibrate(mu, penalized, df_target)
+        learner = cls.__new__(cls)
+        learner._factor(KronPenalty(lam, lam, P_cov, q * np.eye(F.shape[0])), mu, L, F, lam, label)
+        return learner
+
+    def _factor(self, penalty: KronPenalty | None, mu: np.ndarray, T: np.ndarray, F: np.ndarray | None, lam: float,
                 label: str) -> None:
+        """Keep the basis T (p x p); with F, T holds the factor L of the basis L (x) F instead."""
         self.penalty = penalty
-        if factors is None:
-            self._T, lam = W, 0.0  # S = 0: the scale multiplies nothing
-        else:
-            U, V, c = factors  # T = (U (x) V) diag(c) W, one Kronecker factor at a time
-            T = V @ (c[:, None] * W).reshape(U.shape[0], V.shape[0], -1)
-            self._T = (U @ T.reshape(U.shape[0], -1)).reshape(W.shape)
+        self._T, self._F = T, F
         shifted = mu + lam
         keep = shifted > 1e-12 * shifted.max()
         if not keep.all():
@@ -557,7 +607,9 @@ class PlsLearner:
 
     def coords(self, rhs: np.ndarray) -> np.ndarray:
         """Coordinates z = T^T rhs of a right-hand side."""
-        return self._T.T @ rhs
+        if self._F is None:
+            return self._T.T @ rhs
+        return _kron_apply(self._T.T, self._F.T, rhs)
 
     def objective(self, z: np.ndarray) -> float:
         """-2 v^T rhs + v^T Psi v at v = A^{-1} rhs from z = ``coords(rhs)``: -sum z^2 (mu + 2 lam) / (mu + lam)^2."""
@@ -565,7 +617,17 @@ class PlsLearner:
 
     def coefs(self, z: np.ndarray) -> np.ndarray:
         """A^{-1} rhs from z = ``coords(rhs)``."""
-        return self._T @ (self._inv * z.T).T
+        v = (self._inv * z.T).T
+        return self._T @ v if self._F is None else _kron_apply(self._T, self._F, v)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self.coefs(self.coords(rhs))
+
+
+def _dense_basis(W: np.ndarray, factors) -> np.ndarray:
+    """T = (U (x) V) diag(c) W of ``_spectrum``, one Kronecker factor at a time (W itself without factors)."""
+    if factors is None:
+        return W
+    U, V, c = factors
+    T = V @ (c[:, None] * W).reshape(U.shape[0], V.shape[0], -1)
+    return (U @ T.reshape(U.shape[0], -1)).reshape(W.shape)

@@ -163,6 +163,9 @@ def center(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return values - _weighted_mean(values, weights)
 
 
+_FLOAT_TINY = float(np.finfo(float).tiny)  # smallest normal float: a squared norm below it has underflowed
+
+
 def _validate_weights(weights: np.ndarray, k: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if not np.all(np.isfinite(w)):
@@ -226,9 +229,20 @@ class CurveSample:
             weights = _validate_weights(self.weights, k)
         except GeometryError as exc:
             raise GeometryError(f"curve {self.id!r}: {exc}") from None
-        centered = values - _weighted_mean(values, weights)
-        scale = max(1.0, float(np.abs(values).max()))
-        if empirical_norm(centered, weights) <= 1e-14 * scale:
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered = values - _weighted_mean(values, weights)
+            sq = empirical_inner(centered, centered, weights).real
+        largest = float(np.abs(values).max())
+        if not np.isfinite(sq):
+            raise GeometryError(
+                f"curve {self.id!r}: squared empirical norm overflows (largest |value| {largest:.3g})"
+            )
+        # a tiny squared norm of values that differ beyond rounding is an underflow, not a flat curve
+        if sq < _FLOAT_TINY and (spread := float(np.abs(centered).max())) > 1e-14 * largest:
+            raise GeometryError(
+                f"curve {self.id!r}: squared empirical norm underflows (largest centred |value| {spread:.3g})"
+            )
+        if np.sqrt(max(sq, 0.0)) <= 1e-14 * max(1.0, largest):
             raise GeometryError(f"curve {self.id!r}: values are all equal (degenerate)")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)

@@ -34,16 +34,17 @@ from conftest import irregular_grid, smooth_curve, tangent_design, tangent_part
 BASIS = SplineConfig(degree=3, n_knots=8, cyclic=True)
 
 
-def make_dataset(rng, n=24, kind=GeometryKind.FORM, noise=0.04, k_range=(15, 35)):
-    """Small synthetic dataset: categorical + smooth effect around a spline pole."""
+def make_dataset(rng, n=24, kind=GeometryKind.FORM, noise=0.04, k_range=(15, 35), common_grid=False):
+    """Small synthetic dataset: categorical + smooth effect around a spline pole (with ``common_grid``, one grid)."""
     basis = build_response_basis(BASIS, np.linspace(0, 1, 60))
     dense = np.linspace(0, 1, 100, endpoint=False)
     pole_true = np.linalg.lstsq(basis.design(dense), smooth_curve(rng, dense), rcond=None)[0]
     wdir = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     curves, kappa, z = [], [], []
+    shared = irregular_grid(rng, int(rng.integers(*k_range))) if common_grid else None
     for i in range(n):
-        k = int(rng.integers(*k_range))
-        grid = irregular_grid(rng, k)
+        grid = irregular_grid(rng, int(rng.integers(*k_range))) if shared is None else shared
+        k = grid.size
         w = trapezoid_weights(grid)
         B = basis.design(grid)
         p_ev = B @ pole_true
@@ -407,24 +408,114 @@ class TestLearnerSpectrum:
                  EffectSpec(name="ridged", kind="smooth", covariates=("z",), covariate_basis=SplineConfig(3, 4),
                             df_target=2.5, penalty_covariate="second_diff", penalty_tangent="none")]
         inputs = self._inputs(rng, GeometryKind.FORM, extra)
-        calls = []
-
-        def spy(name):
-            real = getattr(np.linalg, name)
-
-            def wrapper(a, *args, **kwargs):
-                calls.append((name, a))  # the reference keeps each argument's id unique
-                return real(a, *args, **kwargs)
-
-            return wrapper
-
-        for name in ("eigh", "eigvalsh", "cholesky", "inv", "pinv"):
-            monkeypatch.setattr(np.linalg, name, spy(name))
+        calls = _linalg_spy(monkeypatch)
         ctx, _ = self._context(inputs)
         factors = {id(P) for lr in ctx.learners for P in (lr.penalty.P_cov, lr.penalty.P_tan)}
         assert [name for name, _ in calls if name != "eigh"] == []
         systems = [a.shape for name, a in calls if name == "eigh" and id(a) not in factors]
         assert systems == [(ctx.m * cm.m_j,) * 2 for cm in ctx.cmaps]
+        # the tangent penalty's eigenpairs are computed once per kind: "second_diff" and "none"
+        tangent = {id(lr.penalty.P_tan) for lr in ctx.learners}
+        assert len(tangent) == 2
+        assert sum(id(a) in tangent for _, a in calls) == 2
+
+
+def _linalg_spy(monkeypatch, names=("eigh", "eigvalsh", "cholesky", "inv", "pinv")):
+    """Record (name, argument) of every call to the named ``np.linalg`` routines."""
+    calls = []
+
+    def spy(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, a))  # the reference keeps each argument's id unique
+            return real(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    return calls
+
+
+class TestStructuredLearners:
+    """Curves that share one tangent Gram G and a tangent penalty q I: learners from eigh(G) and m_j-sized factors."""
+
+    EXTRA = (
+        EffectSpec(name="lin", kind="linear", covariates=("z",), df_target=1.5),
+        EffectSpec(name="ridged", kind="smooth", covariates=("z",), covariate_basis=SplineConfig(3, 4),
+                   df_target=2.5, penalty_covariate="second_diff", penalty_tangent="none"),
+    )
+
+    @classmethod
+    def _coef_inputs(cls, rng, response_penalty):
+        from shapeboost.boost import _PoleSample
+
+        curves, cov, basis = _coefficient_dataset(rng, GeometryKind.FORM)
+        _, _, effects, _, _ = make_dataset(np.random.default_rng(0), n=2)
+        config = BoostConfig(effects=[*effects, *cls.EXTRA], step_length=0.3, max_iterations=3,
+                             response_basis=BASIS, response_penalty=response_penalty, weight_rule="gram")
+        pole = estimate_pole(curves, GeometryKind.FORM, basis, config)
+        return _PoleSample.of(curves, pole, GeometryKind.FORM, coef_mode=True), cov, config
+
+    def test_coefficient_mode_ridge_builds_from_factors(self, rng, monkeypatch):
+        import shapeboost.boost as sbboost
+        import shapeboost.effects as sbeffects
+        from shapeboost.boost import _FitContext
+
+        inputs = self._coef_inputs(rng, "ridge")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a structured learner assembles or rotates no Psi")
+
+        monkeypatch.setattr(sbboost, "assemble_psi_matrix", forbidden)
+        monkeypatch.setattr(sbeffects, "_kron_rotate", forbidden)
+        calls = _linalg_spy(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ctx = _FitContext(*inputs)
+        bound = max(ctx.m, *(cm.m_j for cm in ctx.cmaps))
+        assert {name for name, _ in calls} == {"eigh"}
+        assert max(a.shape[0] for _, a in calls) <= bound
+        for lr, cm in zip(ctx.learners, ctx.cmaps):
+            arrays = [a for a in (*vars(lr).values(), lr.penalty.P_cov, lr.penalty.P_tan) if isinstance(a, np.ndarray)]
+            assert all(a.ndim == 1 or max(a.shape) <= bound for a in arrays), cm.spec.name
+
+    def test_coefficient_mode_second_diff_stays_dense(self, rng, monkeypatch):
+        from shapeboost.boost import _FitContext
+
+        inputs = self._coef_inputs(rng, "second_diff")
+        calls = _linalg_spy(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ctx = _FitContext(*inputs)
+        # one Psi-sized eigh per inherited second-difference learner; "ridged", the last effect, keeps its
+        # own tangent penalty "none" and takes the structured path: eigh(G) and an m_j-sized eigh
+        factors = {id(P) for lr in ctx.learners for P in (lr.penalty.P_cov, lr.penalty.P_tan)}
+        systems = [a.shape for name, a in calls if id(a) not in factors]
+        assert systems == [(ctx.m * cm.m_j,) * 2 for cm in ctx.cmaps[:-1]] + [(ctx.m,) * 2, (ctx.cmaps[-1].m_j,) * 2]
+
+    @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])
+    def test_common_grid_matches_dense_path(self, rng, kind, monkeypatch):
+        import shapeboost.boost as sbboost
+
+        curves, cov, effects, basis, _ = make_dataset(rng, n=14, kind=kind, common_grid=True)
+        config = BoostConfig(effects=[*effects, *self.EXTRA], step_length=0.3, max_iterations=12,
+                             response_basis=BASIS, response_penalty="ridge")
+        pole = estimate_pole(curves, kind, basis, config)
+        assembled = []
+        real = sbboost.assemble_psi_matrix
+        monkeypatch.setattr(sbboost, "assemble_psi_matrix", lambda *a: assembled.append(1) or real(*a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            structured = boost_fit(curves, cov, config, pole, kind)
+            assert assembled == []  # the trapezoid Grams of one shared grid are equal bit for bit
+            monkeypatch.setattr(sbboost, "_shared_gram", lambda grams: None)
+            dense = boost_fit(curves, cov, config, pole, kind)
+        assert len(assembled) == len(config.effects)
+        np.testing.assert_allclose(structured.risk_trace, dense.risk_trace, rtol=1e-12, atol=0.0)
+        assert np.array_equal(structured.selection_trace, dense.selection_trace)
+        assert len(set(structured.selection_trace.tolist())) > 1
 
 
 class TestCrossValidation:

@@ -509,3 +509,56 @@ class TestDfCalibration:
         with pytest.warns(UserWarning):
             lam, _ = df_to_lambda(Psi, np.eye(mj), np.eye(m), 6.0)
         assert lam == 0.0
+
+
+
+KRON_CASES = [(mj, pen, q, case) for mj in (1, 3, 7) for pen in ("second_diff", "identity", "zero") for q in (1.0, 0.0)
+              for case in ("calibrated", "clamp_rank", "clamp_low", "singular") if not (case == "singular" and mj == 1)]
+
+
+class TestKronLearnerMatchesDense:
+    """A learner of Psi = A (x) G with P_tan = q I, built from its factors, equals the dense learner."""
+
+    @pytest.mark.parametrize("mj,pen,q,case", KRON_CASES)
+    def test_matches_dense(self, rng, mj, pen, q, case):
+        m, p = 5, 5 * mj
+        X = rng.normal(size=(12, mj))
+        if case == "singular":
+            X[:, -1] = X[:, 0]  # rank m_j - 1: the pseudo-inverse when unpenalized
+        H = rng.normal(size=(m, m))
+        A, G = X.T @ X, H @ H.T + 0.1 * np.eye(m)
+        if case == "clamp_low":
+            A = 1e-14 * A  # df at lambda = e^-20 stays below the target
+        P_cov = {"second_diff": _second_diff(mj), "identity": np.eye(mj), "zero": np.zeros((mj, mj))}[pen]
+        target = {"calibrated": 0.6 * p, "clamp_rank": 1e9, "clamp_low": p - 0.5, "singular": 2.5}[case]
+        learners = []
+        for build in (
+            lambda: PlsLearner.calibrated(np.kron(A, G), P_cov, q * np.eye(m), target),
+            lambda: PlsLearner.calibrated_kron(A, np.linalg.eigh(G), P_cov, q, target),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                learners.append((build(), [str(w.message) for w in caught]))
+        (dense, dense_warned), (kron, kron_warned) = learners
+        assert kron_warned == dense_warned
+        # each case reaches the fallback it is named for
+        unpenalized = pen == "zero" and q == 0.0
+        expected = {
+            "calibrated": "unreachable without a penalty" if unpenalized else None,
+            "clamp_rank": "exceeds rank",
+            "clamp_low": "unreachable without a penalty" if unpenalized else "clamping at lambda = e^-20",
+            "singular": "using pseudo-inverse" if unpenalized else None,
+        }[case]
+        assert any(expected in msg for msg in dense_warned) if expected else dense_warned == []
+        lam = dense.penalty.lam_cov
+        assert kron.penalty.lam_cov == kron.penalty.lam_tan == pytest.approx(lam, rel=1e-10, abs=0.0)
+        for rhs in (rng.normal(size=p), rng.normal(size=(p, 3)),
+                    rng.normal(size=p) + 1j * rng.normal(size=p), rng.normal(size=(p, 2)) + 1j * rng.normal(size=(p, 2))):
+            ref = dense.solve(rhs)
+            assert np.linalg.norm(kron.solve(rhs) - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert np.linalg.norm(kron.coefs(kron.coords(rhs)) - ref) <= 1e-10 * np.linalg.norm(ref)
+        v = rng.normal(size=p)
+        assert kron.objective(kron.coords(v)) == pytest.approx(dense.objective(dense.coords(v)), rel=1e-10)
+        # the factors are m_j x m_j and m x m: no p x p array
+        assert max(a.shape[0] for a in vars(kron).values() if isinstance(a, np.ndarray)) == p
+        assert all(a.ndim == 1 or a.shape[0] in (m, mj) for a in vars(kron).values() if isinstance(a, np.ndarray))

@@ -290,6 +290,35 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert "bad_curves.csv" in err and f"curve {cid!r}" in err
 
+    @pytest.mark.parametrize("factor,cause", [(1e200, "overflows"), (1e-200, "underflows")])
+    def test_extreme_curve_magnitude_exit2(self, dataset, tmp_path, capsys, factor, cause):
+        # scaled by 1e200 a curve used to fail in an SVD (exit 4); by 1e-200 it was called all equal
+        base, curves, covars, truth, config = dataset
+        lines = curves.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("curve_id"))
+        cid = lines[header + 1].split(",")[0]
+        for i in range(header + 1, len(lines)):
+            row = lines[i].split(",")
+            if row[0] != cid:
+                break
+            row[2:4] = [repr(factor * float(v)) for v in row[2:4]]
+            lines[i] = ",".join(row)
+        bad = tmp_path / "bad_curves.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["fit", str(bad), str(covars), str(config), str(tmp_path / "m.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad_curves.csv" in err and f"curve {cid!r}" in err and f"squared empirical norm {cause}" in err
+
+    def test_overflowing_covariate_exit2(self, dataset, tmp_path, capsys):
+        # a covariate of 1e300 used to end the fit with a non-finite risk (exit 4)
+        base, curves, covars, truth, config = dataset
+        bad = _with_covariate(covars, tmp_path, "z1", "1e300")
+        rc = main(["fit", str(curves), str(bad), str(config), str(tmp_path / "m.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'z1'" in err and "curve row 2" in err and "overflows" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_covariate_exit2(self, dataset, tmp_path, capsys, value):
         # a NaN smooth covariate used to collapse the spline margin and zero the effect
