@@ -29,6 +29,7 @@ __all__ = [
     "curve_design",
     "sample_design",
     "constraint_matrix",
+    "packed_constraint_matrix",
     "nullspace",
     "nullspace_transform",
     "center_pole",
@@ -241,25 +242,19 @@ def build_response_basis(cfg: SplineConfig, all_observed_t: np.ndarray) -> BSpli
 
 
 def curve_design(basis: BSplineBasis, curve: CurveSample, coef_mode: bool = False) -> np.ndarray:
-    """Response design matrix for one curve.
-
-    In coefficient mode (full-Gram weights on coefficient vectors) the curve's
-    values already live in the basis, so the design is the identity.
-    """
-    if coef_mode:
-        if curve.k != basis.dim:
-            raise GeometryError(
-                f"curve {curve.id!r}: coefficient mode needs k == basis dim ({basis.dim}), got {curve.k}"
-            )
-        return np.eye(basis.dim)
-    return basis.design(curve.grid)
+    """Response design matrix for one curve: the dense ``sample_design`` of a one-curve sample."""
+    return sample_design(basis, [curve], coef_mode).dense()
 
 
 def sample_design(basis: BSplineBasis, curves: list[CurveSample], coef_mode: bool = False) -> DesignBand:
-    """Band of the stacked response design of a whole sample: every curve's ``curve_design``, curve after curve."""
+    """Band of the stacked response design of a whole sample, curve after curve.
+
+    Coefficient-level curves already live in the basis: each curve's design is the identity.
+    """
     if coef_mode:
-        for curve in curves:
-            curve_design(basis, curve, coef_mode=True)  # checks k == basis dim
+        bad = next((c for c in curves if c.k != basis.dim), None)
+        if bad is not None:
+            raise GeometryError(f"curve {bad.id!r}: coefficient mode needs k == basis dim ({basis.dim}), got {bad.k}")
         return DesignBand.identity(basis.dim, len(curves))
     return basis.band(np.concatenate([c.grid for c in curves]))
 
@@ -374,6 +369,20 @@ def constraint_matrix(
             # <b_l, zeta> = b_l^T W zeta: real basis, no conjugation needed
             C[r] += WB.T @ zeta
     C /= len(sample)
+    return np.hstack([C.real, C.imag])
+
+
+def packed_constraint_matrix(packed: PackedSample, pole: PoleCoef, kind: GeometryKind) -> np.ndarray:
+    """``constraint_matrix`` in packed passes: row r is the mean over curves of ``packed.project(zeta_r)``,
+    for the normal directions zeta = 1/||1||, i/||1||, i p̂ and, for shapes, p̂."""
+    p_c = packed.center(packed.band @ pole.coef)
+    pn = packed.norm(p_c)
+    packed.check(pn <= 0, GeometryError, "pole is degenerate on this grid")
+    p_hat = p_c / pn[packed.seg]
+    ones = np.ones(packed.offsets[-1])
+    one = ones / packed.norm(ones)[packed.seg]
+    zetas = [one, 1j * one, 1j * p_hat] + ([p_hat] if GeometryKind.parse(kind) is GeometryKind.SHAPE else [])
+    C = np.array([packed.project(zeta).sum(axis=0) for zeta in zetas]) / packed.n
     return np.hstack([C.real, C.imag])
 
 

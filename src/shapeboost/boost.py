@@ -31,8 +31,8 @@ from .basis import (
     TangentTransform,
     build_response_basis,
     center_pole,
-    constraint_matrix,
     nullspace_transform,
+    packed_constraint_matrix,
     sample_design,
 )
 from .effects import (
@@ -71,6 +71,7 @@ __all__ = [
     "predict_mean",
     "predict_means",
     "empirical_risk",
+    "model_sample",
     "rmse_effect",
     "transported_residuals",
 ]
@@ -219,15 +220,14 @@ class _PoleSample:
     Tangent coefficients c (m,) map to basis coefficients Z_c c and through
     the band of the stacked response design to evaluations, so the per-curve
     tangent designs D_i = B_i Z_c are never formed.  Without a transform, the
-    tangent space is the null space of the constraints at the pole.  The pole
-    representative and its norms are computed once.
+    tangent space is the null space of the constraints at the pole, built in
+    packed passes.  The pole representative and its norms are computed once.
     """
 
-    def __init__(self, sample: list[CurveSample], packed: PackedSample, pole: PoleCoef, kind: GeometryKind,
+    def __init__(self, packed: PackedSample, pole: PoleCoef, kind: GeometryKind,
                  transform: TangentTransform | None = None):
         if transform is None:
-            designs = np.split(packed.band.dense(), packed.offsets[1:-1])
-            transform = nullspace_transform(constraint_matrix(sample, pole, kind, designs=designs))
+            transform = nullspace_transform(packed_constraint_matrix(packed, pole, kind))
         self.packed = packed
         self.pole = pole
         self.kind = kind
@@ -238,8 +238,7 @@ class _PoleSample:
 
     @classmethod
     def of(cls, sample: list[CurveSample], pole: PoleCoef, kind: GeometryKind, coef_mode: bool, transform=None):
-        packed = PackedSample.of(sample, sample_design(pole.basis, sample, coef_mode))
-        return cls(sample, packed, pole, kind, transform)
+        return cls(PackedSample.of(sample, sample_design(pole.basis, sample, coef_mode)), pole, kind, transform)
 
     def predictor(self, coefs: np.ndarray) -> np.ndarray:
         """Packed evaluations D_i c_i of per-curve tangent coefficients (n, m)."""
@@ -334,15 +333,10 @@ class _FitContext:
         return self.ps.project(eps), d
 
 
-def _penalized_spline_fit(
-    packed: PackedSample,
-    targets: np.ndarray,
-    selected: np.ndarray,
-    basis: BSplineBasis,
-    lam: float = 1e-6,
-) -> np.ndarray:
+def _penalized_spline_fit(packed: PackedSample, design_grams: np.ndarray, targets: np.ndarray,
+                          selected: np.ndarray, basis: BSplineBasis, lam: float = 1e-6) -> np.ndarray:
     """Weighted penalized LS fit of the packed targets on the selected curves, complex coefficients."""
-    A = packed.design_grams()[selected].sum(axis=0) + lam * basis.penalty("second_diff")
+    A = design_grams[selected].sum(axis=0) + lam * basis.penalty("second_diff")
     return PlsLearner(A, None, "preliminary pole").solve(packed.project(targets)[selected].sum(axis=0))
 
 
@@ -370,8 +364,9 @@ def estimate_pole(
         pooled_t = np.concatenate([c.grid for c in sample])
         bas = build_response_basis(basis, pooled_t)
     packed = PackedSample.of(sample, sample_design(bas, sample, config.coef_mode))
+    K = packed.design_grams()  # the band and the weights are fixed: once for the whole estimate
 
-    ref_coef = _penalized_spline_fit(packed, packed.values, np.arange(packed.n) == 0, bas)
+    ref_coef = _penalized_spline_fit(packed, K, packed.values, np.arange(packed.n) == 0, bas)
     u, skipped = packed.align(packed.y_c, packed.center(packed.band @ ref_coef))
     for i in np.flatnonzero(skipped):
         warnings.warn(f"curve {sample[i].id!r}: skipped in preliminary pole (degenerate alignment)", stacklevel=2)
@@ -380,7 +375,7 @@ def estimate_pole(
     reps = u[packed.seg] * packed.y_c
     if kind is GeometryKind.SHAPE:
         reps = reps / packed.y_norm[packed.seg]
-    p0_coef = _penalized_spline_fit(packed, reps, ~skipped, bas)
+    p0_coef = _penalized_spline_fit(packed, K, reps, ~skipped, bas)
     pole = center_pole(PoleCoef(coef=p0_coef, basis=bas), packed)
 
     # intercept-only boosting: unpenalized constant tangent effect, step length
@@ -389,14 +384,19 @@ def estimate_pole(
     # refined pole until the mean transported residual norm stops decreasing.
     budget = config.pole_max_iterations
     cond_prev = np.inf
+    K_sum = K.sum(axis=0)
+    restarts, cond, exhausted = 0, np.nan, budget <= 0
     while budget > 0:
-        ps = _PoleSample(sample, packed, pole, kind)
-        grams = ps.grams()
-        intercept = PlsLearner(grams.sum(axis=0), None, "pole intercept")
-        G0 = grams.mean(axis=0)
+        restarts += 1
+        ps = _PoleSample(packed, pole, kind)
+        # the intercept's system is sum_i G_i = Re(Z_c^H (sum_i K_i) Z_c): one Gram, not the stack
+        G_sum = ps.transform.gram(K_sum)
+        intercept = PlsLearner(G_sum, None, "pole intercept")
+        G0 = G_sum / packed.n
         h0 = np.zeros(ps.transform.m)
         prev = np.inf
         cond = None
+        exhausted = False
         while budget > 0:
             budget -= 1
             eps, _ = ps.residuals(np.broadcast_to(h0, (packed.n, h0.size)))
@@ -409,6 +409,8 @@ def estimate_pole(
                 break
             prev = cur
             h0 = h0 + step
+        else:
+            exhausted = True  # the budget ran out before the mean residual norm settled
 
         if cond is not None and cond <= 1e-10:
             break
@@ -427,6 +429,8 @@ def estimate_pole(
         if n0 < 1e-14 or (np.isfinite(cond_prev) and cond >= 0.5 * cond_prev):
             break
         cond_prev = cond
+    log.info("pole: %d restarts, %d intercept steps, first-order condition %.3g, budget %s",
+             restarts, config.pole_max_iterations - budget, cond, "exhausted" if exhausted else "not exhausted")
     return pole
 
 
@@ -501,14 +505,15 @@ def boost_fit(
     return model
 
 
-def _model_sample(model: FittedModel, sample: list[CurveSample]) -> _PoleSample:
+def model_sample(model: FittedModel, sample: list[CurveSample]) -> _PoleSample:
+    """A sample packed at a fitted model's pole; a command that evaluates a model several times packs it once."""
     return _PoleSample.of(sample, model.pole, model.kind, model.coef_mode, model.transform)
 
 
 @serial_blas
 def transported_residuals(model: FittedModel, sample: list[CurveSample], covariates: dict) -> ResidualSet:
     """Transported residuals of a sample under a fitted model."""
-    ps = _model_sample(model, sample)
+    ps = model_sample(model, sample)
     eps, _ = ps.residuals(model.predictor_coefs(covariates, len(sample)))
     cuts = ps.packed.offsets[1:-1]
     return ResidualSet(
@@ -634,9 +639,11 @@ def predict_mean(
 
 
 @serial_blas
-def empirical_risk(model: FittedModel, sample: list[CurveSample], covariates: dict) -> float:
-    """Empirical mean squared geodesic distance between sample and fitted means."""
-    d = _model_sample(model, sample).distances(model.predictor_coefs(covariates, len(sample)))
+def empirical_risk(model: FittedModel, sample: list[CurveSample], covariates: dict,
+                   pole_sample: _PoleSample | None = None) -> float:
+    """Empirical mean squared geodesic distance between sample and fitted means (``pole_sample`` as in rmse_effect)."""
+    ps = model_sample(model, sample) if pole_sample is None else pole_sample
+    d = ps.distances(model.predictor_coefs(covariates, len(sample)))
     return float(np.mean(d**2))
 
 
@@ -662,18 +669,20 @@ def rmse_effect(
     true_effect_evals: list[np.ndarray],
     true_total_evals: list[np.ndarray],
     true_pole_evals: list[np.ndarray] | None = None,
+    pole_sample: _PoleSample | None = None,
 ) -> float:
     """Relative mean squared error of one fitted effect against a known truth.
 
     rMSE = sum_i ||hhat_j(x_i) - h_j(x_i)||_i^2 / sum_i ||h(x_i)||_i^2 with
     per-curve empirical inner products; the fitted effect is parallel
     transported from the estimated pole to the true pole before comparing.
+    ``pole_sample`` is the sample's ``model_sample``, when the caller has it.
     """
     idx = [k for k, eff in enumerate(model.effects) if eff.spec.name == effect_name]
     if not idx:
         raise EffectError(f"unknown effect {effect_name!r}")
     eff = model.effects[idx[0]]
-    ps = _model_sample(model, sample)
+    ps = model_sample(model, sample) if pole_sample is None else pole_sample
     packed = ps.packed
     vals = ps.predictor(eff.cmap.design(covariates, len(sample)) @ eff.theta.T)
     if true_pole_evals is not None:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import factorize
 from . import io as sbio
 from .basis import build_response_basis, sample_design
 from .boost import (
@@ -24,6 +25,7 @@ from .boost import (
     cv_early_stop,
     empirical_risk,
     estimate_pole,
+    model_sample,
     predict_mean,  # noqa: F401  (kept in this namespace for instrumentation that wraps it)
     predict_means,
     rmse_effect,
@@ -128,8 +130,9 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     model, digest, sample, covariates = _load_model_inputs(args)
     report = {"config_hash": digest, "method": args.method, "effects": {}, "predictor": None}
     facs = {}
+    grams = factorize.model_grams(model, sample, covariates)  # shared by every factorization below
     for eff in model.effects:
-        fac = effect_factorization(model, sample, covariates, eff.spec.name, method=args.method)
+        fac = effect_factorization(model, sample, covariates, eff.spec.name, method=args.method, grams=grams)
         facs[eff.spec.name] = fac
         report["effects"][eff.spec.name] = {
             "singular_values": fac.singular_values.tolist(),
@@ -138,7 +141,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
             "directions": fac.directions.tolist(),
             "scalar_coefs": fac.scalar_coefs.tolist(),
         }
-    joint = predictor_factorization(model, sample, covariates, method=args.method)
+    joint = predictor_factorization(model, sample, covariates, method=args.method, grams=grams)
     report["predictor"] = {
         "effect_names": joint.effect_names,
         "singular_values": joint.singular_values.tolist(),
@@ -252,12 +255,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     total_evals = np.split(sum(effect_evals.values(), zero), cuts)
     pole_evals = np.split(packed.band @ tpole.coef, cuts)
     results = []
+    ps = model_sample(model, sample)  # shared by every evaluation below
     for eff in model.effects:
         name = eff.spec.name
         true_evals = np.split(effect_evals.get(name, zero), cuts)
-        r = rmse_effect(model, sample, covariates, name, true_evals, total_evals, pole_evals)
+        r = rmse_effect(model, sample, covariates, name, true_evals, total_evals, pole_evals, pole_sample=ps)
         results.append((name, r, name in effect_evals))
-    risk = empirical_risk(model, sample, covariates)
+    risk = empirical_risk(model, sample, covariates, pole_sample=ps)
     with open(args.out, "w", newline="") as fh:
         fh.write(f"# config={digest} risk={risk!r}\n")
         writer = csv.writer(fh)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._blas import serial_blas
-from .boost import FittedModel, _model_sample
+from .boost import FittedModel, model_sample
 from .geometry import CurveSample, GeometryError, GeometryKind, PackedSample, empirical_norm, trapezoid_weights
 from .effects import EffectError
 
@@ -137,7 +137,7 @@ def factorize_effect(
 @serial_blas
 def model_grams(model: FittedModel, sample: list[CurveSample], covariates: dict) -> tuple[np.ndarray, list[np.ndarray]]:
     """Empirical tangent Gram G0 = mean_i Re(D_i^H W_i D_i) and per-effect covariate designs."""
-    G0 = model.transform.gram(_model_sample(model, sample).packed.design_grams().mean(axis=0))
+    G0 = model.transform.gram(model_sample(model, sample).packed.design_grams().mean(axis=0))
     n = len(sample)
     designs = [eff.cmap.design(covariates, n) for eff in model.effects]
     return G0, designs
@@ -149,7 +149,7 @@ def _tangent_design_stack(model: FittedModel, sample: list[CurveSample]) -> np.n
     Per curve, the real rows of its whitened tangent design R_i D_i are
     followed by the imaginary ones.
     """
-    packed = _model_sample(model, sample).packed
+    packed = model_sample(model, sample).packed
     SD = packed.whiten(packed.band @ model.transform.complex_columns)
     rows = np.arange(SD.shape[0])
     A0 = np.empty((2 * SD.shape[0], SD.shape[1]))
@@ -165,12 +165,13 @@ def effect_factorization(
     covariates: dict,
     effect_name: str,
     method: str = "cholesky",
+    grams: tuple[np.ndarray, list[np.ndarray]] | None = None,
 ) -> Factorization:
-    """Factorize one fitted effect under the model's empirical inner products."""
+    """Factorize one fitted effect under the model's empirical inner products; ``grams`` is ``model_grams``'s result."""
     keep = [k for k, eff in enumerate(model.effects) if eff.spec.name == effect_name]
     if not keep:
         raise EffectError(f"unknown effect {effect_name!r}")
-    return _factorize_effects(model, sample, covariates, keep[:1], method)
+    return _factorize_effects(model, sample, covariates, keep[:1], method, grams)
 
 
 def factorize_predictor(
@@ -218,16 +219,17 @@ def predictor_factorization(
     sample: list[CurveSample],
     covariates: dict,
     method: str = "cholesky",
+    grams: tuple[np.ndarray, list[np.ndarray]] | None = None,
 ) -> Factorization:
-    """Joint factorization of all fitted effects (see ``factorize_predictor``)."""
-    return _factorize_effects(model, sample, covariates, list(range(len(model.effects))), method)
+    """Joint factorization of all fitted effects (see ``factorize_predictor``); ``grams`` as above."""
+    return _factorize_effects(model, sample, covariates, list(range(len(model.effects))), method, grams)
 
 
 def _factorize_effects(
-    model: FittedModel, sample: list[CurveSample], covariates: dict, keep: list[int], method: str
+    model: FittedModel, sample: list[CurveSample], covariates: dict, keep: list[int], method: str, grams
 ) -> Factorization:
     """Joint factorization of the effects with indices ``keep``."""
-    G0, designs = model_grams(model, sample, covariates)
+    G0, designs = model_grams(model, sample, covariates) if grams is None else grams
     A0 = _tangent_design_stack(model, sample) if method == "qr" else None
     return factorize_predictor(
         [model.effects[k].theta for k in keep],

@@ -165,28 +165,79 @@ def center(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 _FLOAT_TINY = float(np.finfo(float).tiny)  # smallest normal float: a squared norm below it has underflowed
 
+# the curve check, in the order its faults are reported; each entry is formatted with its curve's numbers
+_CURVE_FAULTS = (
+    "grid and values must be equal-length vectors", "grid and values must be finite",
+    "need at least 3 evaluation points, got {:d}", "grid must be strictly increasing", "grid must lie in [0, 1]",
+    "weights must be finite", "weights must be a vector or a square matrix", "weight vector length does not match grid",
+    "diagonal weights must be strictly positive", "weight matrix shape does not match grid",
+    "weight matrix must be symmetric", "weight matrix is not positive definite",
+    "squared empirical norm overflows (largest |value| {:.3g})",
+    "squared empirical norm underflows (largest centred |value| {:.3g})", "values are all equal (degenerate)",
+)
 
-def _validate_weights(weights: np.ndarray, k: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise GeometryError("weights must be finite")
-    if w.ndim == 1:
-        if w.shape != (k,):
-            raise GeometryError("weight vector length does not match grid")
-        if not np.all(w > 0):
-            raise GeometryError("diagonal weights must be strictly positive")
-    elif w.ndim == 2:
-        if w.shape != (k, k):
-            raise GeometryError("weight matrix shape does not match grid")
-        if not np.allclose(w, w.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(w).max()))):
-            raise GeometryError("weight matrix must be symmetric")
-        try:
-            np.linalg.cholesky(w)
-        except np.linalg.LinAlgError:
-            raise GeometryError("weight matrix is not positive definite") from None
-    else:
-        raise GeometryError("weights must be a vector or a square matrix")
-    return w
+
+def _not_positive_definite(w: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(w)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _check_curves(ids: list[str], grids: list, values: list, weights: list) -> tuple[list, list, list]:
+    """The one curve check, over packed arrays; returns the curves' grids, values and weights as arrays.
+
+    The first failing curve in order raises ``GeometryError`` naming its first failing check (``_CURVE_FAULTS``).
+    A weight matrix that is one object for every curve is validated once.  A curve whose centred norm is at
+    most 1e-14 of its own largest |value| is degenerate: the check is scale-invariant short of over/underflow.
+    """
+    n = len(ids)
+    grids = [np.asarray(g, dtype=float) for g in grids]
+    values = [np.asarray(v, dtype=complex) for v in values]
+    shared = n > 1 and all(w is weights[0] for w in weights)
+    weights = [np.asarray(weights[0], dtype=float)] * n if shared else [np.asarray(w, dtype=float) for w in weights]
+    bad = np.zeros((len(_CURVE_FAULTS), n), dtype=bool)
+    k = np.fromiter((g.size for g in grids), int, n)
+    bad[0] = [g.ndim != 1 or v.shape != g.shape for g, v in zip(grids, values)]
+    sizes = np.where(bad[0], 0, k)  # grid and values of every curve of the right shape, packed
+    seg = np.repeat(np.arange(n), sizes)
+    g = np.concatenate([g for g, no in zip(grids, bad[0]) if not no] or [np.empty(0)])
+    v = np.concatenate([v for v, no in zip(values, bad[0]) if not no] or [np.empty(0)])
+    bad[1] = np.bincount(seg, ~(np.isfinite(g) & np.isfinite(v)), n) > 0
+    bad[2] = ~bad[0] & (k < 3)
+    bad[3] = np.bincount(seg[1:][(seg[1:] == seg[:-1]) & ~(np.diff(g) > 0)], minlength=n) > 0
+    bad[4] = np.bincount(seg[(g < -1e-12) | (g > 1 + 1e-12)], minlength=n) > 0
+    bad[5] = np.resize([not np.isfinite(w).all() for w in weights[: 1 if shared else n]], n)
+    bad[6] = [w.ndim not in (1, 2) for w in weights]
+    bad[7] = [w.ndim == 1 and w.shape != (kk,) for w, kk in zip(weights, k)]
+    bad[9] = [w.ndim == 2 and w.shape != (kk, kk) for w, kk in zip(weights, k)]
+    idx = np.flatnonzero(~bad[[0, 2, 6, 7, 9]].any(axis=0))  # curves whose arrays fit together
+    norms = np.zeros((2, n))  # largest |value| and largest centred |value|, for the messages
+    if idx.size:  # one packed sample: the curves of one file share one kind of weights
+        ws = [weights[i] for i in idx]
+        if ws[0].ndim == 2:
+            W = np.stack(ws[:1] if shared else ws)
+            tol = 1e-10 * np.maximum(1.0, np.abs(W).max(axis=(1, 2)))
+            bad[10, idx] = np.resize(np.abs(W - W.transpose(0, 2, 1)).max(axis=(1, 2)) > tol, idx.size)
+            bad[11, idx] = np.resize([_not_positive_definite(w) for w in W], idx.size)
+        else:
+            bad[8, idx] = np.bincount(np.repeat(np.arange(idx.size), k[idx]), np.concatenate(ws) <= 0, idx.size) > 0
+        with np.errstate(all="ignore"):
+            packed = PackedSample(ws, [ids[i] for i in idx], [values[i] for i in idx])
+            sq = packed.inner(packed.y_c, packed.y_c).real
+            norms[:, idx] = [np.maximum.reduceat(np.abs(x), packed.offsets[:-1]) for x in (packed.values, packed.y_c)]
+        largest, spread = norms[:, idx]
+        bad[12, idx] = ~np.isfinite(sq)
+        # a tiny squared norm of values that differ beyond rounding is an underflow, not a flat curve
+        bad[13, idx] = (sq < _FLOAT_TINY) & (spread > 1e-14 * largest)
+        bad[14, idx] = packed.y_norm <= 1e-14 * largest
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        r = int(np.argmax(bad[:, i]))
+        number = {2: k[i], 12: norms[0, i], 13: norms[1, i]}.get(r)  # the one number a message formats, if any
+        raise GeometryError(f"curve {ids[i]!r}: " + _CURVE_FAULTS[r].format(number))
+    return grids, values, weights
 
 
 @dataclass(frozen=True)
@@ -212,41 +263,18 @@ class CurveSample:
     weights: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
-        if grid.ndim != 1 or values.shape != grid.shape:
-            raise GeometryError(f"curve {self.id!r}: grid and values must be equal-length vectors")
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
-            raise GeometryError(f"curve {self.id!r}: grid and values must be finite")
-        k = grid.size
-        if k < 3:
-            raise GeometryError(f"curve {self.id!r}: need at least 3 evaluation points, got {k}")
-        if not np.all(np.diff(grid) > 0):
-            raise GeometryError(f"curve {self.id!r}: grid must be strictly increasing")
-        if grid[0] < -1e-12 or grid[-1] > 1 + 1e-12:
-            raise GeometryError(f"curve {self.id!r}: grid must lie in [0, 1]")
-        try:
-            weights = _validate_weights(self.weights, k)
-        except GeometryError as exc:
-            raise GeometryError(f"curve {self.id!r}: {exc}") from None
-        with np.errstate(over="ignore", invalid="ignore"):
-            centered = values - _weighted_mean(values, weights)
-            sq = empirical_inner(centered, centered, weights).real
-        largest = float(np.abs(values).max())
-        if not np.isfinite(sq):
-            raise GeometryError(
-                f"curve {self.id!r}: squared empirical norm overflows (largest |value| {largest:.3g})"
-            )
-        # a tiny squared norm of values that differ beyond rounding is an underflow, not a flat curve
-        if sq < _FLOAT_TINY and (spread := float(np.abs(centered).max())) > 1e-14 * largest:
-            raise GeometryError(
-                f"curve {self.id!r}: squared empirical norm underflows (largest centred |value| {spread:.3g})"
-            )
-        if np.sqrt(max(sq, 0.0)) <= 1e-14 * max(1.0, largest):
-            raise GeometryError(f"curve {self.id!r}: values are all equal (degenerate)")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
+        (grid,), (values,), (weights,) = _check_curves([self.id], [self.grid], [self.values], [self.weights])
+        self.__dict__.update(grid=grid, values=values, weights=weights)  # the checked arrays
+
+    @classmethod
+    def checked(cls, ids: list[str], grids: list, values: list, weights: list) -> list["CurveSample"]:
+        """Curves of one sample after one packed check of them all (``_check_curves``)."""
+        curves = []
+        for id, grid, vals, w in zip(ids, *_check_curves(ids, grids, values, weights)):
+            curve = object.__new__(cls)
+            curve.__dict__.update(id=id, grid=grid, values=vals, weights=w)  # checked above: no second check
+            curves.append(curve)
+        return curves
 
     @property
     def k(self) -> int:

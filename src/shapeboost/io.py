@@ -92,8 +92,8 @@ def read_curves(
     if weight_rule == "column" and not has_w:
         raise SchemaError(f"{path}: weight rule 'column' needs a w column")
 
-    order: list[str] = []
-    data: dict[str, list[tuple[float, complex, float]]] = {}
+    index: dict[str, int] = {}  # curve id -> position in file order
+    points = []  # (curve position, t, value, w) of every row
     for lineno, row in rows:
         if len(row) < 4 + int(has_w):
             raise SchemaError(f"{path}:{lineno}: expected {4 + int(has_w)} fields, got {len(row)}")
@@ -106,39 +106,42 @@ def read_curves(
             raise SchemaError(f"{path}:{lineno}: {exc}") from None
         if not (math.isfinite(t) and cmath.isfinite(val)):
             raise SchemaError(f"{path}:{lineno}: curve {cid!r}: t, re and im must be finite")
-        if cid not in data:
-            data[cid] = []
-            order.append(cid)
-        data[cid].append((t, val, w))
+        points.append((index.setdefault(cid, len(index)), t, val, w))
 
     if weight_rule == "gram" and basis is None:
         raise SchemaError("gram weights need the response basis")
     gram = basis.gram if weight_rule == "gram" else None
-    curves = []
-    for cid in order:
-        pts = data[cid]
-        t = np.array([p[0] for p in pts])
-        vals = np.array([p[1] for p in pts])
-        if landmark:
-            k = len(pts)
-            if not np.array_equal(t, np.arange(1, k + 1, dtype=float)):
-                raise SchemaError(f"{path}: curve {cid!r}: landmark indices must be 1..{k} in order")
-            grid = (t - 1) / max(k - 1, 1)
+    # every curve's points in file order, curve after curve
+    curve_of, ts, vals, ws = zip(*points) if points else ((), (), (), ())
+    order = np.argsort(curve_of, kind="stable")
+    cuts = np.cumsum(np.bincount(curve_of, minlength=len(index)))[:-1]
+    ids = list(index)
+    ts_c, vals_c, ws_c = (np.split(np.array(x)[order], cuts) for x in (ts, vals, ws))
+    grids, weights, failure = [], [], None
+    for i, (cid, t) in enumerate(zip(ids, ts_c)):
+        k = t.size
+        if landmark and not np.array_equal(t, np.arange(1, k + 1, dtype=float)):
+            failure = SchemaError(f"{path}: curve {cid!r}: landmark indices must be 1..{k} in order")
+        elif weight_rule == "gram" and k != basis.dim:
+            failure = SchemaError(f"{path}: curve {cid!r}: gram mode needs k = basis dimension {basis.dim}, got {k}")
         else:
-            grid = t
-        if weight_rule == "gram" and len(pts) != basis.dim:
-            raise SchemaError(
-                f"{path}: curve {cid!r}: gram mode needs k = basis dimension {basis.dim}, got {len(pts)}"
-            )
-        try:
-            w = np.array([p[2] for p in pts]) if weight_rule == "column" else rule_weights(weight_rule, grid, gram)
-        except GeometryError as exc:  # e.g. a one-point grid has no trapezoid weights
-            raise SchemaError(f"{path}: curve {cid!r}: {exc}") from None
-        # CurveSample is the one curve check: grid, point count, weights and degenerate values
-        try:
-            curves.append(CurveSample(id=cid, grid=grid, values=vals, weights=w))
-        except GeometryError as exc:
-            raise SchemaError(f"{path}: {exc}") from None
+            grid = (t - 1) / max(k - 1, 1) if landmark else t
+            try:
+                w = ws_c[i] if weight_rule == "column" else rule_weights(weight_rule, grid, gram)
+            except GeometryError as exc:  # e.g. a one-point grid has no trapezoid weights
+                failure = SchemaError(f"{path}: curve {cid!r}: {exc}")
+        if failure is not None:
+            break
+        grids.append(grid)
+        weights.append(w)
+    # the one curve check, once, on the curves before any that failed above: the first failing curve is reported
+    n = len(grids)
+    try:
+        curves = CurveSample.checked(ids[:n], grids, vals_c[:n], weights)
+    except GeometryError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    if failure is not None:
+        raise failure
     return curves, landmark
 
 

@@ -20,6 +20,7 @@ from shapeboost.basis import (
     curve_design,
     nullspace,
     nullspace_transform,
+    packed_constraint_matrix,
     sample_design,
 )
 from shapeboost.geometry import (
@@ -345,6 +346,55 @@ class TestConstraints:
         for kind, r in [(GeometryKind.FORM, 3), (GeometryKind.SHAPE, 4)]:
             Z = nullspace_transform(constraint_matrix(sample, pole, kind))
             assert Z.m == 2 * m0 - r
+
+
+class TestPackedConstraints:
+    """The fit's constraint matrix, from packed passes, against the per-curve loop of ``constraint_matrix``."""
+
+    @pytest.mark.parametrize("weights", ["trapezoid", "uniform", "full"])
+    @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])
+    def test_matches_per_curve_loop(self, rng, kind, weights):
+        basis, pole, sample = _sample_and_pole(rng, n=7)
+        if weights == "uniform":
+            sample = [CurveSample(c.id, c.grid, c.values, uniform_weights(c.k)) for c in sample]
+        elif weights == "full":  # full matrices need one k: the first curve's grid for all
+            grid = sample[0].grid
+            sample = [CurveSample(c.id, grid, smooth_curve(rng, grid), random_spd(rng, grid.size)) for c in sample]
+        else:
+            assert len({c.k for c in sample}) > 1  # ragged k
+        packed = PackedSample.of(sample, sample_design(basis, sample))
+        C = packed_constraint_matrix(packed, pole, kind)
+        ref = constraint_matrix(sample, pole, kind)
+        assert C.shape == ref.shape == (4 if kind is GeometryKind.SHAPE else 3, 2 * basis.dim)
+        assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_coefficient_mode_matches_per_curve_loop(self, rng):
+        basis = build_response_basis(SplineConfig(3, 6, cyclic=True), np.empty(0))
+        grid = np.linspace(0, 1, basis.dim)
+        sample = [CurveSample(f"g{i}", grid, smooth_curve(rng, grid), basis.gram) for i in range(5)]
+        pole = PoleCoef(coef=smooth_curve(rng, grid), basis=basis)
+        designs = [np.eye(basis.dim)] * len(sample)
+        packed = PackedSample.of(sample, sample_design(basis, sample, coef_mode=True))
+        for kind in GeometryKind:
+            ref = constraint_matrix(sample, pole, kind, designs=designs)
+            assert np.abs(packed_constraint_matrix(packed, pole, kind) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_degenerate_pole_names_the_curve(self):
+        # degree-1 hats with equal coefficients on [0.2, 0.6]: the pole is constant on curve "flat"'s grid
+        basis = build_response_basis(SplineConfig(degree=1, n_knots=4), np.empty(0))
+        coef = np.array([0.0, 1.0, 1.0, 1.0, 2.0, 1j])
+        pole = PoleCoef(coef=coef, basis=basis)
+        good = np.linspace(0, 1, 9)
+        flat = np.array([0.25, 0.4, 0.55])
+        sample = [CurveSample("ok", good, np.exp(2j * np.pi * good), trapezoid_weights(good)),
+                  CurveSample("flat", flat, np.array([1, 2j, 3]), trapezoid_weights(flat)),
+                  CurveSample("flat2", flat, np.array([1, 2j, 3]), trapezoid_weights(flat))]
+        packed = PackedSample.of(sample, sample_design(basis, sample))
+        for kind in GeometryKind:
+            with pytest.raises(GeometryError, match=r"^curve 'flat': pole is degenerate on this grid$"):
+                packed_constraint_matrix(packed, pole, kind)
+            with pytest.raises(GeometryError, match=r"^curve 'flat': pole is degenerate on this grid$"):
+                constraint_matrix(sample, pole, kind)
 
 
 class TestNullspaceTransform:

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from shapeboost.boost import (
 from shapeboost.effects import EffectError, EffectSpec, KronPenalty
 from shapeboost.geometry import (
     CurveSample,
+    GeometryError,
     GeometryKind,
     PackedSample,
     center,
@@ -129,6 +131,77 @@ class TestEstimatePole:
             G0 = grams.mean(axis=0)
             mean_norm = np.sqrt(mean_coef @ G0 @ mean_coef)
             assert mean_norm <= 1e-6 * np.mean(ps.packed.norm(eps))
+
+
+class TestPoleSetupOnce:
+    """The pole's constraints from packed passes, and one design-Gram computation per packed sample."""
+
+    @pytest.mark.parametrize("weights", ["trapezoid", "gram"])
+    @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])
+    def test_no_dense_design_and_one_gram_stack(self, rng, kind, weights, monkeypatch):
+        import shapeboost.basis as sbbasis
+        import shapeboost.boost as sbboost
+        from shapeboost.geometry import DesignBand
+
+        if weights == "gram":
+            curves, cov, basis = _coefficient_dataset(rng, kind)
+        else:
+            curves, cov, _, basis, _ = make_dataset(rng, n=12, kind=kind)
+        _, _, effects, _, _ = make_dataset(np.random.default_rng(0), n=2)
+        config = BoostConfig(effects=effects, step_length=0.3, max_iterations=3, response_basis=BASIS,
+                             weight_rule=weights)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fit path runs no per-curve constraint loop")
+
+        densified = []  # rows of every densified band: covariate spline designs have one row per curve
+        real_dense = DesignBand.dense
+        monkeypatch.setattr(DesignBand, "dense", lambda band: densified.append(band.cols.shape[0]) or real_dense(band))
+        monkeypatch.setattr(sbbasis, "constraint_matrix", forbidden)
+        monkeypatch.setattr(sbboost, "constraint_matrix", forbidden, raising=False)
+        computed = []
+        real = PackedSample.design_grams
+        monkeypatch.setattr(PackedSample, "design_grams", lambda self: computed.append(self) or real(self))
+        pole = estimate_pole(curves, kind, basis, config)
+        assert len(computed) == 1
+        computed.clear()
+        boost_fit(curves[:8], {k: v[:8] for k, v in cov.items()}, config, pole, kind,
+                  eval_sample=curves[8:], eval_covariates={k: v[8:] for k, v in cov.items()})
+        assert len(computed) == 1  # the fitting sample's; the held-out sample needs none
+        assert max(densified, default=0) <= len(curves)  # no response band (sum of k rows) was densified
+
+    def test_degenerate_pole_names_the_curve_in_the_fit(self):
+        # degree-1 hats with equal coefficients on [0.2, 0.6]: the pole is constant on curve "flat"'s grid
+        basis = build_response_basis(SplineConfig(degree=1, n_knots=4), np.empty(0))
+        from shapeboost.basis import PoleCoef
+
+        pole = PoleCoef(coef=np.array([0.0, 1.0, 1.0, 1.0, 2.0, 1j]), basis=basis)
+        good, flat = np.linspace(0, 1, 9), np.array([0.25, 0.4, 0.55])
+        curves = [CurveSample("ok", good, np.exp(2j * np.pi * good), trapezoid_weights(good)),
+                  CurveSample("flat", flat, np.array([1, 2j, 3]), trapezoid_weights(flat))]
+        _, _, effects, _, _ = make_dataset(np.random.default_rng(0), n=2)
+        config = BoostConfig(effects=effects[:1], max_iterations=1)
+        cov = {"kappa": np.array(["0", "1"])}
+        for kind in GeometryKind:
+            with pytest.raises(GeometryError, match=r"^curve 'flat': pole is degenerate on this grid$"):
+                boost_fit(curves, cov, config, pole, kind)
+
+    def test_pole_reports_its_convergence(self, rng, caplog):
+        curves, _, effects, basis, _ = make_dataset(rng, n=12)
+        config = BoostConfig(effects=effects, response_basis=BASIS)
+        with caplog.at_level(logging.INFO, logger="shapeboost"):
+            estimate_pole(curves, GeometryKind.FORM, basis, config)
+            estimate_pole(curves, GeometryKind.FORM, basis, dataclasses.replace(config, pole_max_iterations=1))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("pole:")]
+        assert len(lines) == 2
+        import re
+
+        full = re.fullmatch(r"pole: (\d+) restarts, (\d+) intercept steps, first-order condition (\S+), budget (.+)",
+                            lines[0])
+        assert full and int(full[1]) >= 1 and 2 <= int(full[2]) < 100 and full[4] == "not exhausted"
+        assert float(full[3]) >= 0
+        assert re.fullmatch(r"pole: 1 restarts, 1 intercept steps, first-order condition \S+, budget exhausted",
+                            lines[1])
 
 
 class TestBoostFit:

@@ -379,6 +379,19 @@ class TestCurveSample:
         with pytest.raises(GeometryError):
             CurveSample("c", np.array([0.0, 0.5, 1.0]), np.array([2 + 1j] * 3), np.ones(3) / 3)
 
+    @pytest.mark.parametrize("radius", [1e-10, 1e-15, 1e-150])
+    def test_small_curves_accepted(self, radius):
+        # the all-equal test is relative to the curve's own largest |value|: forms are scale-invariant
+        grid = np.linspace(0, 1, 10)
+        curve = CurveSample("tiny", grid, radius * np.exp(2j * np.pi * grid), trapezoid_weights(grid))
+        assert np.array_equal(curve.values, radius * np.exp(2j * np.pi * grid))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-15, 1e15, 0.0])
+    def test_equal_values_rejected_at_any_scale(self, scale):
+        grid = np.linspace(0, 1, 10)
+        with pytest.raises(GeometryError, match=r"^curve 'eq': values are all equal \(degenerate\)$"):
+            CurveSample("eq", grid, np.full(10, scale * (2 - 1j)), trapezoid_weights(grid))
+
     def test_landmark_mapping(self):
         c = CurveSample.from_landmarks("lm", np.array([0, 1j, 2.0, 3j]))
         assert np.allclose(c.grid, [0, 1 / 3, 2 / 3, 1.0])

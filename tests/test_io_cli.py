@@ -11,9 +11,12 @@ import pytest
 
 import shapeboost
 from shapeboost import io as sbio
-from shapeboost.basis import build_response_basis
-from shapeboost.boost import cv_early_stop, estimate_pole
+import shapeboost.boost as sbboost
+from shapeboost.basis import build_response_basis, sample_design
+from shapeboost.boost import cv_early_stop, empirical_risk, estimate_pole, rmse_effect
 from shapeboost.cli import main
+from shapeboost.factorize import effect_factorization, predictor_factorization
+from shapeboost.geometry import PackedSample
 
 
 CONFIG = {
@@ -192,6 +195,79 @@ class TestCurveFiles:
         path.write_text("curve_id,t,re,im\na,0.0,1,1\na,0.5,1,1\na,1.0,1,1\n")
         with pytest.raises(sbio.SchemaError):
             sbio.read_curves(path)
+
+
+def _rows(cid, ts, vals, ws=None):
+    return "".join(f"{cid},{float(t)!r},{float(v.real)!r},{float(v.imag)!r}" + ("" if ws is None else f",{ws[j]!r}") + "\n"
+                   for j, (t, v) in enumerate(zip(ts, np.asarray(vals, dtype=complex))))
+
+
+GOOD_T = [0.0, 0.3, 0.6, 1.0]
+GOOD_V = [1 + 0j, 2j, -1.5 + 0.5j, 0.5 - 1j]
+
+
+class TestCurveRejections:
+    """Every rejection of the curve check, read through ``read_curves``: its text, and the first failing curve."""
+
+    CASES = {
+        "two_points": ("uniform", _rows("a", GOOD_T, GOOD_V) + _rows("b", [0.0, 1.0], [1, 2j]),
+                       "curve 'b': need at least 3 evaluation points, got 2"),
+        "not_increasing": ("uniform", _rows("a", [0.0, 0.5, 0.4], [1, 2j, 3]), "curve 'a': grid must be strictly increasing"),
+        "outside": ("uniform", _rows("a", [-0.5, 0.5, 1.0], [1, 2j, 3]), "curve 'a': grid must lie in [0, 1]"),
+        "weight_nan": ("column", _rows("a", GOOD_T, GOOD_V, [0.2, float("nan"), 0.3, 0.2]),
+                       "curve 'a': weights must be finite"),
+        "weight_zero": ("column", _rows("a", GOOD_T, GOOD_V, [0.2, 0.0, 0.3, 0.2]),
+                        "curve 'a': diagonal weights must be strictly positive"),
+        "all_equal": ("trapezoid", _rows("a", GOOD_T, GOOD_V) + _rows("b", GOOD_T, [1.5 - 0.5j] * 4),
+                      "curve 'b': values are all equal (degenerate)"),
+        "overflow": ("trapezoid", _rows("a", GOOD_T, 1e200 * np.array(GOOD_V)),
+                     "curve 'a': squared empirical norm overflows (largest |value| 2e+200)"),
+        "underflow": ("trapezoid", _rows("a", GOOD_T, 1e-200 * np.array(GOOD_V)),
+                      "curve 'a': squared empirical norm underflows (largest centred |value| 1.76e-200)"),
+        # the first failing curve in file order wins, whatever its check
+        "first_of_two": ("uniform", _rows("a", GOOD_T, GOOD_V) + _rows("b", [0.0, 0.7, 0.2], GOOD_V[:3])
+                         + _rows("c", [0.0, 1.0], [1, 2j]), "curve 'b': grid must be strictly increasing"),
+        "interleaved": ("uniform", _rows("a", GOOD_T[:1], GOOD_V[:1]) + _rows("b", GOOD_T, [3j] * 4)
+                        + _rows("a", [0.5, 0.2, 1.0], GOOD_V[1:]), "curve 'a': grid must be strictly increasing"),
+        "check_before_weights": ("trapezoid", _rows("a", GOOD_T, [2.0] * 4) + _rows("b", [0.5], [1]),
+                                 "curve 'a': values are all equal (degenerate)"),
+        "weights_before_check": ("trapezoid", _rows("a", [0.5], [1]) + _rows("b", GOOD_T, [2.0] * 4),
+                                 "curve 'a': trapezoid weights need at least two grid points"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_message_and_first_failing_curve(self, tmp_path, case):
+        rule, body, message = self.CASES[case]
+        path = tmp_path / "c.csv"
+        path.write_text(("curve_id,t,re,im,w\n" if rule == "column" else "curve_id,t,re,im\n") + body)
+        with pytest.raises(sbio.SchemaError) as err:
+            sbio.read_curves(path, weight_rule=rule)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_landmark_indices_checked_in_file_order(self, tmp_path):
+        path = tmp_path / "lm.csv"
+        lm = "".join(f"{cid},{j},{float(v.real)!r},{float(v.imag)!r}\n" for cid, idx, vals in
+                     (("a", (1, 2, 3), GOOD_V), ("b", (1, 3, 2), GOOD_V), ("c", (1, 2, 3), [1j] * 3))
+                     for j, v in zip(idx, np.asarray(vals, dtype=complex)))
+        path.write_text("curve_id,index,re,im\n" + lm)
+        with pytest.raises(sbio.SchemaError) as err:
+            sbio.read_curves(path, weight_rule="uniform")
+        assert str(err.value) == f"{path}: curve 'b': landmark indices must be 1..3 in order"
+
+    def test_shared_gram_validated_once(self, tmp_path, monkeypatch):
+        # every curve of a gram file shares basis.gram: one symmetry test and one Cholesky, not one per curve
+        basis = build_response_basis(shapeboost.SplineConfig(3, 6, cyclic=True), np.empty(0))
+        grid = np.linspace(0, 1, basis.dim)
+        rng = np.random.default_rng(4)
+        path = tmp_path / "g.csv"
+        path.write_text("curve_id,t,re,im\n" + "".join(
+            _rows(f"g{i}", grid, rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)) for i in range(6)))
+        calls = []
+        real = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a, *args, **kw: calls.append(a) or real(a, *args, **kw))
+        curves, _ = sbio.read_curves(path, weight_rule="gram", basis=basis)
+        assert len(curves) == 6 and all(c.weights is basis.gram for c in curves)
+        assert len(calls) == 1
 
 
 class TestCovariateFile:
@@ -480,6 +556,41 @@ class TestCliPipeline:
         rows = dict((r.split(",")[0], float(r.split(",")[1])) for r in lines[2:])
         assert set(rows) == {"group", "tilt"}
         assert all(v >= 0 for v in rows.values())
+
+    def test_factorize_and_eval_pack_the_model_sample_once(self, dataset, tmp_path, monkeypatch):
+        base, curves, covars, truth, config = dataset
+        mfile = tmp_path / "m.json"
+        assert main(["fit", str(curves), str(covars), str(config), str(mfile)]) == 0
+        packed = []
+        real = sbboost._PoleSample.__init__
+        monkeypatch.setattr(sbboost._PoleSample, "__init__", lambda self, *a, **k: packed.append(1) or real(self, *a, **k))
+        report, rmse = tmp_path / "report.json", tmp_path / "rmse.csv"
+        assert main(["factorize", str(mfile), str(curves), str(covars), str(report)]) == 0
+        assert len(packed) == 1  # one model sample for five effect factorizations and the joint one
+        packed.clear()
+        assert main(["eval", str(mfile), str(curves), str(covars), str(truth), str(rmse)]) == 0
+        assert len(packed) == 1  # one model sample for the rMSE of every effect and the risk
+        # the shared sample gives the numbers that one call per evaluation gives, bit for bit
+        model, _ = sbio.load_model(mfile)
+        sample, _ = sbio.read_curves(curves)
+        cov = sbio.read_covariates(covars, [c.id for c in sample])
+        doc = json.loads(report.read_text())
+        for name, eff in doc["effects"].items():
+            fac = effect_factorization(model, sample, cov, name)
+            assert eff["singular_values"] == fac.singular_values.tolist()
+            assert eff["directions"] == fac.directions.tolist()
+        assert doc["predictor"]["sub_variances"] == predictor_factorization(model, sample, cov).sub_variances.tolist()
+        lines = rmse.read_text().splitlines()
+        assert lines[0].endswith(f"risk={empirical_risk(model, sample, cov)!r}")
+        tpole, fields, maps = sbio.read_truth(truth)
+        tp = PackedSample.of(sample, sample_design(tpole.basis, sample))
+        m0, cuts = tpole.basis.dim, tp.offsets[1:-1]
+        evals = {k: tp.field(maps[k].design(cov, len(sample)) @ (V[:m0] + 1j * V[m0:]).T) for k, V in fields.items()}
+        total = np.split(sum(evals.values()), cuts)
+        for row in lines[2:]:
+            name, value, _ = row.split(",")
+            r = rmse_effect(model, sample, cov, name, np.split(evals[name], cuts), total, np.split(tp.band @ tpole.coef, cuts))
+            assert value == repr(float(r))
 
     def test_simulate_determinism(self, tmp_path):
         args = ["--n", "18", "--kbar", "15", "--seed", "9"]
