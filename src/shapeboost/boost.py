@@ -136,10 +136,14 @@ class BoostConfig:
 
 @dataclass
 class FittedEffect:
-    spec: EffectSpec
     cmap: CovariateMap
     theta: np.ndarray  # (m, m_j)
     lam: tuple[float, float] = (0.0, 0.0)
+
+    @property
+    def spec(self) -> EffectSpec:
+        """The effect's spec, held once by its covariate map."""
+        return self.cmap.spec
 
 
 @dataclass
@@ -485,8 +489,8 @@ def boost_fit(
             val_trace.append(eval_risk())
 
     effects = [
-        FittedEffect(spec=spec, cmap=cm, theta=theta, lam=(lr.penalty.lam_cov, lr.penalty.lam_tan))
-        for spec, cm, theta, lr in zip(config.effects, ctx.cmaps, thetas, ctx.learners)
+        FittedEffect(cmap=cm, theta=theta, lam=(lr.penalty.lam_cov, lr.penalty.lam_tan))
+        for cm, theta, lr in zip(ctx.cmaps, thetas, ctx.learners)
     ]
     model = FittedModel(
         kind=kind,

@@ -128,11 +128,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_factorize(args: argparse.Namespace) -> int:
     model, digest, sample, covariates = _load_model_inputs(args)
-    report = {"config_hash": digest, "method": args.method, "effects": {}, "predictor": None}
+    report = {"config_hash": digest, "effects": {}, "predictor": None}
     facs = {}
     grams = factorize.model_grams(model, sample, covariates)  # shared by every factorization below
     for eff in model.effects:
-        fac = effect_factorization(model, sample, covariates, eff.spec.name, method=args.method, grams=grams)
+        fac = effect_factorization(model, sample, covariates, eff.spec.name, grams=grams)
         facs[eff.spec.name] = fac
         report["effects"][eff.spec.name] = {
             "singular_values": fac.singular_values.tolist(),
@@ -141,7 +141,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
             "directions": fac.directions.tolist(),
             "scalar_coefs": fac.scalar_coefs.tolist(),
         }
-    joint = predictor_factorization(model, sample, covariates, method=args.method, grams=grams)
+    joint = predictor_factorization(model, sample, covariates, grams=grams)
     report["predictor"] = {
         "effect_names": joint.effect_names,
         "singular_values": joint.singular_values.tolist(),
@@ -315,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curves")
     p.add_argument("covariates")
     p.add_argument("out")
-    p.add_argument("--method", choices=["cholesky", "qr"], default="cholesky")
     p.add_argument("--svg")
     p.add_argument("--tau", type=float)
     p.set_defaults(func=cmd_factorize)

@@ -10,13 +10,10 @@ decomposed as V_0 D V_1^T and the direction coefficients recovered as
 U_j = M_j^- V_j.  Rank-L truncations of the result are optimal among all
 rank-L tensor approximations in the empirical norm.
 
-Two Gram roots are supported.  Method ``cholesky`` takes the Gram matrix
-and roots it by its symmetric eigendecomposition; method ``qr`` takes the
-weighted design and roots its Gram by the design's singular value
-decomposition, which never forms the Gram product explicitly (the method
-names are those of the factorizations the roots replaced).  Both cut the
-root at the same relative rank tolerance, so they give the same number of
-components, and both roots have orthogonal rows, so M_j^- needs no solve.
+Each Gram matrix is rooted by its symmetric eigendecomposition,
+G = W diag(w) W^T, as M = diag(sqrt(w)) W^T.  Eigenvalues at most 1e-12 of
+the trace are cut, so a rank-deficient Gram gives fewer components, and the
+root has orthogonal rows, so M^- = W diag(1 / sqrt(w)) needs no solve.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import numpy as np
 
 from ._blas import serial_blas
 from .boost import FittedModel, model_sample
-from .geometry import CurveSample, GeometryError, GeometryKind, PackedSample, empirical_norm, trapezoid_weights
+from .geometry import CurveSample, GeometryError, GeometryKind, PackedSample, trapezoid_weights
 from .effects import EffectError
 
 __all__ = [
@@ -61,61 +58,31 @@ class Factorization:
         return float(self.variance_shares.sum())
 
 
-def _root(scale2: np.ndarray, W: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray]:
-    """M = diag(sqrt(scale2)) W^T and its generalized inverse W diag(1 / sqrt(scale2)).
+def _gram_sqrt(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, M^-) with M^T M = G and M M^- = I, from the symmetric eigendecomposition of G.
 
-    W has orthonormal columns, so M^T M = W diag(scale2) W^T and M M^- = I.
-    Rows whose ``scale2`` is at most 1e-12 of ``total`` (the trace of M^T M
-    before the cut) are dropped, so a rank-deficient Gram gives fewer rows.
+    Rows whose eigenvalue is at most 1e-12 of the trace of G are dropped, so
+    a rank-deficient Gram gives fewer rows.
     """
-    keep = scale2 > 1e-12 * max(total, 1e-300)
-    root = np.sqrt(scale2[keep])
+    G = 0.5 * (G + G.T)
+    w, W = np.linalg.eigh(G)
+    w, W = w[::-1], W[:, ::-1]
+    keep = w > 1e-12 * max(float(np.trace(G)), 1e-300)
+    root = np.sqrt(w[keep])
     return root[:, None] * W[:, keep].T, W[:, keep] / root
 
 
-def _gram_sqrt(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M, M^-) with M^T M = G, from the symmetric eigendecomposition of G."""
-    G = 0.5 * (G + G.T)
-    w, W = np.linalg.eigh(G)
-    return _root(w[::-1], W[:, ::-1], float(np.trace(G)))
+def factorize_effect(theta: np.ndarray, G0: np.ndarray, G1: np.ndarray) -> Factorization:
+    """Factorize one coefficient matrix under the Gram matrices G0 (tangent) and G1 (covariate).
 
-
-def _design_sqrt(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M, M^-) with M^T M = A^T A, from the SVD of A; the Gram product is never formed."""
-    _, sv, Wt = np.linalg.svd(A, full_matrices=False)
-    return _root(sv**2, Wt.T, float(np.sum(A * A)))
-
-
-def factorize_effect(
-    theta: np.ndarray,
-    G0: np.ndarray | None = None,
-    G1: np.ndarray | None = None,
-    method: str = "cholesky",
-    A0: np.ndarray | None = None,
-    A1: np.ndarray | None = None,
-) -> Factorization:
-    """Factorize one coefficient matrix into orthonormal direction components.
-
-    ``cholesky`` consumes the Gram matrices, ``qr`` the stacked weighted
-    designs (A^T A = G).  Directions are sign-fixed so the first clearly
-    nonzero coefficient of each is positive; the scalar coefficients flip
-    with them.  The convention acts on the tangent coefficients, not on the
-    root's coordinates, so both methods give the same signed result.
+    Directions are sign-fixed so the first clearly nonzero coefficient of
+    each is positive; the scalar coefficients flip with them.  The convention
+    acts on the tangent coefficients, not on the root's coordinates, so it
+    does not depend on how the Gram matrices are rooted.
     """
     theta = np.asarray(theta, dtype=float)
-    if method == "cholesky":
-        if G0 is None or G1 is None:
-            raise EffectError("cholesky factorization needs both Gram matrices")
-        M0, M0inv = _gram_sqrt(np.asarray(G0))
-        M1, M1inv = _gram_sqrt(np.asarray(G1))
-    elif method == "qr":
-        if A0 is None or A1 is None:
-            raise EffectError("qr factorization needs both stacked designs")
-        M0, M0inv = _design_sqrt(np.asarray(A0))
-        M1, M1inv = _design_sqrt(np.asarray(A1))
-    else:
-        raise EffectError(f"unknown factorization method {method!r}")
-
+    M0, M0inv = _gram_sqrt(np.asarray(G0))
+    M1, M1inv = _gram_sqrt(np.asarray(G1))
     V0, d, V1t = np.linalg.svd(M0 @ theta @ M1.T, full_matrices=False)
     U0 = M0inv @ V0
     U1 = M1inv @ V1t.T
@@ -143,35 +110,19 @@ def model_grams(model: FittedModel, sample: list[CurveSample], covariates: dict)
     return G0, designs
 
 
-def _tangent_design_stack(model: FittedModel, sample: list[CurveSample]) -> np.ndarray:
-    """Real stacked weighted tangent design A0 with A0^T A0 = G0 (QR variant input).
-
-    Per curve, the real rows of its whitened tangent design R_i D_i are
-    followed by the imaginary ones.
-    """
-    packed = model_sample(model, sample).packed
-    SD = packed.whiten(packed.band @ model.transform.complex_columns)
-    rows = np.arange(SD.shape[0])
-    A0 = np.empty((2 * SD.shape[0], SD.shape[1]))
-    A0[rows + packed.offsets[packed.seg]] = SD.real
-    A0[rows + packed.offsets[packed.seg + 1]] = SD.imag
-    return A0 / np.sqrt(len(sample))
-
-
 @serial_blas
 def effect_factorization(
     model: FittedModel,
     sample: list[CurveSample],
     covariates: dict,
     effect_name: str,
-    method: str = "cholesky",
     grams: tuple[np.ndarray, list[np.ndarray]] | None = None,
 ) -> Factorization:
     """Factorize one fitted effect under the model's empirical inner products; ``grams`` is ``model_grams``'s result."""
     keep = [k for k, eff in enumerate(model.effects) if eff.spec.name == effect_name]
     if not keep:
         raise EffectError(f"unknown effect {effect_name!r}")
-    return _factorize_effects(model, sample, covariates, keep[:1], method, grams)
+    return _factorize_effects(model, sample, covariates, keep[:1], grams)
 
 
 def factorize_predictor(
@@ -179,8 +130,6 @@ def factorize_predictor(
     names: list[str],
     G0: np.ndarray,
     designs: list[np.ndarray],
-    method: str = "cholesky",
-    A0: np.ndarray | None = None,
 ) -> Factorization:
     """Joint factorization of the additive predictor over stacked covariate bases.
 
@@ -190,13 +139,7 @@ def factorize_predictor(
     """
     theta_all = np.hstack(thetas)
     B_all = np.hstack(designs)
-    n = B_all.shape[0]
-    if method == "qr":
-        if A0 is None:
-            raise EffectError("qr predictor factorization needs the stacked tangent design")
-        fac = factorize_effect(theta_all, method="qr", A0=A0, A1=B_all / np.sqrt(n))
-    else:
-        fac = factorize_effect(theta_all, G0=G0, G1=B_all.T @ B_all / n, method="cholesky")
+    fac = factorize_effect(theta_all, G0, B_all.T @ B_all / B_all.shape[0])
     slices = []
     off = 0
     for th in thetas:
@@ -218,26 +161,22 @@ def predictor_factorization(
     model: FittedModel,
     sample: list[CurveSample],
     covariates: dict,
-    method: str = "cholesky",
     grams: tuple[np.ndarray, list[np.ndarray]] | None = None,
 ) -> Factorization:
     """Joint factorization of all fitted effects (see ``factorize_predictor``); ``grams`` as above."""
-    return _factorize_effects(model, sample, covariates, list(range(len(model.effects))), method, grams)
+    return _factorize_effects(model, sample, covariates, list(range(len(model.effects))), grams)
 
 
 def _factorize_effects(
-    model: FittedModel, sample: list[CurveSample], covariates: dict, keep: list[int], method: str, grams
+    model: FittedModel, sample: list[CurveSample], covariates: dict, keep: list[int], grams
 ) -> Factorization:
     """Joint factorization of the effects with indices ``keep``."""
     G0, designs = model_grams(model, sample, covariates) if grams is None else grams
-    A0 = _tangent_design_stack(model, sample) if method == "qr" else None
     return factorize_predictor(
         [model.effects[k].theta for k in keep],
         [model.effects[k].spec.name for k in keep],
         G0,
         [designs[k] for k in keep],
-        method=method,
-        A0=A0,
     )
 
 
@@ -269,11 +208,12 @@ def direction_visual(
     grid = np.linspace(0.0, 1.0, n_points)
     w = trapezoid_weights(grid)
     B = model.basis.design(grid)
-    p_rep = PackedSample([w], ["pole"]).pole_rep(B @ model.pole.coef, model.kind)
+    grid_sample = PackedSample([w], ["pole"])
+    p_rep = grid_sample.pole_rep(B @ model.pole.coef, model.kind)
     D = B @ model.transform.complex_columns
     xv = D @ (tau * np.asarray(xi, dtype=float))
     if model.kind is GeometryKind.SHAPE:
-        nh = empirical_norm(xv, w)
+        nh = float(grid_sample.norm(xv)[0])
         if nh >= np.pi:
             raise GeometryError(f"tau * ||xi|| = {nh:.4f} leaves the shape exponential's domain")
         disp = np.cos(nh) * p_rep + (np.sin(nh) / nh if nh > 1e-12 else 1.0) * xv

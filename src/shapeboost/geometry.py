@@ -190,7 +190,8 @@ def _check_curves(ids: list[str], grids: list, values: list, weights: list) -> t
 
     The first failing curve in order raises ``GeometryError`` naming its first failing check (``_CURVE_FAULTS``).
     A weight matrix that is one object for every curve is validated once.  A curve whose centred norm is at
-    most 1e-14 of its own largest |value| is degenerate: the check is scale-invariant short of over/underflow.
+    most 1e-14 of its own largest |value| is degenerate at any scale; over- and underflow of the squared
+    norm are reported only for the others.
     """
     n = len(ids)
     grids = [np.asarray(g, dtype=float) for g in grids]
@@ -227,11 +228,12 @@ def _check_curves(ids: list[str], grids: list, values: list, weights: list) -> t
             packed = PackedSample(ws, [ids[i] for i in idx], [values[i] for i in idx])
             sq = packed.inner(packed.y_c, packed.y_c).real
             norms[:, idx] = [np.maximum.reduceat(np.abs(x), packed.offsets[:-1]) for x in (packed.values, packed.y_c)]
-        largest, spread = norms[:, idx]
-        bad[12, idx] = ~np.isfinite(sq)
-        # a tiny squared norm of values that differ beyond rounding is an underflow, not a flat curve
-        bad[13, idx] = (sq < _FLOAT_TINY) & (spread > 1e-14 * largest)
-        bad[14, idx] = packed.y_norm <= 1e-14 * largest
+            # centred norm relative to the largest |value|, scaled before squaring: rounding residue never overflows
+            largest = norms[0, idx]
+            flat = packed.norm(packed.y_c / np.where(largest > 0, largest, 1.0)[packed.seg]) <= 1e-14
+        bad[12, idx] = ~np.isfinite(sq) & ~flat
+        bad[13, idx] = (sq < _FLOAT_TINY) & ~flat
+        bad[14, idx] = flat
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))
         r = int(np.argmax(bad[:, i]))
@@ -434,14 +436,6 @@ class PackedSample:
             xr = np.ascontiguousarray(x).view(float)
             return (self.W @ xr.reshape(n, k, -1)).reshape(xr.shape).view(complex)
         return (self.W @ x.reshape(n, k, -1)).reshape(x.shape)
-
-    def whiten(self, x: np.ndarray) -> np.ndarray:
-        """R_i x_i for every curve with R_i^T R_i = W_i: sqrt(w), or L^T for W = L L^T."""
-        if self.W is None:
-            root = np.sqrt(self.w)
-            return (root if x.ndim == 1 else root[:, None]) * x
-        n, k = self.W.shape[:2]
-        return (np.linalg.cholesky(self.W).transpose(0, 2, 1) @ x.reshape(n, k, -1)).reshape(x.shape)
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per-curve empirical inner products conj(a_i)^T W_i b_i, shape (n,)."""

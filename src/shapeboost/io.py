@@ -427,7 +427,6 @@ def _fitted_effect(e: dict) -> FittedEffect:
     if lam.shape != (2,) or not np.all(np.isfinite(lam) & (lam >= 0)):
         raise ValueError(f"lambda must be two finite numbers >= 0, got {e['lambda']!r}")
     return FittedEffect(
-        spec=EffectSpec.from_dict(e["cmap"]["spec"]),
         cmap=CovariateMap.from_dict(e["cmap"]),
         theta=np.asarray(e["theta"], dtype=float),
         lam=tuple(lam.tolist()),

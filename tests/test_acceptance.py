@@ -32,6 +32,7 @@ from shapeboost.geometry import (
 from shapeboost.simulate import SimConfig, default_effects, gen_dataset, gen_truth, run_replicate, study_configs
 
 from conftest import curve_from, irregular_grid, random_pole_and_tangent, smooth_curve, tangent_part
+from test_factorize import cholesky_factorization
 
 KINDS = (GeometryKind.FORM, GeometryKind.SHAPE)
 _RISK_DECREASE_LOG = []
@@ -180,6 +181,7 @@ def test_criterion_5_factorization_oracle():
     worst_agree, worst_rec = 0.0, 0.0
     optimal = True
     svd_match = True
+    signed = True
     for trial in range(20):
         m = int(rng.integers(3, 7))
         mj = int(rng.integers(2, 6))
@@ -187,9 +189,13 @@ def test_criterion_5_factorization_oracle():
         A0 = rng.normal(size=(m + 12, m))
         A1 = rng.normal(size=(mj + 9, mj))
         G0, G1 = A0.T @ A0, A1.T @ A1
-        f1 = factorize_effect(theta, G0, G1, "cholesky")
-        f2 = factorize_effect(theta, method="qr", A0=A0, A1=A1)
-        worst_agree = max(worst_agree, np.abs(f1.singular_values - f2.singular_values).max())
+        f1 = factorize_effect(theta, G0, G1)
+        d_ref, U0_ref, S_ref = cholesky_factorization(theta, G0, G1)
+        worst_agree = max(worst_agree, np.abs(f1.singular_values - d_ref).max())
+        signed &= all(
+            np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+            for a, b in ((f1.directions, U0_ref), (f1.scalar_coefs, S_ref))
+        )
         U1 = f1.scalar_coefs / np.where(f1.singular_values > 0, f1.singular_values, 1.0)
         rec = f1.directions @ np.diag(f1.singular_values) @ U1.T
         err = rec - theta
@@ -208,8 +214,9 @@ def test_criterion_5_factorization_oracle():
         svd_match &= np.allclose(fid.singular_values, np.linalg.svd(theta, compute_uv=False), atol=1e-10)
     _report(
         5,
-        worst_agree <= 1e-8 and worst_rec <= 1e-8 and optimal and svd_match,
-        f"variant agreement {worst_agree:.2e}, reconstruction {worst_rec:.2e}, optimal {optimal}, svd {svd_match}",
+        worst_agree <= 1e-8 and signed and worst_rec <= 1e-8 and optimal and svd_match,
+        f"Cholesky-root agreement {worst_agree:.2e}, signed {signed}, reconstruction {worst_rec:.2e}, "
+        f"optimal {optimal}, svd {svd_match}",
     )
 
 

@@ -2,8 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from shapeboost.basis import curve_design
 from shapeboost.boost import BoostConfig, boost_fit, estimate_pole
+from shapeboost.effects import curve_gram
 from shapeboost.factorize import (
     direction_visual,
     effect_factorization,
@@ -23,6 +26,26 @@ def random_spd(rng, m, n_obs=None):
     return A.T @ A, A
 
 
+def cholesky_factorization(theta, G0, G1):
+    """Oracle for ``factorize_effect`` on positive-definite Grams, from triangular roots G_j = R_j^T R_j.
+
+    The SVD of R_0 Theta R_1^T = V_0 D V_1^T gives U_j = R_j^{-1} V_j; then the
+    documented sign rule: the first entry of each direction above 1e-8 of its
+    largest |entry| is positive, and the scalar coefficients flip with it.
+    Returns (singular values, directions, scalar coefficients).
+    """
+    R0 = scipy.linalg.cholesky(G0, lower=False)
+    R1 = scipy.linalg.cholesky(G1, lower=False)
+    V0, d, V1t = np.linalg.svd(R0 @ theta @ R1.T, full_matrices=False)
+    U0 = scipy.linalg.solve_triangular(R0, V0)
+    U1 = scipy.linalg.solve_triangular(R1, V1t.T)
+    for r in range(d.size):
+        col = U0[:, r]
+        if col[np.flatnonzero(np.abs(col) > 1e-8 * np.abs(col).max())[0]] < 0:
+            U0[:, r], U1[:, r] = -U0[:, r], -U1[:, r]
+    return d, U0, U1 * d
+
+
 class TestFactorizeEffect:
     def test_identity_grams_plain_svd(self):
         fac = factorize_effect(np.diag([3.0, 1.0]), np.eye(2), np.eye(2))
@@ -38,20 +61,20 @@ class TestFactorizeEffect:
         assert np.all(fac.singular_values[1:] <= 1e-10)
 
     def test_cholesky_qr_agree_and_reconstruct(self, rng):
+        # the eigendecomposition root against the triangular Cholesky root of the oracle
         for _ in range(5):
             m, mj = 5, 4
             theta = rng.normal(size=(m, mj))
-            G0, A0 = random_spd(rng, m, 30)
-            G1, A1 = random_spd(rng, mj, 25)
-            f_chol = factorize_effect(theta, G0, G1, "cholesky")
-            f_qr = factorize_effect(theta, method="qr", A0=A0, A1=A1)
-            assert np.allclose(f_chol.singular_values, f_qr.singular_values, atol=1e-8)
-            for fac in (f_chol, f_qr):
-                U1 = fac.scalar_coefs / np.where(fac.singular_values > 0, fac.singular_values, 1.0)
-                rec = fac.directions @ np.diag(fac.singular_values) @ U1.T
-                err = rec - theta
-                rel = np.sqrt(np.trace(G0 @ err @ G1 @ err.T) / np.trace(G0 @ theta @ G1 @ theta.T))
-                assert rel <= 1e-8
+            G0, _ = random_spd(rng, m, 30)
+            G1, _ = random_spd(rng, mj, 25)
+            fac = factorize_effect(theta, G0, G1)
+            d, _, _ = cholesky_factorization(theta, G0, G1)
+            assert np.allclose(fac.singular_values, d, atol=1e-8)
+            U1 = fac.scalar_coefs / np.where(fac.singular_values > 0, fac.singular_values, 1.0)
+            rec = fac.directions @ np.diag(fac.singular_values) @ U1.T
+            err = rec - theta
+            rel = np.sqrt(np.trace(G0 @ err @ G1 @ err.T) / np.trace(G0 @ theta @ G1 @ theta.T))
+            assert rel <= 1e-8
 
     def test_orthonormal_directions(self, rng):
         m, mj = 6, 4
@@ -109,18 +132,18 @@ class TestFactorizeEffect:
 
     def test_methods_agree_on_signs(self):
         # the sign rule acts on the tangent coefficients, which do not depend on
-        # the Gram root, so both methods return the same signed components
+        # the Gram root, so the eigendecomposition root and the triangular
+        # Cholesky root of the oracle give the same signed components
         rng = np.random.default_rng(1)
         for _ in range(50):
             m, mj = 8, 5
             theta = rng.normal(size=(m, mj))
             A0 = rng.normal(size=(30, m))
             A1 = rng.normal(size=(25, mj))
-            f_chol = factorize_effect(theta, A0.T @ A0, A1.T @ A1, "cholesky")
-            f_qr = factorize_effect(theta, method="qr", A0=A0, A1=A1)
-            for key in ("directions", "scalar_coefs"):
-                a, b = getattr(f_chol, key), getattr(f_qr, key)
-                assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
+            fac = factorize_effect(theta, A0.T @ A0, A1.T @ A1)
+            _, U0, S = cholesky_factorization(theta, A0.T @ A0, A1.T @ A1)
+            for a, b in ((fac.directions, U0), (fac.scalar_coefs, S)):
+                assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
 
     def test_variance_sum_matches_predictor_variance(self, rng):
         # sum of component variances equals the empirical predictor variance
@@ -184,11 +207,12 @@ class TestPredictorFactorization:
         assert fac.variance_shares[0] == pytest.approx(oracle_var, rel=1e-4)
 
 
-class TestQrMatchesCholesky:
+class TestModelGramsMatchPerCurveReference:
     @pytest.mark.parametrize("kind, weight_rule", [("form", "trapezoid"), ("shape", "trapezoid"), ("form", "gram")])
     def test_fitted_model_components(self, kind, weight_rule):
-        # five learners whose joint covariate Gram is singular: an unpivoted QR
-        # kept a spurious zero component that Cholesky's rank cut drops
+        # G0 against the mean of the per-curve tangent Grams, and the components
+        # against a factorization under that reference; five learners whose
+        # joint covariate Gram is singular, so the rank cut is exercised
         truth = gen_truth()
         sample, cov, _ = gen_dataset(truth, SimConfig(n=36, k_bar=40, kind=kind, seed=31))
         basis = truth.pole.basis
@@ -203,17 +227,31 @@ class TestQrMatchesCholesky:
             weight_rule=weight_rule,
         )
         model = boost_fit(sample, cov, config, estimate_pole(sample, kind, basis, config), kind)
-        facs = {}
+        Zc = model.transform.complex_columns
+        G0_ref = np.mean(
+            [curve_gram(curve_design(model.basis, c, model.coef_mode) @ Zc, c.weights) for c in sample], axis=0
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for method in ("qr", "cholesky"):
-                facs[method] = [predictor_factorization(model, sample, cov, method)] + [
-                    effect_factorization(model, sample, cov, eff.spec.name, method) for eff in model.effects
-                ]
-        for qr, chol in zip(facs["qr"], facs["cholesky"]):
-            assert qr.singular_values.size == chol.singular_values.size
+            G0, designs = model_grams(model, sample, cov)
+            assert np.abs(G0 - G0_ref).max() <= 1e-12 * np.abs(G0_ref).max()
+            facs = [predictor_factorization(model, sample, cov)] + [
+                effect_factorization(model, sample, cov, eff.spec.name) for eff in model.effects
+            ]
+            groups = [list(range(len(model.effects)))] + [[k] for k in range(len(model.effects))]
+            refs = [
+                factorize_predictor(
+                    [model.effects[k].theta for k in keep], [model.effects[k].spec.name for k in keep],
+                    G0_ref, [designs[k] for k in keep],
+                )
+                for keep in groups
+            ]
+        for fac, ref, keep in zip(facs, refs, groups):
+            # the rank cut keeps exactly the numerical rank of both Grams: no spurious zero component
+            rank = min(np.linalg.matrix_rank(G0_ref), np.linalg.matrix_rank(np.hstack([designs[k] for k in keep])))
+            assert fac.singular_values.size == ref.singular_values.size == rank
             # near-zero singular values are rounding noise, so compare against the leading one
-            assert np.abs(qr.singular_values - chol.singular_values).max() <= 1e-10 * chol.singular_values[0]
+            assert np.abs(fac.singular_values - ref.singular_values).max() <= 1e-10 * ref.singular_values[0]
 
 
 class TestDirectionVisual:

@@ -392,6 +392,20 @@ class TestCurveSample:
         with pytest.raises(GeometryError, match=r"^curve 'eq': values are all equal \(degenerate\)$"):
             CurveSample("eq", grid, np.full(10, scale * (2 - 1j)), trapezoid_weights(grid))
 
+    @pytest.mark.parametrize("weight_kind", ["trapezoid", "uniform", "full"])
+    @pytest.mark.parametrize("k", [5, 10])
+    @pytest.mark.parametrize("value", [1e200, 9e201 + 6e201j, 1e-200])
+    def test_constant_curves_all_equal_at_extreme_scales(self, value, k, weight_kind):
+        # the centred values are divided by the largest |value| before squaring, so the rounding
+        # residue of a constant curve at 1e200 is judged flat, not an overflow of its squared norm
+        grid = np.linspace(0, 1, k)
+        weights = {
+            "trapezoid": trapezoid_weights(grid), "uniform": uniform_weights(k),
+            "full": random_spd(np.random.default_rng(k), k),
+        }[weight_kind]
+        with pytest.raises(GeometryError, match=r"^curve 'c': values are all equal \(degenerate\)$"):
+            CurveSample("c", grid, np.full(k, value + 0j), weights)
+
     def test_landmark_mapping(self):
         c = CurveSample.from_landmarks("lm", np.array([0, 1j, 2.0, 3j]))
         assert np.allclose(c.grid, [0, 1 / 3, 2 / 3, 1.0])

@@ -58,8 +58,7 @@ def test_commands_run_without_scipy(tmp_path):
         ["fit", *data, f["config.json"], f["m.json"]],
         ["cv", *data, f["config.json"], str(tmp_path / "cv.csv"), "--threads", "1"],
         ["predict", f["m.json"], f["covars.csv"], str(tmp_path / "pred.csv"), "--points", "20"],
-        ["factorize", f["m.json"], *data, str(tmp_path / "chol.json"), "--method", "cholesky"],
-        ["factorize", f["m.json"], *data, str(tmp_path / "qr.json"), "--method", "qr"],
+        ["factorize", f["m.json"], *data, str(tmp_path / "report.json")],
         ["eval", f["m.json"], *data, f["truth.json"], str(tmp_path / "rmse.csv")],
     ]
     src = str(Path(shapeboost.__file__).resolve().parents[1])
@@ -318,6 +317,20 @@ class TestCliPipeline:
         sbio.save_model(m3, model, digest)
         assert m1.read_bytes() == m3.read_bytes()
 
+    def test_load_model_parses_each_spec_once(self, dataset, tmp_path, monkeypatch):
+        # an effect's spec is its covariate map's: one parse per effect, and the same object
+        base, curves, covars, truth, config = dataset
+        mfile = tmp_path / "m.json"
+        assert main(["fit", str(curves), str(covars), str(config), str(mfile)]) == 0
+        parsed = []
+        real = sbio.EffectSpec.from_dict
+        monkeypatch.setattr(sbio.EffectSpec, "from_dict", staticmethod(lambda d: parsed.append(d) or real(d)))
+        model, _ = sbio.load_model(mfile)
+        assert len(parsed) == len(model.effects) == 2
+        assert all(eff.spec is eff.cmap.spec for eff in model.effects)
+        with pytest.raises(AttributeError):
+            model.effects[0].spec = model.effects[1].spec
+
     def test_missing_covariate_column_exit2(self, dataset, tmp_path):
         base, curves, covars, truth, config = dataset
         bad = json.loads(config.read_text())
@@ -522,6 +535,18 @@ class TestCliPipeline:
         svgs = list(tmp_path.glob("plots_*.svg"))
         assert svgs
         assert all(p.read_text().startswith("<svg") for p in svgs)
+
+    def test_factorize_has_one_gram_root(self, dataset, tmp_path, capsys):
+        # the eigendecomposition root is the only one: no --method option, no "method" key in the report
+        base, curves, covars, truth, config = dataset
+        mfile, report = tmp_path / "m.json", tmp_path / "rep.json"
+        assert main(["fit", str(curves), str(covars), str(config), str(mfile)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["factorize", str(mfile), str(curves), str(covars), str(report), "--method", "qr"])
+        assert exc.value.code == 2 and "unrecognized arguments: --method qr" in capsys.readouterr().err
+        assert not report.exists()
+        assert main(["factorize", str(mfile), str(curves), str(covars), str(report)]) == 0
+        assert set(json.loads(report.read_text())) == {"config_hash", "effects", "predictor", "tau"}
 
     def test_factorize_single_effect_rank_one(self, tmp_path):
         # a single categorical effect yields one dominant component with share 1
