@@ -37,7 +37,6 @@ from .effects import (
     CovariateMap,
     EffectError,
     EffectSpec,
-    KronPenalty,
     PlsLearner,
     covariate_design,
     df_to_lambda,

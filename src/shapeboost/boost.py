@@ -341,7 +341,7 @@ def _penalized_spline_fit(packed: PackedSample, design_grams: np.ndarray, target
                           selected: np.ndarray, basis: BSplineBasis, lam: float = 1e-6) -> np.ndarray:
     """Weighted penalized LS fit of the packed targets on the selected curves, complex coefficients."""
     A = design_grams[selected].sum(axis=0) + lam * basis.penalty("second_diff")
-    return PlsLearner(A, None, "preliminary pole").solve(packed.project(targets)[selected].sum(axis=0))
+    return PlsLearner.unpenalized(A, "preliminary pole").solve(packed.project(targets)[selected].sum(axis=0))
 
 
 @serial_blas
@@ -389,26 +389,35 @@ def estimate_pole(
     budget = config.pole_max_iterations
     cond_prev = np.inf
     K_sum = K.sum(axis=0)
+
+    def intercept_at(pole: PoleCoef) -> tuple[_PoleSample, PlsLearner, np.ndarray]:
+        """The sample seen from a pole, its intercept learner and the mean tangent Gram G0."""
+        ps = _PoleSample(packed, pole, kind)
+        G_sum = ps.transform.gram(K_sum)  # sum_i G_i = Re(Z_c^H (sum_i K_i) Z_c): one Gram, not the stack
+        return ps, PlsLearner.unpenalized(G_sum, "pole intercept"), G_sum / packed.n
+
+    def intercept_step(ps: _PoleSample, intercept: PlsLearner, h0: np.ndarray) -> tuple[float, np.ndarray]:
+        """One residual pass at Exp_p(h0): the mean residual norm and the intercept step."""
+        eps, _ = ps.residuals(np.broadcast_to(h0, (packed.n, h0.size)))
+        return float(np.mean(packed.norm(eps))), intercept.solve(ps.project(eps).sum(axis=0))
+
+    def condition(cur: float, step: np.ndarray, G0: np.ndarray) -> float:
+        """First-order condition at h0 = 0: projected mean residual vs mean norm."""
+        return float(np.sqrt(max(step @ G0 @ step, 0.0)) / max(cur, 1e-300))
+
     restarts, cond, exhausted = 0, np.nan, budget <= 0
     while budget > 0:
         restarts += 1
-        ps = _PoleSample(packed, pole, kind)
-        # the intercept's system is sum_i G_i = Re(Z_c^H (sum_i K_i) Z_c): one Gram, not the stack
-        G_sum = ps.transform.gram(K_sum)
-        intercept = PlsLearner(G_sum, None, "pole intercept")
-        G0 = G_sum / packed.n
+        ps, intercept, G0 = intercept_at(pole)
         h0 = np.zeros(ps.transform.m)
         prev = np.inf
         cond = None
         exhausted = False
         while budget > 0:
             budget -= 1
-            eps, _ = ps.residuals(np.broadcast_to(h0, (packed.n, h0.size)))
-            cur = float(np.mean(packed.norm(eps)))
-            step = intercept.solve(ps.project(eps).sum(axis=0))
+            cur, step = intercept_step(ps, intercept, h0)
             if cond is None:
-                # first-order condition: projected mean residual vs mean norm
-                cond = float(np.sqrt(max(step @ G0 @ step, 0.0)) / max(cur, 1e-300))
+                cond = condition(cur, step, G0)
             if np.isfinite(prev) and prev - cur <= POLE_REL_TOL * max(prev, 1e-300):
                 break
             prev = cur
@@ -416,7 +425,7 @@ def estimate_pole(
         else:
             exhausted = True  # the budget ran out before the mean residual norm settled
 
-        if cond is not None and cond <= 1e-10:
+        if cond <= 1e-10:
             break
         F = ps.transform.field_coef(h0)
         n0 = float(np.sqrt(max(h0 @ G0 @ h0, 0.0)))
@@ -433,6 +442,10 @@ def estimate_pole(
         if n0 < 1e-14 or (np.isfinite(cond_prev) and cond >= 0.5 * cond_prev):
             break
         cond_prev = cond
+    if restarts and not cond <= 1e-10:
+        # the loop ended after an update of the pole: one more residual pass measures the returned pole
+        ps, intercept, G0 = intercept_at(pole)
+        cond = condition(*intercept_step(ps, intercept, np.zeros(ps.transform.m)), G0)
     log.info("pole: %d restarts, %d intercept steps, first-order condition %.3g, budget %s",
              restarts, config.pole_max_iterations - budget, cond, "exhausted" if exhausted else "not exhausted")
     return pole
@@ -489,7 +502,7 @@ def boost_fit(
             val_trace.append(eval_risk())
 
     effects = [
-        FittedEffect(cmap=cm, theta=theta, lam=(lr.penalty.lam_cov, lr.penalty.lam_tan))
+        FittedEffect(cmap=cm, theta=theta, lam=(lr.lam, lr.lam))
         for cm, theta, lr in zip(ctx.cmaps, thetas, ctx.learners)
     ]
     model = FittedModel(

@@ -31,7 +31,6 @@ __all__ = [
     "EffectError",
     "EffectSpec",
     "CovariateMap",
-    "KronPenalty",
     "covariate_design",
     "curve_gram",
     "curve_proj",
@@ -407,22 +406,6 @@ def unvec(v: np.ndarray, m: int, m_j: int) -> np.ndarray:
     return v.reshape(m, m_j, order="F")
 
 
-@dataclass(frozen=True)
-class KronPenalty:
-    """Kronecker-structured penalty lambda_j (P_j (x) I_m) + lambda_perp (I_mj (x) P_perp)."""
-
-    lam_cov: float
-    lam_tan: float
-    P_cov: np.ndarray
-    P_tan: np.ndarray
-
-    def materialize(self) -> np.ndarray:
-        m_j = self.P_cov.shape[0]
-        m = self.P_tan.shape[0]
-        R = self.lam_cov * np.kron(self.P_cov, np.eye(m)) + self.lam_tan * np.kron(np.eye(m_j), self.P_tan)
-        return 0.5 * (R + R.T)
-
-
 def _kron_rotate(Psi: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """(U (x) V)^T Psi (U (x) V), one Kronecker factor and one side at a time."""
     mj, m = U.shape[0], V.shape[0]
@@ -434,11 +417,11 @@ def _kron_rotate(Psi: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def _kron_sum_abs_max(P_cov: np.ndarray, P_tan: np.ndarray) -> float:
-    """max |S| of the unit-scale ``KronPenalty(1, 1, P_cov, P_tan).materialize()``, from its factors.
+    """max |S| of S = sym(P_cov (x) I + I (x) P_tan), sym(X) = (X + X^T) / 2, from its factors.
 
     S has P_cov[i, i] + P_tan[k, k] on its diagonal, the off-diagonal
     entries of the symmetric parts of P_cov and P_tan elsewhere, and zeros;
-    for finite factors the maximum equals the materialized one bit for bit.
+    for finite factors the maximum equals that of the dense S bit for bit.
     """
     scale = np.abs(np.diag(P_cov)[:, None] + np.diag(P_tan)[None, :]).max()
     for P in (P_cov, P_tan):
@@ -448,50 +431,52 @@ def _kron_sum_abs_max(P_cov: np.ndarray, P_tan: np.ndarray) -> float:
     return float(scale)
 
 
-def _spectrum(Psi: np.ndarray, P_cov: np.ndarray | None = None, P_tan: np.ndarray | None = None,
-              tan_eig: tuple[np.ndarray, np.ndarray] | None = None):
-    """Psi in the Demmler-Reinsch basis of S = P_cov (x) I + I (x) P_tan: (mu, W, (U, V, c)).
+def _whitened_eigh(rotate, P_cov: np.ndarray, b: np.ndarray, s_scale: float):
+    """eigh(diag(c) rotate(U) diag(c)) with a, U = eigh(P_cov) and c = s^{-1/2}: (mu, W, U, c).
 
-    S + delta I = (U (x) V) diag(s) (U (x) V)^T from the factors' eigenpairs (s = a_i + b_k + delta,
-    the ridge delta = 1e-8 max|S| only on a singular S), c = s^{-1/2} and diag(c) (U (x) V)^T Psi
-    (U (x) V) diag(c) = W diag(mu) W^T.  ``tan_eig`` is ``eigh(P_tan)`` when the caller already has
-    it.  No penalty, or S = 0: U (x) V = I, c = 1, factors None.
+    s = a_i + b_k are the eigenvalues of S (row-major in i, k), plus the ridge delta = 1e-8 max|S| on
+    a singular S (min s < 1e-10 max|S|); ``rotate(U)`` is the system in the eigenbasis of S.
     """
-    if P_cov is None or (s_scale := _kron_sum_abs_max(P_cov, P_tan)) == 0.0:
-        return (*np.linalg.eigh(Psi), None)
     a, U = np.linalg.eigh(P_cov)
-    b, V = np.linalg.eigh(P_tan) if tan_eig is None else tan_eig
     s = (a[:, None] + b[None, :]).reshape(-1)
     if s.min() < 1e-10 * s_scale:
         s = s + 1e-8 * s_scale
     c = 1.0 / np.sqrt(s)
-    M = _kron_rotate(Psi, U, V)
+    M = rotate(U)
     M *= c
     M *= c[:, None]
-    return (*np.linalg.eigh(M), (U, V, c))  # eigh reads the lower triangle: M needs no symmetrizing
+    return (*np.linalg.eigh(M), U, c)  # eigh reads the lower triangle: M needs no symmetrizing
+
+
+def _spectrum(Psi: np.ndarray, P_cov: np.ndarray, P_tan: np.ndarray,
+              tan_eig: tuple[np.ndarray, np.ndarray] | None = None):
+    """Psi in the Demmler-Reinsch basis of S = P_cov (x) I + I (x) P_tan: (mu, T, penalized).
+
+    With V, b = ``tan_eig`` = eigh(P_tan) (computed when not given), U (x) V is the eigenbasis of S,
+    diag(c) (U (x) V)^T Psi (U (x) V) diag(c) = W diag(mu) W^T (``_whitened_eigh``) and T = (U (x) V)
+    diag(c) W, applied one Kronecker factor at a time.  S = 0: T = W of eigh(Psi), unpenalized.
+    """
+    if (s_scale := _kron_sum_abs_max(P_cov, P_tan)) == 0.0:
+        return (*np.linalg.eigh(Psi), False)
+    b, V = np.linalg.eigh(P_tan) if tan_eig is None else tan_eig
+    mu, W, U, c = _whitened_eigh(lambda U: _kron_rotate(Psi, U, V), P_cov, b, s_scale)
+    T = V @ (c[:, None] * W).reshape(U.shape[0], V.shape[0], -1)
+    return mu, (U @ T.reshape(U.shape[0], -1)).reshape(W.shape), True
 
 
 def _kron_spectrum(A: np.ndarray, gram_eig: tuple[np.ndarray, np.ndarray], P_cov: np.ndarray, q: float):
     """``_spectrum`` of Psi = A (x) G with P_tan = q I, from its m_j- and m-sized factors: (mu, L, F, penalized).
 
-    S = (P_cov + q I) (x) I.  With a, U = eigh(P_cov), s = a + q (plus the same ridge delta on a
-    singular S), c = s^{-1/2}, alpha, E = eigh(diag(c) U^T A U diag(c)) and gamma, F = ``gram_eig``
-    = eigh(G): mu = alpha (x) gamma and T = (U diag(c) E) (x) F = L (x) F.  S = 0: U = I, c = 1.
+    S = (P_cov + q I) (x) I.  With alpha, E, U, c = ``_whitened_eigh`` of U^T A U and gamma, F =
+    ``gram_eig`` = eigh(G): mu = alpha (x) gamma and T = (U diag(c) E) (x) F = L (x) F.  S = 0: U = I, c = 1.
     """
     gamma, F = gram_eig
-    s_scale = _kron_sum_abs_max(P_cov, np.full((1, 1), q))
+    b = np.array([q])
+    s_scale = _kron_sum_abs_max(P_cov, b[:, None])
     if s_scale == 0.0:
         alpha, L = np.linalg.eigh(A)
     else:
-        a, U = np.linalg.eigh(P_cov)
-        s = a + q
-        if s.min() < 1e-10 * s_scale:
-            s = s + 1e-8 * s_scale
-        c = 1.0 / np.sqrt(s)
-        M = U.T @ A @ U
-        M *= c
-        M *= c[:, None]
-        alpha, E = np.linalg.eigh(M)
+        alpha, E, U, c = _whitened_eigh(lambda U: U.T @ A @ U, P_cov, b, s_scale)
         L = (U * c) @ E
     return np.kron(alpha, gamma), L, F, s_scale != 0.0
 
@@ -532,71 +517,35 @@ def _calibrate(mu: np.ndarray, penalized: bool, df_target: float, tol: float = 1
 
 
 def df_to_lambda(Psi: np.ndarray, P_cov: np.ndarray, P_tan: np.ndarray, df_target: float,
-                 tol: float = 1e-4) -> tuple[float, float]:
+                 tol: float = 1e-4) -> float:
     """Calibrate the penalty scale so the base-learner has the requested df.
 
-    One scalar lambda, returned for both penalty directions, multiplies
-    S = P_cov (x) I + I (x) P_perp (with the ridge of ``_spectrum`` on a
-    singular S).  df(lambda) = trace[(Psi + lambda S)^{-1} Psi] = sum mu_i /
-    (mu_i + lambda) is solved by bisection on log(lambda) in [-20, 30];
-    unreachable targets are clamped with a warning.  S = 0 has no scale:
-    lambda is 0 and any target below the rank is unreachable.
+    One scalar lambda multiplies S = P_cov (x) I + I (x) P_perp (with the
+    ridge of ``_spectrum`` on a singular S).  df(lambda) = trace[(Psi +
+    lambda S)^{-1} Psi] = sum mu_i / (mu_i + lambda) is solved by bisection
+    on log(lambda) in [-20, 30]; unreachable targets are clamped with a
+    warning.  S = 0 has no scale: lambda is 0 and any target below the rank
+    is unreachable.
     """
-    mu, _, factors = _spectrum(Psi, P_cov, P_tan)
-    lam = _calibrate(mu, factors is not None, df_target, tol)
-    return lam, lam
+    mu, _, penalized = _spectrum(Psi, P_cov, P_tan)
+    return _calibrate(mu, penalized, df_target, tol)
 
 
 class PlsLearner:
-    """Penalized least-squares system A = Psi + R, decomposed once and solved many times.
+    """Penalized least-squares system A = Psi + lambda S, decomposed once and solved many times.
 
-    With ``_spectrum``'s T = (U (x) V) diag(c) W, A^{-1} = T diag(1 / (mu +
-    lambda)) T^T for vector, matrix and complex right-hand sides.  Equal
-    scales give R = lambda S; on a singular S the learner solves
-    Psi + lambda (S + delta I), delta = 1e-8 max|S|, the system the df
-    calibration sees.  Unequal scales take the basis of lambda_cov P_cov and
-    lambda_tan P_tan at unit scale; no penalty, or S = 0, is unpenalized.
-    A learner from ``calibrated_kron`` holds T = L (x) F as its two factors.
-    Directions with mu + lambda <= 1e-12 max(mu + lambda) are dropped with
-    one warning naming the learner (for an unpenalized system, the
-    least-norm pseudo-inverse).
+    A learner has one penalty scale ``lam`` and is built by ``unpenalized``, ``calibrated`` or
+    ``calibrated_kron``.  With ``_spectrum``'s T = (U (x) V) diag(c) W, A^{-1} = T diag(1 / (mu +
+    lambda)) T^T for vector, matrix and complex right-hand sides.  On a singular S the learner solves
+    Psi + lambda (S + delta I), delta = 1e-8 max|S|, the system the df calibration sees; S = 0 is
+    unpenalized (lambda = 0).  A learner from ``calibrated_kron`` holds T = L (x) F as its two factors.
+    Directions with mu + lambda <= 1e-12 max(mu + lambda) are dropped with one warning naming the
+    learner (for an unpenalized system, the least-norm pseudo-inverse).
     """
 
-    def __init__(self, Psi: np.ndarray, penalty: KronPenalty | None = None, label: str = "PLS system"):
-        if penalty is None:
-            (mu, W, factors), lam = _spectrum(Psi), 0.0
-        elif penalty.lam_cov == penalty.lam_tan:
-            (mu, W, factors), lam = _spectrum(Psi, penalty.P_cov, penalty.P_tan), penalty.lam_cov
-        else:
-            scaled = (penalty.lam_cov * penalty.P_cov, penalty.lam_tan * penalty.P_tan)
-            (mu, W, factors), lam = _spectrum(Psi, *scaled), 1.0
-        # S = 0 (no factors): the scale multiplies nothing
-        self._factor(penalty, mu, _dense_basis(W, factors), None, lam if factors else 0.0, label)
-
-    @classmethod
-    def calibrated(cls, Psi: np.ndarray, P_cov: np.ndarray, P_tan: np.ndarray, df_target: float,
-                   label: str = "PLS system", tan_eig: tuple[np.ndarray, np.ndarray] | None = None) -> "PlsLearner":
-        """The learner at the ``df_to_lambda`` scale, calibrated and factored from one decomposition."""
-        mu, W, factors = _spectrum(Psi, P_cov, P_tan, tan_eig)
-        lam = _calibrate(mu, factors is not None, df_target)
-        learner = cls.__new__(cls)
-        learner._factor(KronPenalty(lam, lam, P_cov, P_tan), mu, _dense_basis(W, factors), None, lam, label)
-        return learner
-
-    @classmethod
-    def calibrated_kron(cls, A: np.ndarray, gram_eig: tuple[np.ndarray, np.ndarray], P_cov: np.ndarray, q: float,
-                        df_target: float, label: str = "PLS system") -> "PlsLearner":
-        """``calibrated`` for Psi = A (x) G and P_tan = q I, from ``gram_eig`` = eigh(G) and two m_j-sized ``eigh``."""
-        mu, L, F, penalized = _kron_spectrum(A, gram_eig, P_cov, q)
-        lam = _calibrate(mu, penalized, df_target)
-        learner = cls.__new__(cls)
-        learner._factor(KronPenalty(lam, lam, P_cov, q * np.eye(F.shape[0])), mu, L, F, lam, label)
-        return learner
-
-    def _factor(self, penalty: KronPenalty | None, mu: np.ndarray, T: np.ndarray, F: np.ndarray | None, lam: float,
-                label: str) -> None:
+    def __init__(self, mu: np.ndarray, T: np.ndarray, F: np.ndarray | None, lam: float, label: str):
         """Keep the basis T (p x p); with F, T holds the factor L of the basis L (x) F instead."""
-        self.penalty = penalty
+        self.lam = lam
         self._T, self._F = T, F
         shifted = mu + lam
         keep = shifted > 1e-12 * shifted.max()
@@ -604,6 +553,25 @@ class PlsLearner:
             warnings.warn(f"{label}: singular PLS system, using pseudo-inverse", stacklevel=3)
         self._inv = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=keep)
         self._gain = self._inv * self._inv * (mu + 2.0 * lam)
+
+    @classmethod
+    def unpenalized(cls, Psi: np.ndarray, label: str = "PLS system") -> "PlsLearner":
+        """The learner of Psi alone, from its eigendecomposition."""
+        return cls(*np.linalg.eigh(Psi), None, 0.0, label)
+
+    @classmethod
+    def calibrated(cls, Psi: np.ndarray, P_cov: np.ndarray, P_tan: np.ndarray, df_target: float,
+                   label: str = "PLS system", tan_eig: tuple[np.ndarray, np.ndarray] | None = None) -> "PlsLearner":
+        """The learner at the ``df_to_lambda`` scale, calibrated and factored from one decomposition."""
+        mu, T, penalized = _spectrum(Psi, P_cov, P_tan, tan_eig)
+        return cls(mu, T, None, _calibrate(mu, penalized, df_target), label)
+
+    @classmethod
+    def calibrated_kron(cls, A: np.ndarray, gram_eig: tuple[np.ndarray, np.ndarray], P_cov: np.ndarray, q: float,
+                        df_target: float, label: str = "PLS system") -> "PlsLearner":
+        """``calibrated`` for Psi = A (x) G and P_tan = q I, from ``gram_eig`` = eigh(G) and two m_j-sized ``eigh``."""
+        mu, L, F, penalized = _kron_spectrum(A, gram_eig, P_cov, q)
+        return cls(mu, L, F, _calibrate(mu, penalized, df_target), label)
 
     def coords(self, rhs: np.ndarray) -> np.ndarray:
         """Coordinates z = T^T rhs of a right-hand side."""
@@ -623,11 +591,3 @@ class PlsLearner:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self.coefs(self.coords(rhs))
 
-
-def _dense_basis(W: np.ndarray, factors) -> np.ndarray:
-    """T = (U (x) V) diag(c) W of ``_spectrum``, one Kronecker factor at a time (W itself without factors)."""
-    if factors is None:
-        return W
-    U, V, c = factors
-    T = V @ (c[:, None] * W).reshape(U.shape[0], V.shape[0], -1)
-    return (U @ T.reshape(U.shape[0], -1)).reshape(W.shape)

@@ -203,8 +203,6 @@ def direction_visual(
     units along the direction, plus connecting segments between corresponding
     points for reading off the displacement.
     """
-    if model.coef_mode:
-        raise EffectError("direction_visual needs evaluation-level curves, not coefficient mode")
     grid = np.linspace(0.0, 1.0, n_points)
     w = trapezoid_weights(grid)
     B = model.basis.design(grid)

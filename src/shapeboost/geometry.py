@@ -282,16 +282,6 @@ class CurveSample:
     def k(self) -> int:
         return self.grid.size
 
-    @classmethod
-    def from_landmarks(cls, id: str, values: np.ndarray, weights: np.ndarray | None = None) -> "CurveSample":
-        """Build a sample from a landmark configuration, mapping index j to (j-1)/(k-1)."""
-        values = np.asarray(values, dtype=complex)
-        k = values.size
-        grid = np.arange(k, dtype=float) / (k - 1)
-        if weights is None:
-            weights = uniform_weights(k)
-        return cls(id=id, grid=grid, values=values, weights=weights)
-
 
 @dataclass(frozen=True)
 class TangentEvals:

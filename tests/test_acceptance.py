@@ -13,7 +13,6 @@ import pytest
 from shapeboost.basis import SplineConfig, build_response_basis
 from shapeboost.boost import BoostConfig, boost_fit, estimate_pole
 from shapeboost.effects import (
-    KronPenalty,
     PlsLearner,
     df_to_lambda,
     unvec,
@@ -146,28 +145,27 @@ def test_criterion_4_pls_oracle():
         P_cov = P_cov_root.T @ P_cov_root + 0.1 * np.eye(mj)
         P_tan_root = rng.normal(size=(m, m))
         P_tan = P_tan_root.T @ P_tan_root + 0.1 * np.eye(m)
-        lam1, lam2 = float(rng.uniform(0.01, 2)), float(rng.uniform(0.01, 2))
-        pen = KronPenalty(lam1, lam2, P_cov, P_tan)
         # dense construction by explicit index loops
         R = np.zeros((m * mj, m * mj))
         for l in range(mj):
             for r in range(m):
                 for l2 in range(mj):
                     for r2 in range(m):
-                        R[l * m + r, l2 * m + r2] = lam1 * P_cov[l, l2] * (r == r2) + lam2 * (l == l2) * P_tan[r, r2]
-        kron_exact &= np.array_equal(pen.materialize(), pen.materialize())
-        kron_exact &= np.allclose(pen.materialize(), R, atol=1e-13)
-        v = PlsLearner(Psi, pen).solve(psi)
-        brute = np.linalg.solve(Psi + R, psi)
+                        R[l * m + r, l2 * m + r2] = P_cov[l, l2] * (r == r2) + (l == l2) * P_tan[r, r2]
+        S = np.kron(P_cov, np.eye(m)) + np.kron(np.eye(mj), P_tan)
+        kron_exact &= np.allclose(S, R, atol=1e-13)
+        # the calibrated learner against a dense solve at its lambda
+        df_target = float(rng.uniform(1.0, min(m * mj - 1, 8)))
+        learner = PlsLearner.calibrated(Psi, P_cov, P_tan, df_target)
+        lam = learner.lam
+        v = learner.solve(psi)
+        brute = np.linalg.solve(Psi + lam * R, psi)
         denom = max(np.linalg.norm(brute), 1e-300)
         worst_solve = max(worst_solve, np.linalg.norm(v - brute) / denom)
         # df calibration oracle
-        df_target = float(rng.uniform(1.0, min(m * mj - 1, 8)))
-        lam, _ = df_to_lambda(Psi, P_cov, P_tan, df_target)
-        S = np.kron(P_cov, np.eye(m)) + np.kron(np.eye(mj), P_tan)
         df = float(np.trace(np.linalg.solve(Psi + lam * S, Psi)))
         worst_df = max(worst_df, abs(df - df_target))
-        lam0, _ = df_to_lambda(Psi, P_cov, P_tan, float(m * mj))
+        lam0 = df_to_lambda(Psi, P_cov, P_tan, float(m * mj))
         rank_ok &= lam0 == 0.0
     _report(
         4,

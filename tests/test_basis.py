@@ -314,7 +314,7 @@ class TestConstraints:
         # one landmark configuration with uniform weights: C entries are finite sums
         basis = build_response_basis(SplineConfig(degree=1, n_knots=2), np.linspace(0, 1, 9))
         vals = np.array([1 + 1j, 2 - 1j, -1 + 0.5j, 0.5 - 0.5j])
-        curve = CurveSample.from_landmarks("lm", vals)
+        curve = CurveSample("lm", np.arange(4) / 3, vals, uniform_weights(4))
         coef = np.linalg.lstsq(basis.design(curve.grid), vals, rcond=None)[0]
         pole = PoleCoef(coef=coef, basis=basis)
         C = constraint_matrix([curve], pole, GeometryKind.FORM)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from shapeboost.basis import SplineConfig, TangentTransform, build_response_basis, sample_design
+from shapeboost.basis import PenaltyBlock, SplineConfig, TangentTransform, build_response_basis, sample_design
 from shapeboost.boost import (
     BoostConfig,
     ModelError,
@@ -18,7 +18,7 @@ from shapeboost.boost import (
     rmse_effect,
     transported_residuals,
 )
-from shapeboost.effects import EffectError, EffectSpec, KronPenalty
+from shapeboost.effects import EffectError, EffectSpec
 from shapeboost.geometry import (
     CurveSample,
     GeometryError,
@@ -203,6 +203,32 @@ class TestPoleSetupOnce:
         assert re.fullmatch(r"pole: 1 restarts, 1 intercept steps, first-order condition \S+, budget exhausted",
                             lines[1])
 
+    @pytest.mark.parametrize("n, seed", [(18, 5), (36, 4)])  # ends by the halving rule, by the budget
+    def test_pole_log_reports_the_returned_pole(self, caplog, n, seed):
+        # on sparse forms (triangles) the loop ends after an update of the pole; the logged condition is that
+        # of the returned pole, checked here by a residual pass there with a dense least-squares intercept step
+        import re
+
+        from shapeboost.boost import _PoleSample
+        from shapeboost.simulate import SimConfig, gen_dataset, gen_truth
+
+        truth = gen_truth()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sample, _, _ = gen_dataset(truth, SimConfig(n=n, k_bar=3, kind="form", weight_rule="uniform", seed=seed))
+        config = BoostConfig(effects=[], response_basis=truth.pole.basis.cfg, response_penalty="ridge")
+        with caplog.at_level(logging.INFO, logger="shapeboost"):
+            pole = estimate_pole(sample, GeometryKind.FORM, truth.pole.basis, config)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("pole:")]
+        logged = float(re.search(r"first-order condition (\S+),", line)[1])
+        ps = _PoleSample.of(sample, pole, GeometryKind.FORM, coef_mode=False)
+        eps, _ = ps.residuals(np.zeros((len(sample), ps.transform.m)))
+        G0 = ps.grams().mean(axis=0)
+        step = np.linalg.lstsq(G0, ps.project(eps).mean(axis=0), rcond=None)[0]
+        ref = np.sqrt(step @ G0 @ step) / np.mean(ps.packed.norm(eps))
+        assert ref > 1e-4  # far from stationary
+        assert logged == pytest.approx(ref, rel=5e-3)  # the log prints three digits
+
 
 class TestBoostFit:
     def test_model_rejects_unknown_weight_rule(self, rng):
@@ -380,6 +406,13 @@ def dense_system(Psi, P_cov, P_tan, lam):
     return Psi + lam * S
 
 
+def tangent_penalties(ctx, config):
+    """Each learner's tangent penalty P_perp, built as the fit builds it."""
+    kinds = [config.response_penalty if cm.spec.penalty_tangent == "inherit" else cm.spec.penalty_tangent
+             for cm in ctx.cmaps]
+    return [PenaltyBlock.build(ctx.ps.pole.basis, ctx.ps.transform, kind).P_perp for kind in kinds]
+
+
 class TestLearnerSpectrum:
     """The learners of a fit: one eigendecomposition each, shared by calibration, solves and selection."""
 
@@ -418,28 +451,27 @@ class TestLearnerSpectrum:
             EffectSpec(name="flat2", kind="smooth", covariates=("w3",), covariate_basis=SplineConfig(3, 4),
                        df_target=100.0, penalty_covariate="second_diff"),
         ]
-        ctx, caught = self._context(self._inputs(rng, kind, extra))
-        assert [lr.penalty.lam_cov for lr in ctx.learners[3:]] == [0.0, 0.0, 0.0]
+        inputs = self._inputs(rng, kind, extra)
+        ctx, caught = self._context(inputs)
+        assert [lr.lam for lr in ctx.learners[3:]] == [0.0, 0.0, 0.0]
         singular = [msg for msg in caught if "singular PLS system" in msg]
         assert singular == [f"effect {name!r}: singular PLS system, using pseudo-inverse" for name in ("flat", "flat2")]
         grams = ctx.ps.grams()
         projs, _ = ctx.residual_pass(ctx.predictor_coefs([np.zeros((ctx.m, cm.m_j)) for cm in ctx.cmaps]))
-        for j, learner in enumerate(ctx.learners):
+        for j, (learner, P_tan) in enumerate(zip(ctx.learners, tangent_penalties(ctx, inputs[2]))):
             Psi = assemble_psi_matrix(ctx.cov_designs[j], grams)
             psi = assemble_psi_vector(ctx.cov_designs[j], projs)
-            pen = learner.penalty
-            lam = pen.lam_cov
-            pairs = [(learner, dense_system(Psi, pen.P_cov, pen.P_tan, lam))]
-            # an unequal pair takes the basis of the scaled factors at unit scale
-            lam1, lam2 = 0.5 * lam + 0.1, 2.0 * lam + 0.3
+            P_cov, lam = ctx.cmaps[j].penalty, learner.lam
+            pairs = [(learner, dense_system(Psi, P_cov, P_tan, lam))]
+            # unequal weights of the two penalty directions ride in the factors, under one calibrated scale
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                unequal = PlsLearner(Psi, KronPenalty(lam1, lam2, pen.P_cov, pen.P_tan))
-            pairs.append((unequal, dense_system(Psi, lam1 * pen.P_cov, lam2 * pen.P_tan, 1.0)))
+                unequal = PlsLearner.calibrated(Psi, 0.5 * P_cov, 2.0 * P_tan, ctx.cmaps[j].spec.df_target)
+            pairs.append((unequal, dense_system(Psi, 0.5 * P_cov, 2.0 * P_tan, unequal.lam)))
             for lr, A in pairs:
                 v = np.linalg.lstsq(A, psi, rcond=None)[0]
                 ref = float(-2.0 * v @ psi + v @ Psi @ v)
-                assert lr.objective(lr.coords(psi)) == pytest.approx(ref, rel=1e-10), (j, lam)
+                assert lr.objective(lr.coords(psi)) == pytest.approx(ref, rel=1e-10), (j, lr.lam)
 
     def test_unpenalized_effect_stores_no_lambda(self, rng):
         # both penalties "none": S = 0, so no scale can lower the df and none is stored
@@ -461,17 +493,20 @@ class TestLearnerSpectrum:
         extra = [EffectSpec(name=f"ridged{i}", kind="smooth", covariates=("z",), covariate_basis=SplineConfig(3, 4),
                             df_target=t, penalty_covariate="second_diff", penalty_tangent="none")
                  for i, t in enumerate(targets)]
-        ctx, _ = self._context(self._inputs(rng, GeometryKind.FORM, extra))
+        inputs = self._inputs(rng, GeometryKind.FORM, extra)
+        ctx, _ = self._context(inputs)
         grams = ctx.ps.grams()
         # the basis of S + delta I has condition up to 1/delta = 1e8, which scales the solve's rounding
         tol = 10 * np.finfo(float).eps / 1e-8
-        for learner, design, target in zip(ctx.learners[2:], ctx.cov_designs[2:], targets):
-            pen = learner.penalty
-            scale = float(np.abs(KronPenalty(1.0, 1.0, pen.P_cov, pen.P_tan).materialize()).max())
-            assert np.linalg.eigvalsh(pen.P_cov).min() + np.linalg.eigvalsh(pen.P_tan).min() < 1e-10 * scale
+        for learner, design, cmap, P_tan, target in zip(ctx.learners[2:], ctx.cov_designs[2:], ctx.cmaps[2:],
+                                                        tangent_penalties(ctx, inputs[2])[2:], targets):
+            P_cov = cmap.penalty
+            S = np.kron(P_cov, np.eye(P_tan.shape[0])) + np.kron(np.eye(P_cov.shape[0]), P_tan)
+            scale = float(np.abs(0.5 * (S + S.T)).max())
+            assert np.linalg.eigvalsh(P_cov).min() + np.linalg.eigvalsh(P_tan).min() < 1e-10 * scale
             Psi = assemble_psi_matrix(design, grams)
             rhs = rng.normal(size=(Psi.shape[0], 2))
-            ref = np.linalg.solve(dense_system(Psi, pen.P_cov, pen.P_tan, pen.lam_cov), rhs)
+            ref = np.linalg.solve(dense_system(Psi, P_cov, P_tan, learner.lam), rhs)
             assert np.linalg.norm(learner.solve(rhs) - ref) <= tol * np.linalg.norm(ref), target
             # the learner's own df is the calibrated one
             assert abs(np.trace(learner.solve(Psi)) - target) <= 1e-4 + 1e-6, target
@@ -483,14 +518,16 @@ class TestLearnerSpectrum:
         inputs = self._inputs(rng, GeometryKind.FORM, extra)
         calls = _linalg_spy(monkeypatch)
         ctx, _ = self._context(inputs)
-        factors = {id(P) for lr in ctx.learners for P in (lr.penalty.P_cov, lr.penalty.P_tan)}
+        tangent = {kind: PenaltyBlock.build(ctx.ps.pole.basis, ctx.ps.transform, kind).P_perp
+                   for kind in ("second_diff", "none")}
+        covariate = {id(cm.penalty) for cm in ctx.cmaps}
+        on_tangent = [kind for _, a in calls for kind, P in tangent.items() if np.array_equal(a, P)]
         assert [name for name, _ in calls if name != "eigh"] == []
-        systems = [a.shape for name, a in calls if name == "eigh" and id(a) not in factors]
+        systems = [a.shape for name, a in calls if name == "eigh" and id(a) not in covariate
+                   and not any(np.array_equal(a, P) for P in tangent.values())]
         assert systems == [(ctx.m * cm.m_j,) * 2 for cm in ctx.cmaps]
         # the tangent penalty's eigenpairs are computed once per kind: "second_diff" and "none"
-        tangent = {id(lr.penalty.P_tan) for lr in ctx.learners}
-        assert len(tangent) == 2
-        assert sum(id(a) in tangent for _, a in calls) == 2
+        assert sorted(on_tangent) == ["none", "second_diff"]
 
 
 def _linalg_spy(monkeypatch, names=("eigh", "eigvalsh", "cholesky", "inv", "pinv")):
@@ -551,7 +588,8 @@ class TestStructuredLearners:
         assert {name for name, _ in calls} == {"eigh"}
         assert max(a.shape[0] for _, a in calls) <= bound
         for lr, cm in zip(ctx.learners, ctx.cmaps):
-            arrays = [a for a in (*vars(lr).values(), lr.penalty.P_cov, lr.penalty.P_tan) if isinstance(a, np.ndarray)]
+            arrays = [a for a in vars(lr).values() if isinstance(a, np.ndarray)]
+            assert lr._F is not None and len(arrays) == 4, cm.spec.name  # T = L (x) F held as its two factors
             assert all(a.ndim == 1 or max(a.shape) <= bound for a in arrays), cm.spec.name
 
     def test_coefficient_mode_second_diff_stays_dense(self, rng, monkeypatch):
@@ -564,8 +602,10 @@ class TestStructuredLearners:
             ctx = _FitContext(*inputs)
         # one Psi-sized eigh per inherited second-difference learner; "ridged", the last effect, keeps its
         # own tangent penalty "none" and takes the structured path: eigh(G) and an m_j-sized eigh
-        factors = {id(P) for lr in ctx.learners for P in (lr.penalty.P_cov, lr.penalty.P_tan)}
-        systems = [a.shape for name, a in calls if id(a) not in factors]
+        P_tan = PenaltyBlock.build(ctx.ps.pole.basis, ctx.ps.transform, "second_diff").P_perp
+        covariate = {id(cm.penalty) for cm in ctx.cmaps}
+        assert sum(np.array_equal(a, P_tan) for _, a in calls) == 1
+        systems = [a.shape for name, a in calls if id(a) not in covariate and not np.array_equal(a, P_tan)]
         assert systems == [(ctx.m * cm.m_j,) * 2 for cm in ctx.cmaps[:-1]] + [(ctx.m,) * 2, (ctx.cmaps[-1].m_j,) * 2]
 
     @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])

@@ -11,7 +11,6 @@ from shapeboost.basis import SplineConfig
 from shapeboost.effects import (
     EffectError,
     EffectSpec,
-    KronPenalty,
     PlsLearner,
     _kron_sum_abs_max,
     assemble_psi_matrix,
@@ -34,9 +33,27 @@ def assemble_normal_eqs(tangent_designs, weights, cov_design, residuals):
     return assemble_psi_matrix(cov_design, grams), assemble_psi_vector(cov_design, projs)
 
 
-def df_of_lambda(Psi, P_cov, P_tan, lam):
-    """Effective degrees of freedom trace[(Psi + lam S)^{-1} Psi], solved by the learner."""
-    return float(np.trace(PlsLearner(Psi, KronPenalty(lam, lam, P_cov, P_tan)).solve(Psi)))
+def kron_sum(P_cov, P_tan):
+    """Dense unit-scale penalty S = P_cov (x) I + I (x) P_tan, symmetrized."""
+    S = np.kron(P_cov, np.eye(P_tan.shape[0])) + np.kron(np.eye(P_cov.shape[0]), P_tan)
+    return 0.5 * (S + S.T)
+
+
+def index_loop_penalty(P_cov, P_tan):
+    """Unit-scale S of the vec layout (index l m + r), entry by entry."""
+    mj, m = P_cov.shape[0], P_tan.shape[0]
+    S = np.zeros((m * mj, m * mj))
+    for l in range(mj):
+        for r in range(m):
+            for l2 in range(mj):
+                for r2 in range(m):
+                    S[l * m + r, l2 * m + r2] = P_cov[l, l2] * (r == r2) + (l == l2) * P_tan[r, r2]
+    return S
+
+
+def df_of(learner, Psi):
+    """Effective degrees of freedom trace[(Psi + lam S)^{-1} Psi] of a learner, from its own solve."""
+    return float(np.trace(learner.solve(Psi)))
 
 
 class TestCovariateDesign:
@@ -244,16 +261,18 @@ class TestPlsSolve:
     def test_identity_system(self, rng):
         m, mj = 4, 3
         psi = rng.normal(size=m * mj)
-        theta = unvec(PlsLearner(np.eye(m * mj)).solve(psi), m, mj)
+        theta = unvec(PlsLearner.unpenalized(np.eye(m * mj)).solve(psi), m, mj)
         assert np.allclose(theta, unvec(psi, m, mj))
 
     def test_ridge_shrink_to_zero(self, rng):
+        # a df target near zero calibrates a ridge scale of order trace(Psi) / df
         m, mj = 3, 2
-        A = rng.normal(size=(10, m * mj))
+        A = 100.0 * rng.normal(size=(10, m * mj))
         Psi = A.T @ A
         psi = rng.normal(size=m * mj)
-        pen = KronPenalty(1e12, 1e12, np.eye(mj), np.eye(m))
-        theta = unvec(PlsLearner(Psi, pen).solve(psi), m, mj)
+        learner = PlsLearner.calibrated(Psi, np.eye(mj), np.eye(m), 1e-4)
+        assert learner.lam >= 1e6
+        theta = unvec(learner.solve(psi), m, mj)
         assert np.linalg.norm(theta) <= 1e-6 * np.linalg.norm(psi)
 
     def test_kron_case_vs_dense_oracle(self, rng):
@@ -261,18 +280,15 @@ class TestPlsSolve:
         A = rng.normal(size=(12, m * mj))
         Psi = A.T @ A
         psi = rng.normal(size=m * mj)
-        P_cov = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        P_tan = np.array([[1.0, 0.3], [0.3, 1.0]])
-        pen = KronPenalty(0.7, 1.3, P_cov, P_tan)
+        # the relative weights 0.7 and 1.3 of the two directions ride in the factors
+        P_cov = 0.7 * np.array([[2.0, -1.0], [-1.0, 2.0]])
+        P_tan = 1.3 * np.array([[1.0, 0.3], [0.3, 1.0]])
+        learner = PlsLearner.calibrated(Psi, P_cov, P_tan, 2.5)
         # dense hand-assembled penalty
-        R = np.zeros((4, 4))
-        for l in range(mj):
-            for r in range(m):
-                for l2 in range(mj):
-                    for r2 in range(m):
-                        R[l * m + r, l2 * m + r2] = 0.7 * P_cov[l, l2] * (r == r2) + 1.3 * (l == l2) * P_tan[r, r2]
-        assert np.allclose(pen.materialize(), R, atol=1e-14)
-        theta = unvec(PlsLearner(Psi, pen).solve(psi), m, mj)
+        R = learner.lam * index_loop_penalty(P_cov, P_tan)
+        assert learner.lam > 0.0
+        assert np.allclose(learner.lam * kron_sum(P_cov, P_tan), R, atol=1e-14)
+        theta = unvec(learner.solve(psi), m, mj)
         oracle = np.linalg.solve(Psi + R, psi)
         assert np.allclose(vec(theta), oracle, atol=1e-10)
 
@@ -281,18 +297,20 @@ class TestPlsSolve:
         A = rng.normal(size=(40, m * mj))
         Psi = A.T @ A
         psi = rng.normal(size=m * mj)
-        pen = KronPenalty(0.1, 0.2, np.eye(mj), np.eye(m))
-        theta = unvec(PlsLearner(Psi, pen).solve(psi), m, mj)
-        R = pen.materialize()
+        P_cov, P_tan = 0.1 * np.eye(mj), 0.2 * np.eye(m)
+        learner = PlsLearner.calibrated(Psi, P_cov, P_tan, 8.0)
+        theta = unvec(learner.solve(psi), m, mj)
+        R = learner.lam * kron_sum(P_cov, P_tan)
+        assert learner.lam > 0.0
         assert np.linalg.norm((Psi + R) @ vec(theta) - psi) <= 1e-8 * np.linalg.norm(psi)
         rhs = np.column_stack([psi, rng.normal(size=m * mj)])  # a matrix right-hand side
-        assert np.linalg.norm((Psi + R) @ PlsLearner(Psi, pen).solve(rhs) - rhs) <= 1e-8 * np.linalg.norm(rhs)
+        assert np.linalg.norm((Psi + R) @ learner.solve(rhs) - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
     def test_singular_system_flagged(self, rng):
         Psi = np.zeros((4, 4))
         psi = np.zeros(4)
         with pytest.warns(UserWarning, match="effect 'toy'"):
-            learner = PlsLearner(Psi, None, "effect 'toy'")
+            learner = PlsLearner.unpenalized(Psi, "effect 'toy'")
         assert np.allclose(unvec(learner.solve(psi), 2, 2), 0)
 
     def test_objective_minimized(self, rng):
@@ -301,9 +319,10 @@ class TestPlsSolve:
         cov = rng.normal(size=(6, 2))
         Psi, psi = assemble_normal_eqs(designs, weights, cov, residuals)
         m = designs[0].shape[1]
-        pen = KronPenalty(0.5, 0.5, np.eye(2), np.eye(m))
-        theta = unvec(PlsLearner(Psi, pen).solve(psi), m, 2)
-        R = pen.materialize()
+        learner = PlsLearner.calibrated(Psi, np.eye(2), np.eye(m), 3.0)
+        theta = unvec(learner.solve(psi), m, 2)
+        R = learner.lam * kron_sum(np.eye(2), np.eye(m))
+        assert learner.lam > 0.0
 
         def objective(tv):
             return tv @ (Psi + R) @ tv - 2 * tv @ psi
@@ -337,7 +356,7 @@ class TestPlsSolveMatchesCholesky:
     def test_vector_and_matrix_rhs(self, n):
         rng = np.random.default_rng(n)
         A = random_spd(rng, n)
-        learner = PlsLearner(A)
+        learner = PlsLearner.unpenalized(A)
         factor = scipy.linalg.cho_factor(A)
         for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
             ref = scipy.linalg.cho_solve(factor, rhs)
@@ -348,7 +367,7 @@ class TestPlsSolveMatchesCholesky:
         A = random_spd(rng, 70)
         rhs = rng.normal(size=70) + 1j * rng.normal(size=70)
         ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), rhs)
-        assert np.linalg.norm(PlsLearner(A).solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(PlsLearner.unpenalized(A).solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_singular_fallback_warns_once_least_norm(self, rng):
         X = rng.normal(size=(3, 6))
@@ -356,7 +375,7 @@ class TestPlsSolveMatchesCholesky:
         rhs = A @ rng.normal(size=6)  # in the range of A
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            learner = PlsLearner(A, None, "effect 'toy'")
+            learner = PlsLearner.unpenalized(A, "effect 'toy'")
             x = learner.solve(rhs)
             learner.solve(rhs)
         assert [str(w.message) for w in caught] == ["effect 'toy': singular PLS system, using pseudo-inverse"]
@@ -368,7 +387,7 @@ class TestPlsSolveMatchesCholesky:
 
 def dense_df_to_lambda(Psi, P_cov, P_tan, df_target, tol=1e-4):
     """Reference calibration: generalized eigenvalues through the Cholesky factor of the dense S."""
-    S = KronPenalty(1.0, 1.0, P_cov, P_tan).materialize()
+    S = kron_sum(P_cov, P_tan)
     eig_min = float(np.linalg.eigvalsh(P_cov).min() + np.linalg.eigvalsh(P_tan).min())
     s_scale = float(np.abs(S).max())
     if s_scale == 0.0:
@@ -430,8 +449,8 @@ class TestDfCalibrationMatchesDense:
             # without a penalty every target below the rank is unreachable
             unreachable = pytest.warns(UserWarning, match="unreachable without a penalty")
             with unreachable if kind == "zero" else contextlib.nullcontext():
-                lam, lam_tan = df_to_lambda(Psi, P_cov, P_tan, target)
-            assert lam == lam_tan == dense_df_to_lambda(Psi, P_cov, P_tan, target)
+                lam = df_to_lambda(Psi, P_cov, P_tan, target)
+            assert lam == dense_df_to_lambda(Psi, P_cov, P_tan, target)
 
     def test_penalty_scale_from_factors_equals_materialized(self):
         # df_to_lambda reads max |S| from the factors; the dense S gives the same float
@@ -445,7 +464,7 @@ class TestDfCalibrationMatchesDense:
                 P_tan = np.zeros((m, m))
             elif trial % 4 == 2:  # symmetric positive semi-definite, as the learners' penalties
                 P_cov, P_tan = P_cov @ P_cov.T, P_tan @ P_tan.T
-            S = KronPenalty(1.0, 1.0, P_cov, P_tan).materialize()
+            S = kron_sum(P_cov, P_tan)
             assert _kron_sum_abs_max(P_cov, P_tan) == float(np.abs(S).max()), (trial, mj, m)
 
 
@@ -454,14 +473,18 @@ class TestDfCalibration:
         m, mj = 4, 3
         A = rng.normal(size=(30, m * mj))
         Psi = A.T @ A
-        lam, _ = df_to_lambda(Psi, np.eye(mj), np.eye(m), float(m * mj))
+        lam = df_to_lambda(Psi, np.eye(mj), np.eye(m), float(m * mj))
         assert lam == 0.0
 
     def test_df_monotone_decreasing(self, rng):
         m, mj = 3, 3
         A = rng.normal(size=(30, m * mj))
         Psi = A.T @ A
-        vals = [df_of_lambda(Psi, np.eye(mj), np.eye(m), lam) for lam in [0.0, 0.1, 1.0, 10.0]]
+        # calibrated learners from the rank down: lambda grows and the learner's own df falls with it
+        learners = [PlsLearner.calibrated(Psi, np.eye(mj), np.eye(m), t) for t in (9.0, 6.0, 3.0, 1.0)]
+        lams = [lr.lam for lr in learners]
+        vals = [df_of(lr, Psi) for lr in learners]
+        assert lams[0] == 0.0 and all(a < b for a, b in zip(lams, lams[1:]))
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_bisection_hits_target(self, rng):
@@ -471,8 +494,7 @@ class TestDfCalibration:
         P_cov = np.eye(mj)
         P_tan = np.eye(m)
         for target in [1.0, 3.5, 10.0]:
-            lam, lam2 = df_to_lambda(Psi, P_cov, P_tan, target)
-            assert lam == lam2
+            lam = df_to_lambda(Psi, P_cov, P_tan, target)
             S = np.kron(P_cov, np.eye(m)) + np.kron(np.eye(mj), P_tan)
             df = np.trace(np.linalg.solve(Psi + lam * S, Psi))
             assert df == pytest.approx(target, abs=1e-4)
@@ -486,7 +508,7 @@ class TestDfCalibration:
         grams = [curve_gram(D, w) for D, w in zip(designs, weights)]
         Psi = assemble_psi_matrix(cov, grams)
         m = designs[0].shape[1]
-        lam, _ = df_to_lambda(Psi, np.eye(1), np.eye(m), 1.0)
+        lam = df_to_lambda(Psi, np.eye(1), np.eye(m), 1.0)
         S = np.kron(np.eye(1), np.eye(m)) + np.kron(np.eye(1), np.eye(m))
         df = np.trace(np.linalg.solve(Psi + lam * S, Psi))
         assert df == pytest.approx(1.0, abs=1e-4)
@@ -498,16 +520,19 @@ class TestDfCalibration:
         Psi = A.T @ A
         P_cov, P_tan = np.zeros((mj, mj)), np.zeros((m, m))
         with pytest.warns(UserWarning, match="df target 4.0 unreachable without a penalty"):
-            assert df_to_lambda(Psi, P_cov, P_tan, 4.0) == (0.0, 0.0)
-        # whatever its scale, the learner fits unpenalized: df = rank
-        assert df_of_lambda(Psi, P_cov, P_tan, 71.4) == pytest.approx(m * mj, rel=1e-12)
+            assert df_to_lambda(Psi, P_cov, P_tan, 4.0) == 0.0
+        # the learner fits unpenalized: df = rank
+        with pytest.warns(UserWarning, match="df target 4.0 unreachable without a penalty"):
+            learner = PlsLearner.calibrated(Psi, P_cov, P_tan, 4.0)
+        assert learner.lam == 0.0
+        assert df_of(learner, Psi) == pytest.approx(m * mj, rel=1e-12)
 
     def test_unreachable_target_clamped(self, rng):
         m, mj = 3, 2
         A = rng.normal(size=(4, m * mj))  # rank 4 < 6
         Psi = A.T @ A
         with pytest.warns(UserWarning):
-            lam, _ = df_to_lambda(Psi, np.eye(mj), np.eye(m), 6.0)
+            lam = df_to_lambda(Psi, np.eye(mj), np.eye(m), 6.0)
         assert lam == 0.0
 
 
@@ -550,8 +575,7 @@ class TestKronLearnerMatchesDense:
             "singular": "using pseudo-inverse" if unpenalized else None,
         }[case]
         assert any(expected in msg for msg in dense_warned) if expected else dense_warned == []
-        lam = dense.penalty.lam_cov
-        assert kron.penalty.lam_cov == kron.penalty.lam_tan == pytest.approx(lam, rel=1e-10, abs=0.0)
+        assert kron.lam == pytest.approx(dense.lam, rel=1e-10, abs=0.0)
         for rhs in (rng.normal(size=p), rng.normal(size=(p, 3)),
                     rng.normal(size=p) + 1j * rng.normal(size=p), rng.normal(size=(p, 2)) + 1j * rng.normal(size=(p, 2))):
             ref = dense.solve(rhs)

@@ -406,7 +406,15 @@ class TestCurveSample:
         with pytest.raises(GeometryError, match=r"^curve 'c': values are all equal \(degenerate\)$"):
             CurveSample("c", grid, np.full(k, value + 0j), weights)
 
-    def test_landmark_mapping(self):
-        c = CurveSample.from_landmarks("lm", np.array([0, 1j, 2.0, 3j]))
+    def test_landmark_mapping(self, tmp_path):
+        # landmark files map index j = 1..k to the grid (j - 1) / (k - 1)
+        from shapeboost.io import read_curves
+
+        vals = np.array([0, 1j, 2.0, 3j])
+        path = tmp_path / "lm.csv"
+        path.write_text("curve_id,index,re,im\n" + "".join(f"lm,{j},{v.real},{v.imag}\n" for j, v in enumerate(vals, 1)))
+        (c,), landmark = read_curves(path, "uniform")
+        assert landmark and c.id == "lm"
         assert np.allclose(c.grid, [0, 1 / 3, 2 / 3, 1.0])
         assert np.allclose(c.weights, 0.25)
+        assert np.array_equal(c.values, vals)

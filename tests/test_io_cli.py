@@ -671,6 +671,17 @@ class TestCliPipeline:
         assert model.coef_mode
         assert model.risk_trace[-1] <= model.risk_trace[0]
 
+    def test_factorize_svg_of_coef_mode_model(self, tmp_path):
+        # the direction plots evaluate the model's basis on a dense grid, which a gram model has too
+        coef, cov, cfg, basis = _gram_inputs(tmp_path)
+        mfile = tmp_path / "m.json"
+        assert main(["fit", str(coef), str(cov), str(cfg), str(mfile)]) == 0
+        prefix = tmp_path / "plots"
+        assert main(["factorize", str(mfile), str(coef), str(cov), str(tmp_path / "rep.json"), "--svg", str(prefix)]) == 0
+        svgs = sorted(tmp_path.glob("plots_*_dir1.svg"))
+        assert [p.name for p in svgs] == ["plots_group_dir1.svg"]
+        assert all(p.read_text().startswith("<svg") for p in svgs)
+
     def test_predict_coef_mode_grid_needs_basis_dimension(self, tmp_path, capsys):
         # a coefficient-mode row is one value per basis function: a shorter grid used to be
         # written truncated, with the grid's t values against the first coefficients
