@@ -9,9 +9,9 @@ least squares and commits the best-fitting learner scaled by the step length.
 
 The pole itself is estimated by the same machinery: a preliminary pole is the
 penalized spline fit to the pointwise mean of the sample aligned to the first
-curve, refined by intercept-only boosting until the mean residual norm stops
-decreasing, and the final fit rebuilds the tangent transform at the refined
-pole.
+curve, refined by intercept-only boosting (``estimate_pole`` names its
+stopping rules), and the final fit rebuilds the tangent transform at the
+refined pole.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class BoostConfig:
 class FittedEffect:
     cmap: CovariateMap
     theta: np.ndarray  # (m, m_j)
-    lam: tuple[float, float] = (0.0, 0.0)
+    lam: float = 0.0
 
     @property
     def spec(self) -> EffectSpec:
@@ -354,10 +354,17 @@ def estimate_pole(
     """Overall mean (Riemannian center of mass) as basis coefficients.
 
     A preliminary pole is the penalized spline fit to the pooled sample
-    aligned to (a smooth of) the first curve; intercept-only boosting of a
-    constant tangent effect then refines it until the mean transported
-    residual norm stops decreasing, and the result Exp_{p0}(h0) is folded
-    back into basis coefficients using product-space norms.
+    aligned to (a smooth of) the first curve.  Intercept-only boosting of a
+    constant tangent effect then refines it: at each pole, intercept steps
+    run until the mean transported residual norm stops decreasing (relative
+    decrease at most ``POLE_REL_TOL``), and the result Exp_p(h0) is folded
+    back into basis coefficients using product-space norms.  The refinement
+    returns the current pole when its first-order condition is at most
+    1e-10, when the last fold's step was below 1e-14, when the condition
+    fell by less than half over the last fold, or when the budget of
+    ``config.pole_max_iterations`` intercept steps is spent.  The log line
+    counts the pole updates ("restarts") and the residual passes that were
+    intercept steps, and reports the returned pole's condition.
     """
     kind = GeometryKind.parse(kind)
     if not sample:
@@ -384,48 +391,34 @@ def estimate_pole(
 
     # intercept-only boosting: unpenalized constant tangent effect, step length
     # 1.  Folding Exp_{p0}(h0) back into coefficients uses product-space norms
-    # and is only first-order exact for shapes, so the routine restarts at the
-    # refined pole until the mean transported residual norm stops decreasing.
+    # and is only first-order exact for shapes, so the loop restarts at each
+    # refined pole.  A pole's first residual pass, at h0 = 0, measures its
+    # first-order condition: the projected mean residual against the mean norm.
     budget = config.pole_max_iterations
-    cond_prev = np.inf
     K_sum = K.sum(axis=0)
-
-    def intercept_at(pole: PoleCoef) -> tuple[_PoleSample, PlsLearner, np.ndarray]:
-        """The sample seen from a pole, its intercept learner and the mean tangent Gram G0."""
+    restarts, cond_prev, stop, exhausted = 0, np.inf, False, budget <= 0
+    while True:
         ps = _PoleSample(packed, pole, kind)
         G_sum = ps.transform.gram(K_sum)  # sum_i G_i = Re(Z_c^H (sum_i K_i) Z_c): one Gram, not the stack
-        return ps, PlsLearner.unpenalized(G_sum, "pole intercept"), G_sum / packed.n
-
-    def intercept_step(ps: _PoleSample, intercept: PlsLearner, h0: np.ndarray) -> tuple[float, np.ndarray]:
-        """One residual pass at Exp_p(h0): the mean residual norm and the intercept step."""
-        eps, _ = ps.residuals(np.broadcast_to(h0, (packed.n, h0.size)))
-        return float(np.mean(packed.norm(eps))), intercept.solve(ps.project(eps).sum(axis=0))
-
-    def condition(cur: float, step: np.ndarray, G0: np.ndarray) -> float:
-        """First-order condition at h0 = 0: projected mean residual vs mean norm."""
-        return float(np.sqrt(max(step @ G0 @ step, 0.0)) / max(cur, 1e-300))
-
-    restarts, cond, exhausted = 0, np.nan, budget <= 0
-    while budget > 0:
-        restarts += 1
-        ps, intercept, G0 = intercept_at(pole)
-        h0 = np.zeros(ps.transform.m)
-        prev = np.inf
-        cond = None
-        exhausted = False
-        while budget > 0:
-            budget -= 1
-            cur, step = intercept_step(ps, intercept, h0)
+        intercept, G0 = PlsLearner.unpenalized(G_sum, "pole intercept"), G_sum / packed.n
+        h0, prev, cond = np.zeros(ps.transform.m), np.inf, None
+        while cond is None or budget > 0:
+            # one residual pass at Exp_p(h0): the mean residual norm and the intercept step
+            eps, _ = ps.residuals(np.broadcast_to(h0, (packed.n, h0.size)))
+            cur, step = float(np.mean(packed.norm(eps))), intercept.solve(ps.project(eps).sum(axis=0))
             if cond is None:
-                cond = condition(cur, step, G0)
+                cond = float(np.sqrt(max(step @ G0 @ step, 0.0)) / max(cur, 1e-300))
+                stop = stop or cond <= 1e-10 or budget <= 0
+                if stop:
+                    break
+                restarts, exhausted = restarts + 1, False  # no rule fired: the pass is the first intercept step
+            budget -= 1
             if np.isfinite(prev) and prev - cur <= POLE_REL_TOL * max(prev, 1e-300):
                 break
-            prev = cur
-            h0 = h0 + step
+            prev, h0 = cur, h0 + step
         else:
             exhausted = True  # the budget ran out before the mean residual norm settled
-
-        if cond <= 1e-10:
+        if stop:
             break
         F = ps.transform.field_coef(h0)
         n0 = float(np.sqrt(max(h0 @ G0 @ h0, 0.0)))
@@ -437,15 +430,10 @@ def estimate_pole(
             p_hat = pole.coef / scale
             coef = p_hat if n0 < 1e-14 else np.cos(n0) * p_hat + np.sin(n0) * F / n0
         pole = center_pole(PoleCoef(coef=coef, basis=bas), packed)
-        # the coefficient-level fold is only first-order exact for shapes;
-        # restart at the refined pole until the condition stops improving
-        if n0 < 1e-14 or (np.isfinite(cond_prev) and cond >= 0.5 * cond_prev):
-            break
+        # the coefficient-level fold is only first-order exact for shapes: restart at the
+        # refined pole unless the step vanished or the condition fell by less than half
+        stop = n0 < 1e-14 or (np.isfinite(cond_prev) and cond >= 0.5 * cond_prev)
         cond_prev = cond
-    if restarts and not cond <= 1e-10:
-        # the loop ended after an update of the pole: one more residual pass measures the returned pole
-        ps, intercept, G0 = intercept_at(pole)
-        cond = condition(*intercept_step(ps, intercept, np.zeros(ps.transform.m)), G0)
     log.info("pole: %d restarts, %d intercept steps, first-order condition %.3g, budget %s",
              restarts, config.pole_max_iterations - budget, cond, "exhausted" if exhausted else "not exhausted")
     return pole
@@ -502,7 +490,7 @@ def boost_fit(
             val_trace.append(eval_risk())
 
     effects = [
-        FittedEffect(cmap=cm, theta=theta, lam=(lr.lam, lr.lam))
+        FittedEffect(cmap=cm, theta=theta, lam=lr.lam)
         for cm, theta, lr in zip(ctx.cmaps, thetas, ctx.learners)
     ]
     model = FittedModel(

@@ -411,7 +411,7 @@ def save_model(path: str | Path, model: FittedModel, config_digest: str = "") ->
             {
                 "cmap": eff.cmap.to_dict(),
                 "theta": eff.theta.tolist(),
-                "lambda": list(eff.lam),
+                "lambda": [eff.lam, eff.lam],  # the (covariate, tangent) pair of the file format
             }
             for eff in model.effects
         ],
@@ -426,10 +426,12 @@ def _fitted_effect(e: dict) -> FittedEffect:
     lam = np.asarray(e.get("lambda", (0.0, 0.0)), dtype=float)
     if lam.shape != (2,) or not np.all(np.isfinite(lam) & (lam >= 0)):
         raise ValueError(f"lambda must be two finite numbers >= 0, got {e['lambda']!r}")
+    if lam[0] != lam[1]:
+        raise ValueError(f"lambda must be one penalty scale given twice, got {e['lambda']!r}")
     return FittedEffect(
         cmap=CovariateMap.from_dict(e["cmap"]),
         theta=np.asarray(e["theta"], dtype=float),
-        lam=tuple(lam.tolist()),
+        lam=float(lam[0]),
     )
 
 

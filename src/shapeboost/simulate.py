@@ -359,9 +359,8 @@ def gen_dataset(
 
     # tangent transform implied by this sample's grids; the truth fields are
     # projected onto it so a fit on the same sample can represent them exactly
-    pole_probe = [
-        CurveSample(f"probe{i}", grids[i][1], designs[i] @ truth.pole.coef, weights[i]) for i in range(n)
-    ]
+    pole_probe = CurveSample.checked([f"probe{i}" for i in range(n)], [g for _, g in grids],
+                                     [B @ truth.pole.coef for B in designs], weights)
     C = constraint_matrix(pole_probe, truth.pole, kind, designs=designs)
     Zs = nullspace_transform(C).Z
     fields_used = {name: Zs @ (Zs.T @ V) for name, V in truth.effect_fields.items()}
@@ -491,9 +490,7 @@ def gen_dataset(
             lam = rng.gamma(100.0, 0.01) if kind is GeometryKind.SHAPE else 1.0
             values_raw[i] = lam * u * values_raw[i] + gamma
 
-    sample = [
-        CurveSample(f"sim{i:04d}", grids[i][1], values_raw[i], weights[i]) for i in range(n)
-    ]
+    sample = CurveSample.checked([f"sim{i:04d}" for i in range(n)], [g for _, g in grids], values_raw, weights)
     truth_out = DatasetTruth(
         effect_evals=effect_evals,
         total_evals=total_evals,

@@ -203,12 +203,54 @@ class TestPoleSetupOnce:
         assert re.fullmatch(r"pole: 1 restarts, 1 intercept steps, first-order condition \S+, budget exhausted",
                             lines[1])
 
-    @pytest.mark.parametrize("n, seed", [(18, 5), (36, 4)])  # ends by the halving rule, by the budget
-    def test_pole_log_reports_the_returned_pole(self, caplog, n, seed):
-        # on sparse forms (triangles) the loop ends after an update of the pole; the logged condition is that
-        # of the returned pole, checked here by a residual pass there with a dense least-squares intercept step
+    @staticmethod
+    def _pole_with_passes(monkeypatch, caplog, *args):
+        """``estimate_pole(*args)``, its number of residual passes and its log line, parsed."""
         import re
 
+        from shapeboost.boost import _PoleSample
+
+        passes = []
+        real = _PoleSample.residuals
+        monkeypatch.setattr(_PoleSample, "residuals", lambda self, coefs: passes.append(1) or real(self, coefs))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="shapeboost"):
+            pole = estimate_pole(*args)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("pole:")]
+        log = re.fullmatch(r"pole: (\d+) restarts, (\d+) intercept steps, first-order condition (\S+), budget (.+)",
+                           line)
+        assert log, line
+        parsed = {"restarts": int(log[1]), "steps": int(log[2]), "cond": float(log[3]), "budget": log[4]}
+        return pole, len(passes), parsed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_converged_pole_runs_one_pass_beyond_its_steps(self, monkeypatch, caplog, seed):
+        # the pass at h0 = 0 that meets the condition is the last one: no step is taken after it and discarded
+        curves, _, effects, basis, _ = make_dataset(np.random.default_rng(seed), n=12)
+        config = BoostConfig(effects=effects, response_basis=BASIS)
+        _, passes, log = self._pole_with_passes(monkeypatch, caplog, curves, GeometryKind.FORM, basis, config)
+        assert log["cond"] <= 1e-10 and log["budget"] == "not exhausted"
+        assert passes == log["steps"] + 1
+
+    def test_zero_budget_measures_the_preliminary_pole(self, monkeypatch, caplog):
+        # no intercept step: one residual pass measures the centred preliminary pole, which is returned
+        import shapeboost.boost as sbboost
+
+        curves, _, effects, basis, _ = make_dataset(np.random.default_rng(0), n=12)
+        config = BoostConfig(effects=effects, response_basis=BASIS, pole_max_iterations=0)
+        centred = []
+        real = sbboost.center_pole
+        monkeypatch.setattr(sbboost, "center_pole", lambda *a: centred.append(real(*a)) or centred[-1])
+        pole, passes, log = self._pole_with_passes(monkeypatch, caplog, curves, GeometryKind.FORM, basis, config)
+        assert len(centred) == 1 and pole is centred[0]
+        assert passes == 1
+        assert (log["restarts"], log["steps"], log["budget"]) == (0, 0, "exhausted")
+        assert np.isfinite(log["cond"]) and log["cond"] > 1e-10
+
+    @pytest.mark.parametrize("n, seed", [(18, 5), (36, 4)])  # ends by the halving rule, by the budget
+    def test_pole_log_reports_the_returned_pole(self, monkeypatch, caplog, n, seed):
+        # on sparse forms (triangles) the loop ends after an update of the pole; the logged condition is that
+        # of the returned pole, checked here by a residual pass there with a dense least-squares intercept step
         from shapeboost.boost import _PoleSample
         from shapeboost.simulate import SimConfig, gen_dataset, gen_truth
 
@@ -217,10 +259,11 @@ class TestPoleSetupOnce:
             warnings.simplefilter("ignore")
             sample, _, _ = gen_dataset(truth, SimConfig(n=n, k_bar=3, kind="form", weight_rule="uniform", seed=seed))
         config = BoostConfig(effects=[], response_basis=truth.pole.basis.cfg, response_penalty="ridge")
-        with caplog.at_level(logging.INFO, logger="shapeboost"):
-            pole = estimate_pole(sample, GeometryKind.FORM, truth.pole.basis, config)
-        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("pole:")]
-        logged = float(re.search(r"first-order condition (\S+),", line)[1])
+        pole, passes, log = self._pole_with_passes(monkeypatch, caplog, sample, GeometryKind.FORM, truth.pole.basis,
+                                                   config)
+        assert passes == log["steps"] + 1  # every pass but the one measuring the returned pole is a step
+        assert (log["budget"] == "exhausted") == (n == 36)
+        logged = log["cond"]
         ps = _PoleSample.of(sample, pole, GeometryKind.FORM, coef_mode=False)
         eps, _ = ps.residuals(np.zeros((len(sample), ps.transform.m)))
         G0 = ps.grams().mean(axis=0)
@@ -482,7 +525,7 @@ class TestLearnerSpectrum:
         pole = estimate_pole(curves, GeometryKind.FORM, basis, config)
         with pytest.warns(UserWarning, match="df target 0.5 unreachable without a penalty"):
             model = boost_fit(curves, cov, config, pole, GeometryKind.FORM)
-        assert model.effects[1].lam == (0.0, 0.0)
+        assert model.effects[1].lam == 0.0
 
     def test_singular_penalty_solved_with_its_ridge(self, rng):
         # no tangent penalty on a second-difference smooth: S = P_cov (x) I is singular, so the

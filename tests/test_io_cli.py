@@ -860,6 +860,7 @@ class TestMalformedJsonInputs:
             ("effects", lambda doc: doc["effects"][0].update({"lambda": "x"})),
             ("effects", lambda doc: doc["effects"][0].update({"lambda": [1.0, float("nan")]})),
             ("effects", lambda doc: doc["effects"][1].update({"lambda": [-1.0, 0.0]})),
+            ("effects", lambda doc: doc["effects"][1].update({"lambda": [1.0, 2.0]})),
             ("effects", lambda doc: _as_linear(doc, None)),
             ("effects", lambda doc: _as_linear(doc, float("nan"))),
             ("transform", _repeat_transform_column),
@@ -867,7 +868,8 @@ class TestMalformedJsonInputs:
             ("m_stop", lambda doc: doc.update(m_stop=10**6)),
         ],
         ids=["weight_rule", "Zc", "Zc_identity", "margins", "penalty", "levels", "levels_str", "lambda_str", "lambda_nan",
-             "lambda_neg", "z_mean_null", "z_mean_nan", "transform_equal_columns", "selection_99", "m_stop_huge"],
+             "lambda_neg", "lambda_unequal", "z_mean_null", "z_mean_nan", "transform_equal_columns", "selection_99",
+             "m_stop_huge"],
     )
     def test_inconsistent_model_exit2_in_every_reader(self, dataset, fitted, tmp_path, capsys, key, mutate):
         # a bad weight rule used to exit 3 in predict and a mismatched covariate map to crash (exit 1);
