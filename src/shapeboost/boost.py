@@ -336,6 +336,26 @@ class _FitContext:
         eps, d = self.ps.residuals(coefs)
         return self.ps.project(eps), d
 
+    def boost(self, config: BoostConfig):
+        """Boosting from zero coefficients: yields (thetas, risk, selected learner) at the bare pole and per iteration.
+
+        The bare pole's selected learner is None; ``thetas`` is one list, updated in place between yields.
+        """
+        thetas = [np.zeros((self.m, cm.m_j)) for cm in self.cmaps]
+        projs, dists = self.residual_pass(self.predictor_coefs(thetas))
+        yield thetas, float(np.mean(dists**2)), None
+        for it in range(config.max_iterations):
+            zs = [lr.coords(assemble_psi_vector(design, projs)) for lr, design in zip(self.learners, self.cov_designs)]
+            # SSE_j = const + objective_j with const shared across learners; argmin takes the first of ties
+            best_j = int(np.argmin([lr.objective(z) for lr, z in zip(self.learners, zs)]))
+            best_theta = unvec(self.learners[best_j].coefs(zs[best_j]), self.m, self.cmaps[best_j].m_j)
+            thetas[best_j] = thetas[best_j] + config.step_length * best_theta
+            projs, dists = self.residual_pass(self.predictor_coefs(thetas))
+            risk = float(np.mean(dists**2))
+            if not np.isfinite(risk):
+                raise FitDiverged(f"risk became non-finite at iteration {it + 1}")
+            yield thetas, risk, best_j
+
 
 def _penalized_spline_fit(packed: PackedSample, design_grams: np.ndarray, targets: np.ndarray,
                           selected: np.ndarray, basis: BSplineBasis, lam: float = 1e-6) -> np.ndarray:
@@ -446,9 +466,7 @@ def boost_fit(
     config: BoostConfig,
     pole: PoleCoef,
     kind: GeometryKind,
-    eval_sample: list[CurveSample] | None = None,
-    eval_covariates: dict | None = None,
-) -> FittedModel | tuple[FittedModel, np.ndarray]:
+) -> FittedModel:
     """Run component-wise Riemannian L2-boosting at a fixed pole.
 
     Per iteration: compute transported residuals, PLS-refit every
@@ -456,58 +474,30 @@ def boost_fit(
     broken towards the smallest index) and add step_length times its fit to
     the coefficients.  The risk trace records the empirical mean squared
     geodesic distance after every update; entry 0 is the risk of the bare
-    pole.  With an eval set, also returns the held-out risk per iteration.
+    pole.
     """
     kind = GeometryKind.parse(kind)
     ctx = _FitContext(_PoleSample.of(sample, pole, kind, config.coef_mode), covariates, config)
-    thetas = [np.zeros((ctx.m, cm.m_j)) for cm in ctx.cmaps]
-    if eval_sample is not None:
-        held_out = _PoleSample.of(eval_sample, pole, kind, config.coef_mode, ctx.ps.transform)
-        eval_designs = [cm.design(eval_covariates, len(eval_sample)) for cm in ctx.cmaps]
-
-        def eval_risk() -> float:
-            coefs = _additive_coefs(eval_designs, thetas, len(eval_sample), ctx.m)
-            return float(np.mean(held_out.distances(coefs) ** 2))
-
-    projs, dists = ctx.residual_pass(ctx.predictor_coefs(thetas))
-    risk_trace = [float(np.mean(dists**2))]
-    val_trace = [eval_risk()] if eval_sample is not None else None
-    selection: list[int] = []
-
-    for it in range(config.max_iterations):
-        zs = [lr.coords(assemble_psi_vector(design, projs)) for lr, design in zip(ctx.learners, ctx.cov_designs)]
-        # SSE_j = const + objective_j with const shared across learners; argmin takes the first of ties
-        best_j = int(np.argmin([lr.objective(z) for lr, z in zip(ctx.learners, zs)]))
-        best_theta = unvec(ctx.learners[best_j].coefs(zs[best_j]), ctx.m, ctx.cmaps[best_j].m_j)
-        thetas[best_j] = thetas[best_j] + config.step_length * best_theta
-        selection.append(best_j)
-        projs, dists = ctx.residual_pass(ctx.predictor_coefs(thetas))
-        risk = float(np.mean(dists**2))
-        if not np.isfinite(risk):
-            raise FitDiverged(f"risk became non-finite at iteration {it + 1}")
-        risk_trace.append(risk)
-        if eval_sample is not None:
-            val_trace.append(eval_risk())
-
+    risks, selection = [], []
+    for thetas, risk, j in ctx.boost(config):
+        risks.append(risk)
+        selection.append(j)
     effects = [
         FittedEffect(cmap=cm, theta=theta, lam=lr.lam)
         for cm, theta, lr in zip(ctx.cmaps, thetas, ctx.learners)
     ]
-    model = FittedModel(
+    return FittedModel(
         kind=kind,
         pole=pole,
         transform=ctx.ps.transform,
         effects=effects,
-        risk_trace=np.array(risk_trace),
+        risk_trace=np.array(risks),
         m_stop=config.max_iterations,
-        selection_trace=np.array(selection, dtype=int),
+        selection_trace=np.array(selection[1:], dtype=int),
         response_penalty=config.response_penalty,
         weight_rule=config.weight_rule,
         rng_seed=config.rng_seed,
     )
-    if eval_sample is not None:
-        return model, np.array(val_trace)
-    return model
 
 
 def model_sample(model: FittedModel, sample: list[CurveSample]) -> _PoleSample:
@@ -529,18 +519,17 @@ def transported_residuals(model: FittedModel, sample: list[CurveSample], covaria
     )
 
 
+@serial_blas
 def _cv_fold(args) -> np.ndarray:
+    """Held-out risk of fold f after every iteration of the fit to the other folds (a pool worker's entry point)."""
     sample, covariates, config, kind, pole, assignment, f = args
-    train_idx = np.where(assignment != f)[0]
-    test_idx = np.where(assignment == f)[0]
-    train_sample = [sample[i] for i in train_idx]
-    test_sample = [sample[i] for i in test_idx]
-    train_cov = {k: np.asarray(v)[train_idx] for k, v in covariates.items()}
-    test_cov = {k: np.asarray(v)[test_idx] for k, v in covariates.items()}
-    _, val = boost_fit(
-        train_sample, train_cov, config, pole, kind, eval_sample=test_sample, eval_covariates=test_cov
-    )
-    return val
+    train, test = np.flatnonzero(assignment != f), np.flatnonzero(assignment == f)
+    ctx = _FitContext(_PoleSample.of([sample[i] for i in train], pole, kind, config.coef_mode),
+                      {k: np.asarray(v)[train] for k, v in covariates.items()}, config)
+    held_out = _PoleSample.of([sample[i] for i in test], pole, kind, config.coef_mode, ctx.ps.transform)
+    designs = [cm.design({k: np.asarray(v)[test] for k, v in covariates.items()}, test.size) for cm in ctx.cmaps]
+    return np.array([float(np.mean(held_out.distances(_additive_coefs(designs, thetas, test.size, ctx.m)) ** 2))
+                     for thetas, _, _ in ctx.boost(config)])
 
 
 @serial_blas
@@ -559,7 +548,7 @@ def cv_early_stop(
     folds.  Returns the argmin of the fold-averaged held-out risk curve (ties
     towards the smallest iteration).  Folds are independent and run in
     parallel when workers > 1.  Like every fit, each fold runs OpenBLAS at
-    one thread (``boost_fit`` pins it again inside a worker), so the fold
+    one thread (``_cv_fold`` pins it again inside a worker), so the fold
     risks do not depend on the worker count, bit for bit.
     """
     kind = GeometryKind.parse(kind)

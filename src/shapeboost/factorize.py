@@ -50,7 +50,6 @@ class Factorization:
     scalar_coefs: np.ndarray  # (m_j, ncomp): coefficients of hhat^(r) in the covariate basis
     variance_shares: np.ndarray  # (ncomp,): component variances d_r^2, summing to the total
     effect_names: list[str] = field(default_factory=list)
-    effect_slices: list[slice] = field(default_factory=list)
     sub_variances: np.ndarray | None = None  # (n_effects, ncomp) per-effect variance within components
 
     @property
@@ -146,7 +145,6 @@ def factorize_predictor(
         slices.append(slice(off, off + th.shape[1]))
         off += th.shape[1]
     fac.effect_names = list(names)
-    fac.effect_slices = slices
     ncomp = fac.singular_values.size
     sub = np.zeros((len(thetas), ncomp))
     for j, sl in enumerate(slices):

@@ -9,6 +9,7 @@ from shapeboost.basis import PenaltyBlock, SplineConfig, TangentTransform, build
 from shapeboost.boost import (
     BoostConfig,
     ModelError,
+    _cv_fold,
     boost_fit,
     cv_early_stop,
     empirical_risk,
@@ -165,8 +166,7 @@ class TestPoleSetupOnce:
         pole = estimate_pole(curves, kind, basis, config)
         assert len(computed) == 1
         computed.clear()
-        boost_fit(curves[:8], {k: v[:8] for k, v in cov.items()}, config, pole, kind,
-                  eval_sample=curves[8:], eval_covariates={k: v[8:] for k, v in cov.items()})
+        _cv_fold((curves, cov, config, kind, pole, (np.arange(len(curves)) < 8).astype(int), 0))
         assert len(computed) == 1  # the fitting sample's; the held-out sample needs none
         assert max(densified, default=0) <= len(curves)  # no response band (sum of k rows) was densified
 
@@ -707,6 +707,53 @@ class TestCrossValidation:
         # noiseless truth: risk curve decreases early, stop is interior or at the boundary
         assert 0 < res.m_stop <= 20
         assert res.cv_risk[3] < res.cv_risk[0]
+
+    @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fold_risks_are_prefix_fit_risks(self, kind, seed):
+        # each fold's held-out risk after t iterations is that of the training fit stopped at t,
+        # and the stopped fit is a prefix of the full one, bit for bit
+        curves, cov, effects, basis, _ = make_dataset(np.random.default_rng(seed), n=16, kind=kind)
+        config = BoostConfig(
+            effects=effects, step_length=0.4, max_iterations=6, cv_folds=4, rng_seed=seed, response_basis=BASIS
+        )
+        pole = estimate_pole(curves, kind, basis, config)
+        res = cv_early_stop(curves, cov, config, kind, pole=pole)
+        for f in range(config.cv_folds):
+            train, test = np.flatnonzero(res.fold_assignment != f), np.flatnonzero(res.fold_assignment == f)
+            train_cov, test_cov = ({k: v[idx] for k, v in cov.items()} for idx in (train, test))
+            train_curves, test_curves = [curves[i] for i in train], [curves[i] for i in test]
+            full = boost_fit(train_curves, train_cov, config, pole, kind)
+            for t in range(config.max_iterations + 1):
+                stopped = boost_fit(train_curves, train_cov, dataclasses.replace(config, max_iterations=t), pole, kind)
+                assert res.fold_risks[f, t] == empirical_risk(stopped, test_curves, test_cov)
+                assert np.array_equal(stopped.risk_trace, full.risk_trace[: t + 1])
+                assert np.array_equal(stopped.selection_trace, full.selection_trace[:t])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_similarity_transforms_do_not_change_cv(self, seed):
+        # per-curve rotation and translation (forms), and rescaling too (shapes), act on the quotient only
+        rng = np.random.default_rng(100 + seed)
+        for kind in GeometryKind:
+            curves, cov, effects, _, _ = make_dataset(np.random.default_rng(seed), n=16, kind=kind)
+            config = BoostConfig(
+                effects=effects, step_length=0.4, max_iterations=8, cv_folds=4, rng_seed=seed, response_basis=BASIS
+            )
+            moved = []
+            for c in curves:
+                scale = rng.uniform(0.5, 2.0) if kind is GeometryKind.SHAPE else 1.0
+                shift = complex(*rng.normal(size=2))
+                moved.append(CurveSample(c.id, c.grid, scale * np.exp(1j * rng.uniform(0, 2 * np.pi)) * c.values
+                                         + shift, c.weights))
+            ref = cv_early_stop(curves, cov, config, kind)
+            res = cv_early_stop(moved, cov, config, kind)
+            np.testing.assert_allclose(res.fold_risks, ref.fold_risks, rtol=1e-9, atol=0.0)
+            assert res.m_stop == ref.m_stop
+            if kind is GeometryKind.FORM:
+                # negative control: the form space keeps scale
+                scaled = [CurveSample(c.id, c.grid, 1.5 * c.values, c.weights) for c in curves]
+                risks = cv_early_stop(scaled, cov, config, kind).fold_risks
+                assert not np.allclose(risks, ref.fold_risks, rtol=1e-3, atol=0.0)
 
 
 class TestPrediction:
