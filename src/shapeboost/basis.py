@@ -30,6 +30,8 @@ __all__ = [
     "sample_design",
     "constraint_matrix",
     "packed_constraint_matrix",
+    "normal_projections",
+    "constraint_mean",
     "nullspace",
     "nullspace_transform",
     "center_pole",
@@ -320,6 +322,14 @@ class TangentTransform:
         """Map tangent coefficients (m,) or (m, ...) to complex basis coefficients."""
         return self.complex_columns @ coefs
 
+    def curve_coefs(self, coefs: np.ndarray) -> np.ndarray:
+        """Complex basis coefficients Z_c c_i (n, m0) of per-curve tangent coefficients c (n, m)."""
+        return coefs @ self.complex_columns.T
+
+    def coords(self, proj: np.ndarray) -> np.ndarray:
+        """Tangent coordinates Re(Z_c^H x_i) (n, m) of per-curve basis projections x (n, m0)."""
+        return (proj @ np.conj(self.complex_columns)).real
+
     def gram(self, K: np.ndarray) -> np.ndarray:
         """Tangent Gram Re(Z_c^H K Z_c) of real basis Gram(s) K, shape (m0, m0) or (n, m0, m0)."""
         Zr, Zi = self.Z[: self.m0], self.Z[self.m0 :]
@@ -372,9 +382,9 @@ def constraint_matrix(
     return np.hstack([C.real, C.imag])
 
 
-def packed_constraint_matrix(packed: PackedSample, pole: PoleCoef, kind: GeometryKind) -> np.ndarray:
-    """``constraint_matrix`` in packed passes: row r is the mean over curves of ``packed.project(zeta_r)``,
-    for the normal directions zeta = 1/||1||, i/||1||, i p̂ and, for shapes, p̂."""
+def normal_projections(packed: PackedSample, pole: PoleCoef, kind: GeometryKind) -> list[np.ndarray]:
+    """Per-curve projections ``packed.project(zeta)``, (n, m0) each, of the normal directions at the pole:
+    zeta = 1/||1||, i/||1||, i p̂ and, for shapes, p̂."""
     p_c = packed.center(packed.band @ pole.coef)
     pn = packed.norm(p_c)
     packed.check(pn <= 0, GeometryError, "pole is degenerate on this grid")
@@ -382,8 +392,18 @@ def packed_constraint_matrix(packed: PackedSample, pole: PoleCoef, kind: Geometr
     ones = np.ones(packed.offsets[-1])
     one = ones / packed.norm(ones)[packed.seg]
     zetas = [one, 1j * one, 1j * p_hat] + ([p_hat] if GeometryKind.parse(kind) is GeometryKind.SHAPE else [])
-    C = np.array([packed.project(zeta).sum(axis=0) for zeta in zetas]) / packed.n
+    return [packed.project(zeta) for zeta in zetas]
+
+
+def constraint_mean(normals: list[np.ndarray]) -> np.ndarray:
+    """Real constraint matrix (Re C, Im C) of the curves whose ``normal_projections`` are given: their mean."""
+    C = np.array([p.sum(axis=0) for p in normals]) / normals[0].shape[0]
     return np.hstack([C.real, C.imag])
+
+
+def packed_constraint_matrix(packed: PackedSample, pole: PoleCoef, kind: GeometryKind) -> np.ndarray:
+    """``constraint_matrix`` in packed passes: row r is the mean over curves of the r-th normal projection."""
+    return constraint_mean(normal_projections(packed, pole, kind))
 
 
 def nullspace(C: np.ndarray, abs_tol: float = 0.0) -> tuple[np.ndarray, int]:

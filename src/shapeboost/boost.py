@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .basis import (
     TangentTransform,
     build_response_basis,
     center_pole,
+    constraint_mean,
+    normal_projections,
     nullspace_transform,
     packed_constraint_matrix,
     sample_design,
@@ -225,49 +228,71 @@ class _PoleSample:
     the band of the stacked response design to evaluations, so the per-curve
     tangent designs D_i = B_i Z_c are never formed.  Without a transform, the
     tangent space is the null space of the constraints at the pole, built in
-    packed passes.  The pole representative and its norms are computed once.
+    packed passes on first use.  The pole representative and its norms are
+    computed once, on first use.  Exp, Log and transport act on evaluations
+    h (``predictor``), so a caller may build h from per-curve basis
+    coefficients of its own (``PackedSample.field``).
     """
 
     def __init__(self, packed: PackedSample, pole: PoleCoef, kind: GeometryKind,
                  transform: TangentTransform | None = None):
-        if transform is None:
-            transform = nullspace_transform(packed_constraint_matrix(packed, pole, kind))
         self.packed = packed
         self.pole = pole
         self.kind = kind
-        self.transform = transform
-        self.Zc = transform.complex_columns
-        self.p_rep = packed.pole_rep(packed.band @ pole.coef, kind)
-        self.p_norm = packed.norm(self.p_rep)
+        if transform is not None:
+            self.transform = transform  # an instance attribute takes the place of the cached property
 
     @classmethod
     def of(cls, sample: list[CurveSample], pole: PoleCoef, kind: GeometryKind, coef_mode: bool, transform=None):
         return cls(PackedSample.of(sample, sample_design(pole.basis, sample, coef_mode)), pole, kind, transform)
 
+    @cached_property
+    def transform(self) -> TangentTransform:
+        return nullspace_transform(packed_constraint_matrix(self.packed, self.pole, self.kind))
+
+    @cached_property
+    def p_rep(self) -> np.ndarray:
+        return self.packed.pole_rep(self.packed.band @ self.pole.coef, self.kind)
+
+    @cached_property
+    def p_norm(self) -> np.ndarray:
+        return self.packed.norm(self.p_rep)
+
+    def take(self, idx: np.ndarray) -> "_PoleSample":
+        """The curves ``idx`` (repeats allowed) at the same pole, gathered with their pole representatives."""
+        sub = _PoleSample(self.packed.take(idx), self.pole, self.kind)
+        sub.p_rep, sub.p_norm = self.p_rep[self.packed.rows(idx)], self.p_norm[idx]
+        return sub
+
     def predictor(self, coefs: np.ndarray) -> np.ndarray:
         """Packed evaluations D_i c_i of per-curve tangent coefficients (n, m)."""
-        return self.packed.field(coefs @ self.Zc.T)
+        return self.packed.field(self.transform.curve_coefs(coefs))
 
-    def means(self, coefs: np.ndarray) -> np.ndarray:
+    def means(self, h: np.ndarray) -> np.ndarray:
         """Centered representatives of Exp_[p](h_i) (packed)."""
-        return self.packed.exp(self.p_rep, self.predictor(coefs), self.kind, error=FitDiverged)
+        return self.packed.exp(self.p_rep, h, self.kind, error=FitDiverged)
 
-    def residuals(self, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def residuals(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Transported residuals Transp(Log_[mu_i] [y_i]) at the pole, mu_i = Exp_[p](h_i), and distances d_i."""
-        mu = self.means(coefs)
+        mu = self.means(h)
         mn = self.packed.norm(mu)  # shared by the Log's alignment and the transport
         eps, d = self.packed.log(mu, self.kind, what="alignment to the current mean is degenerate", base_norm=mn)
         eps = self.packed.transport(mu, self.p_rep, eps, self.kind, what="antipodal transport in residual step",
                                     norms=(mn, self.p_norm))
         return eps, d
 
-    def distances(self, coefs: np.ndarray) -> np.ndarray:
-        mu = self.means(coefs)
-        return self.packed.log(mu, self.kind, what="degenerate alignment in risk evaluation")[1]
+    def distances(self, h: np.ndarray) -> np.ndarray:
+        """Geodesic distances d_i between the observations and Exp_[p](h_i)."""
+        return self.packed.log(self.means(h), self.kind, what="degenerate alignment in risk evaluation")[1]
 
     def project(self, eps: np.ndarray) -> np.ndarray:
         """Projections Re(D_i^H W_i eps_i) onto the tangent directions, (n, m)."""
-        return (self.packed.project(eps) @ np.conj(self.Zc)).real
+        return self.transform.coords(self.packed.project(eps))
+
+    def residual_pass(self, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Projected transported residuals (n, m) and geodesic distances (n,) at tangent coefficients (n, m)."""
+        eps, d = self.residuals(self.predictor(coefs))
+        return self.project(eps), d
 
     def grams(self) -> np.ndarray:
         """Tangent Gram stack Re(D_i^H W_i D_i), (n, m, m)."""
@@ -284,24 +309,25 @@ def _shared_gram(grams: np.ndarray) -> np.ndarray | None:
 
 
 class _FitContext:
-    """Base-learners of one boosting run: covariate designs and decomposed PLS learners.
+    """Base-learners of one boosting run: covariate designs and decomposed PLS learners at one tangent transform.
 
-    When every curve has the same tangent Gram G (coefficient mode, or one
-    grid and weights shared by all curves) and a learner's tangent penalty is
-    q I, its Psi is (X^T X) (x) G and it is built from eigh(G), computed once,
-    and two m_j-sized decompositions (``PlsLearner.calibrated_kron``).  Every
-    other learner decomposes its assembled Psi, with eigh(P_tan) computed
-    once per tangent penalty.
+    ``grams`` is the curves' tangent Gram stack.  When every curve has the
+    same tangent Gram G (coefficient mode, or one grid and weights shared by
+    all curves) and a learner's tangent penalty is q I, its Psi is
+    (X^T X) (x) G and it is built from eigh(G), computed once, and two
+    m_j-sized decompositions (``PlsLearner.calibrated_kron``).  Every other
+    learner decomposes its assembled Psi, with eigh(P_tan) computed once per
+    tangent penalty.
     """
 
-    def __init__(self, ps: _PoleSample, covariates: dict, config: BoostConfig):
-        self.ps = ps
-        self.n = ps.packed.n
-        self.m = ps.transform.m
+    def __init__(self, transform: TangentTransform, basis: BSplineBasis, grams: np.ndarray, covariates: dict,
+                 config: BoostConfig):
+        self.transform = transform
+        self.n = grams.shape[0]
+        self.m = transform.m
         self.cov_designs: list[np.ndarray] = []
         self.cmaps: list[CovariateMap] = []
         self.learners: list[PlsLearner] = []
-        grams = ps.grams()
         shared = _shared_gram(grams)
         gram_eig = None
         p_tan: dict[str, tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]] = {}
@@ -318,7 +344,7 @@ class _FitContext:
                                                      SCALAR_TANGENT_PENALTIES[tan_kind], spec.df_target, label)
             else:
                 if tan_kind not in p_tan:
-                    P = PenaltyBlock.build(ps.pole.basis, ps.transform, tan_kind).P_perp
+                    P = PenaltyBlock.build(basis, transform, tan_kind).P_perp
                     p_tan[tan_kind] = P, np.linalg.eigh(P)
                 P, eig = p_tan[tan_kind]
                 learner = PlsLearner.calibrated(assemble_psi_matrix(design, grams), cmap.penalty, P,
@@ -327,34 +353,50 @@ class _FitContext:
             self.cmaps.append(cmap)
             self.learners.append(learner)
 
+    @classmethod
+    def of(cls, ps: _PoleSample, covariates: dict, config: BoostConfig) -> "_FitContext":
+        """The learners of a pole sample's curves, at its tangent transform."""
+        return cls(ps.transform, ps.pole.basis, ps.grams(), covariates, config)
+
+    def zero_thetas(self) -> list[np.ndarray]:
+        """Coefficients (m, m_j) of every learner at the bare pole."""
+        return [np.zeros((self.m, cm.m_j)) for cm in self.cmaps]
+
     def predictor_coefs(self, thetas: list[np.ndarray]) -> np.ndarray:
         """Per-curve tangent coefficients of the current additive predictor, (n, m)."""
         return _additive_coefs(self.cov_designs, thetas, self.n, self.m)
 
-    def residual_pass(self, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Projected transported residuals (n, m) and geodesic distances (n,)."""
-        eps, d = self.ps.residuals(coefs)
-        return self.ps.project(eps), d
+    def step(self, thetas: list[np.ndarray], projs: np.ndarray, step_length: float) -> int:
+        """One boosting update from projected residuals (n, m): refit every learner, add step_length times the
+        best fit to its coefficients (a new array in ``thetas``) and return its index."""
+        zs = [lr.coords(assemble_psi_vector(design, projs)) for lr, design in zip(self.learners, self.cov_designs)]
+        # SSE_j = const + objective_j with const shared across learners; argmin takes the first of ties
+        best_j = int(np.argmin([lr.objective(z) for lr, z in zip(self.learners, zs)]))
+        best_theta = unvec(self.learners[best_j].coefs(zs[best_j]), self.m, self.cmaps[best_j].m_j)
+        thetas[best_j] = thetas[best_j] + step_length * best_theta
+        return best_j
 
-    def boost(self, config: BoostConfig):
-        """Boosting from zero coefficients: yields (thetas, risk, selected learner) at the bare pole and per iteration.
+    def boost(self, ps: _PoleSample, config: BoostConfig):
+        """Boosting of the curves of ``ps`` from zero coefficients: yields (thetas, risk, selected learner) at the
+        bare pole and per iteration.
 
         The bare pole's selected learner is None; ``thetas`` is one list, updated in place between yields.
         """
-        thetas = [np.zeros((self.m, cm.m_j)) for cm in self.cmaps]
-        projs, dists = self.residual_pass(self.predictor_coefs(thetas))
+        thetas = self.zero_thetas()
+        projs, dists = ps.residual_pass(self.predictor_coefs(thetas))
         yield thetas, float(np.mean(dists**2)), None
         for it in range(config.max_iterations):
-            zs = [lr.coords(assemble_psi_vector(design, projs)) for lr, design in zip(self.learners, self.cov_designs)]
-            # SSE_j = const + objective_j with const shared across learners; argmin takes the first of ties
-            best_j = int(np.argmin([lr.objective(z) for lr, z in zip(self.learners, zs)]))
-            best_theta = unvec(self.learners[best_j].coefs(zs[best_j]), self.m, self.cmaps[best_j].m_j)
-            thetas[best_j] = thetas[best_j] + config.step_length * best_theta
-            projs, dists = self.residual_pass(self.predictor_coefs(thetas))
-            risk = float(np.mean(dists**2))
-            if not np.isfinite(risk):
-                raise FitDiverged(f"risk became non-finite at iteration {it + 1}")
-            yield thetas, risk, best_j
+            best_j = self.step(thetas, projs, config.step_length)
+            projs, dists = ps.residual_pass(self.predictor_coefs(thetas))
+            yield thetas, _training_risk(dists, it + 1), best_j
+
+
+def _training_risk(dists: np.ndarray, iteration: int) -> float:
+    """Mean squared geodesic distance of a training sample after an update; a non-finite risk raises."""
+    risk = float(np.mean(dists**2))
+    if not np.isfinite(risk):
+        raise FitDiverged(f"risk became non-finite at iteration {iteration}")
+    return risk
 
 
 def _penalized_spline_fit(packed: PackedSample, design_grams: np.ndarray, targets: np.ndarray,
@@ -424,7 +466,7 @@ def estimate_pole(
         h0, prev, cond = np.zeros(ps.transform.m), np.inf, None
         while cond is None or budget > 0:
             # one residual pass at Exp_p(h0): the mean residual norm and the intercept step
-            eps, _ = ps.residuals(np.broadcast_to(h0, (packed.n, h0.size)))
+            eps, _ = ps.residuals(ps.predictor(np.broadcast_to(h0, (packed.n, h0.size))))
             cur, step = float(np.mean(packed.norm(eps))), intercept.solve(ps.project(eps).sum(axis=0))
             if cond is None:
                 cond = float(np.sqrt(max(step @ G0 @ step, 0.0)) / max(cur, 1e-300))
@@ -477,9 +519,10 @@ def boost_fit(
     pole.
     """
     kind = GeometryKind.parse(kind)
-    ctx = _FitContext(_PoleSample.of(sample, pole, kind, config.coef_mode), covariates, config)
+    ps = _PoleSample.of(sample, pole, kind, config.coef_mode)
+    ctx = _FitContext.of(ps, covariates, config)
     risks, selection = [], []
-    for thetas, risk, j in ctx.boost(config):
+    for thetas, risk, j in ctx.boost(ps, config):
         risks.append(risk)
         selection.append(j)
     effects = [
@@ -489,7 +532,7 @@ def boost_fit(
     return FittedModel(
         kind=kind,
         pole=pole,
-        transform=ctx.ps.transform,
+        transform=ctx.transform,
         effects=effects,
         risk_trace=np.array(risks),
         m_stop=config.max_iterations,
@@ -509,7 +552,7 @@ def model_sample(model: FittedModel, sample: list[CurveSample]) -> _PoleSample:
 def transported_residuals(model: FittedModel, sample: list[CurveSample], covariates: dict) -> ResidualSet:
     """Transported residuals of a sample under a fitted model."""
     ps = model_sample(model, sample)
-    eps, _ = ps.residuals(model.predictor_coefs(covariates, len(sample)))
+    eps, _ = ps.residuals(ps.predictor(model.predictor_coefs(covariates, len(sample))))
     cuts = ps.packed.offsets[1:-1]
     return ResidualSet(
         residuals=[
@@ -519,17 +562,65 @@ def transported_residuals(model: FittedModel, sample: list[CurveSample], covaria
     )
 
 
+def _fold_contexts(full: _PoleSample, covariates: dict, config: BoostConfig,
+                   trains: list[np.ndarray]) -> list[_FitContext]:
+    """Each fold's learners at its own tangent transform, from its training rows of the whole sample's normal
+    projections and design Grams, computed once here."""
+    normals = normal_projections(full.packed, full.pole, full.kind)
+    K = full.packed.design_grams()
+    ctxs = []
+    for train in trains:
+        transform = nullspace_transform(constraint_mean([p[train] for p in normals]))
+        ctxs.append(_FitContext(transform, full.pole.basis, transform.gram(K[train]),
+                                {k: v[train] for k, v in covariates.items()}, config))
+    return ctxs
+
+
 @serial_blas
-def _cv_fold(args) -> np.ndarray:
-    """Held-out risk of fold f after every iteration of the fit to the other folds (a pool worker's entry point)."""
-    sample, covariates, config, kind, pole, assignment, f = args
-    train, test = np.flatnonzero(assignment != f), np.flatnonzero(assignment == f)
-    ctx = _FitContext(_PoleSample.of([sample[i] for i in train], pole, kind, config.coef_mode),
-                      {k: np.asarray(v)[train] for k, v in covariates.items()}, config)
-    held_out = _PoleSample.of([sample[i] for i in test], pole, kind, config.coef_mode, ctx.ps.transform)
-    designs = [cm.design({k: np.asarray(v)[test] for k, v in covariates.items()}, test.size) for cm in ctx.cmaps]
-    return np.array([float(np.mean(held_out.distances(_additive_coefs(designs, thetas, test.size, ctx.m)) ** 2))
-                     for thetas, _, _ in ctx.boost(config)])
+def _cv_lockstep(args) -> np.ndarray:
+    """Held-out risks (folds, iterations + 1) of the given folds, advanced together (a pool worker's entry point).
+
+    The sample is packed once, with one design-Gram stack and one set of
+    normal projections at the pole; each fold's tangent transform, Gram
+    stack and learners are built from its training rows of these.  Every
+    iteration makes one residual pass over the folds' training sets,
+    stacked fold-major (each fold's field and projection through its own
+    Z_c), updates each fold through ``_FitContext.step``, and makes one
+    distance pass over the whole sample, which the held-out sets partition.
+    Every per-curve operation is that of a one-fold fit, so each fold's
+    risks are those of ``boost_fit`` on its training curves, stopped at each
+    iteration, evaluated on its held-out curves, bit for bit.
+    """
+    sample, covariates, config, kind, pole, assignment, folds = args
+    full = _PoleSample.of(sample, pole, kind, config.coef_mode)
+    covariates = {k: np.asarray(v) for k, v in covariates.items()}
+    trains = [np.flatnonzero(assignment != f) for f in folds]
+    tests = [np.flatnonzero(assignment == f) for f in folds]
+    ctxs = _fold_contexts(full, covariates, config, trains)
+    test_designs = [[cm.design({k: v[test] for k, v in covariates.items()}, test.size) for cm in ctx.cmaps]
+                    for ctx, test in zip(ctxs, tests)]
+    stacked = full.take(np.concatenate(trains))
+    ends = np.cumsum([train.size for train in trains])
+    spans = [slice(end - train.size, end) for end, train in zip(ends, trains)]  # each fold's stacked curves
+    thetas = [ctx.zero_thetas() for ctx in ctxs]
+    held_out_coefs = np.zeros((full.packed.n, pole.basis.dim), dtype=complex)  # Z_c c_i of each curve's own fold
+    risks = np.empty((len(folds), config.max_iterations + 1))
+    for it in range(config.max_iterations + 1):
+        if it:
+            for ctx, th, projs in zip(ctxs, thetas, fold_projs):
+                ctx.step(th, projs, config.step_length)
+        train_coefs = [ctx.transform.curve_coefs(ctx.predictor_coefs(th)) for ctx, th in zip(ctxs, thetas)]
+        eps, d = stacked.residuals(stacked.packed.field(np.concatenate(train_coefs)))
+        x = stacked.packed.project(eps)
+        fold_projs = [ctx.transform.coords(x[span]) for ctx, span in zip(ctxs, spans)]
+        if it:
+            for span in spans:
+                _training_risk(d[span], it)
+        for ctx, th, test, designs in zip(ctxs, thetas, tests, test_designs):
+            held_out_coefs[test] = ctx.transform.curve_coefs(_additive_coefs(designs, th, test.size, ctx.m))
+        d = full.distances(full.packed.field(held_out_coefs))
+        risks[:, it] = [np.mean(d[test] ** 2) for test in tests]
+    return risks
 
 
 @serial_blas
@@ -546,11 +637,17 @@ def cv_early_stop(
     Folds partition curves (never single evaluation points) by a seeded
     shuffle; the pole is estimated once on the full sample and shared across
     folds.  Returns the argmin of the fold-averaged held-out risk curve (ties
-    towards the smallest iteration).  Folds are independent and run in
-    parallel when workers > 1.  Like every fit, each fold runs OpenBLAS at
-    one thread (``_cv_fold`` pins it again inside a worker), so the fold
+    towards the smallest iteration).  All folds advance in lockstep
+    (``_cv_lockstep``): one residual pass over their stacked training sets
+    and one held-out distance pass over the sample per iteration.  With
+    workers > 1, min(workers, folds) processes each run a contiguous chunk
+    of the folds through ``_cv_lockstep``.  Every fold runs OpenBLAS at one
+    thread (``_cv_lockstep`` pins it again inside a worker) and every per-curve
+    operation is independent of the other folds in its chunk, so the fold
     risks do not depend on the worker count, bit for bit.
     """
+    if workers < 1:
+        raise EffectError(f"workers must be at least 1, got {workers}")
     kind = GeometryKind.parse(kind)
     n = len(sample)
     folds = config.cv_folds
@@ -563,18 +660,16 @@ def cv_early_stop(
     counts = np.bincount(assignment, minlength=folds)
     if np.any(counts < 2):
         raise EffectError(f"cross-validation fold with fewer than 2 curves (sizes {counts.tolist()})")
-    jobs = [(sample, covariates, config, kind, pole, assignment, f) for f in range(folds)]
-    if workers > 1:
+    chunks = np.array_split(np.arange(folds), min(workers, folds))
+    jobs = [(sample, covariates, config, kind, pole, assignment, chunk) for chunk in chunks]
+    if len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            results = list(pool_exec.map(_cv_fold, jobs))
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool_exec:
+            fold_risks = np.vstack(list(pool_exec.map(_cv_lockstep, jobs)))
     else:
-        results = []
-        for f, job in enumerate(jobs):
-            results.append(_cv_fold(job))
-            log.debug("cv fold %d/%d done", f + 1, folds)
-    fold_risks = np.vstack(results)
+        fold_risks = _cv_lockstep(jobs[0])
+    log.debug("cv: %d folds in lockstep over %d chunk(s)", folds, len(jobs))
     cv_risk = fold_risks.mean(axis=0)
     m_stop = int(np.argmin(cv_risk))
     return CvResult(m_stop=m_stop, cv_risk=cv_risk, fold_risks=fold_risks, fold_assignment=assignment)
@@ -601,7 +696,7 @@ def predict_means(
         for i, g in enumerate(grids):
             if g.size != model.basis.dim:
                 raise GeometryError(f"prediction row {i}: coefficient mode needs {model.basis.dim} points, got {g.size}")
-    fields = model.predictor_coefs(covariates, n) @ model.transform.complex_columns.T
+    fields = model.transform.curve_coefs(model.predictor_coefs(covariates, n))
     if weights is None:
         # per-point file weights are not reconstructible on a new grid
         rule = "trapezoid" if model.weight_rule == "column" else model.weight_rule
@@ -637,7 +732,7 @@ def empirical_risk(model: FittedModel, sample: list[CurveSample], covariates: di
                    pole_sample: _PoleSample | None = None) -> float:
     """Empirical mean squared geodesic distance between sample and fitted means (``pole_sample`` as in rmse_effect)."""
     ps = model_sample(model, sample) if pole_sample is None else pole_sample
-    d = ps.distances(model.predictor_coefs(covariates, len(sample)))
+    d = ps.distances(ps.predictor(model.predictor_coefs(covariates, len(sample))))
     return float(np.mean(d**2))
 
 

@@ -89,6 +89,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise sbio.SchemaError(f"--threads must be at least 1, got {args.threads}")
     doc, kind, config, sample, covariates = _load_inputs(args)
     result = cv_early_stop(sample, covariates, config, kind, workers=args.threads)
     digest = sbio.config_hash(doc)

@@ -397,18 +397,50 @@ class PackedSample:
             raise GeometryError("a sample cannot mix diagonal and full weight matrices")
         self._ones_w = ones_w
         self._ones_ww = self.segsum(ones_w)
+        self._set_band(band)
+        self.values = None if values is None else np.concatenate(values).astype(complex)
+        self.y_c = None if values is None else self.center(self.values)
+        self.y_norm = None if values is None else self.norm(self.y_c)
+
+    def _set_band(self, band: DesignBand | None) -> None:
         self.band = band
         if band is not None:
             self._bins = self.seg[:, None] * band.dim + band.cols  # flat (curve, column) index of every slot
             self._pair_bins = (2 * self._bins[:, :, None] + np.arange(2)).ravel()  # and of its (re, im) parts
-        self.values = None if values is None else np.concatenate(values).astype(complex)
-        self.y_c = None if values is None else self.center(self.values)
-        self.y_norm = None if values is None else self.norm(self.y_c)
 
     @classmethod
     def of(cls, curves: list[CurveSample], band: DesignBand | None = None) -> "PackedSample":
         """Pack a sample of curves, optionally with the band of its stacked response design."""
         return cls([c.weights for c in curves], [f"curve {c.id!r}" for c in curves], [c.values for c in curves], band)
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """Indices of the packed rows of curves ``idx``, curve after curve."""
+        sizes = np.diff(self.offsets)[idx]
+        return np.arange(sizes.sum()) + np.repeat(self.offsets[idx] - (np.cumsum(sizes) - sizes), sizes)
+
+    def take(self, idx: np.ndarray) -> "PackedSample":
+        """The curves ``idx`` (in that order, repeats allowed) as a packed sample, gathered from this one.
+
+        Every per-curve array is gathered, not recomputed, so each curve keeps its bits.
+        """
+        idx = np.asarray(idx, dtype=int)
+        rows = self.rows(idx)
+        sub = object.__new__(PackedSample)
+        sub.n = idx.size
+        sub.labels = [self.labels[i] for i in idx]
+        sub.offsets = np.concatenate(([0], np.cumsum(np.diff(self.offsets)[idx])))
+        sub.seg = np.repeat(np.arange(sub.n), np.diff(sub.offsets))
+        sub.w = None if self.w is None else self.w[rows]
+        sub.W = None
+        if self.W is not None:  # one weight matrix shared by every curve (coefficient mode) is not copied per curve
+            shared = (self.W == self.W[0]).all()
+            sub.W = np.broadcast_to(self.W[0], (idx.size,) + self.W.shape[1:]) if shared else self.W[idx]
+        sub._ones_w, sub._ones_ww = self._ones_w[rows], self._ones_ww[idx]
+        sub._set_band(None if self.band is None else DesignBand(self.band.cols[rows], self.band.vals[rows], self.band.dim))
+        has_values = self.values is not None
+        sub.values, sub.y_c = (self.values[rows], self.y_c[rows]) if has_values else (None, None)
+        sub.y_norm = self.y_norm[idx] if has_values else None
+        return sub
 
     # -- segment arithmetic ------------------------------------------------
 

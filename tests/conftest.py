@@ -10,6 +10,34 @@ from shapeboost.geometry import (
 )
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """``concurrent.futures.ProcessPoolExecutor`` replaced by a pool that starts no process: it records each
+    pool's ``max_workers`` and the fold chunks of its jobs, and maps them in this process."""
+    import concurrent.futures
+
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.record = {"max_workers": max_workers, "chunks": []}
+            pools.append(self.record)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            self.record["chunks"] = [list(job[-1]) for job in jobs]
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return pools
+
+
 def irregular_grid(rng, k):
     """Strictly increasing irregular grid in [0, 1)."""
     return (np.arange(k) + rng.uniform(0.1, 0.9, k)) / k

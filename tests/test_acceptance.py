@@ -257,7 +257,7 @@ def test_criterion_6_frechet_mean():
             curves.append(CurveSample(f"r{i}", g, vals + tangent_part(ps, raw, ps.pole_rep(vals, kind), kind), wg))
         pole_t = estimate_pole(curves, kind, basis, cfg)
         ps = _PoleSample.of(curves, pole_t, kind, coef_mode=False)
-        eps, _ = ps.residuals(np.zeros((len(curves), ps.transform.m)))
+        eps, _ = ps.residuals(ps.predictor(np.zeros((len(curves), ps.transform.m))))
         grams = ps.grams()
         mean_coef = np.linalg.solve(grams.sum(axis=0), ps.project(eps).sum(axis=0))
         G0 = grams.mean(axis=0)
@@ -369,18 +369,18 @@ def test_criterion_9_boosting_behavior(truth, tmp_path):
     _RISK_DECREASE_LOG.append((model.risk_trace[0], model.risk_trace[model.m_stop]))
 
     ps = _PoleSample.of(sample, pole, GeometryKind.FORM, coef_mode=False)
-    ctx = _FitContext(ps, cov, bc)
+    ctx = _FitContext.of(ps, cov, bc)
     thetas = [np.zeros((ctx.m, cm.m_j)) for cm in ctx.cmaps]
     trace_ok = True
     for it in range(bc.max_iterations):
-        projs, _ = ctx.residual_pass(ctx.predictor_coefs(thetas))
+        projs, _ = ps.residual_pass(ctx.predictor_coefs(thetas))
         sses = []
         cands = []
         for j in range(len(effects)):
             psi = assemble_psi_vector(ctx.cov_designs[j], projs)
             v = ctx.learners[j].solve(psi)
             theta_j = unvec(v, ctx.m, ctx.cmaps[j].m_j)
-            eps, _ = ps.residuals(ctx.predictor_coefs(thetas))
+            eps, _ = ps.residuals(ps.predictor(ctx.predictor_coefs(thetas)))
             fitv = ps.predictor(ctx.cov_designs[j] @ theta_j.T)
             total = float(np.sum(ps.packed.norm(eps - fitv) ** 2))
             sses.append(total)

@@ -226,7 +226,8 @@ class TestDesignBand:
             ps = _PoleSample.of(curves, pole, kind, coef_mode=False)
             self._close(ps.p_rep, ps.packed.pole_rep(B @ pole.coef, kind))
             self._close(ps.predictor(np.eye(ps.transform.m)[: len(curves)]),
-                        np.concatenate([Bi @ z for Bi, z in zip(np.split(B, ps.packed.offsets[1:-1]), ps.Zc.T)]))
+                        np.concatenate([Bi @ z for Bi, z in zip(np.split(B, ps.packed.offsets[1:-1]),
+                                                                   ps.transform.complex_columns.T)]))
 
     def test_coefficient_mode_band_is_identity(self):
         rng = np.random.default_rng(8)

@@ -92,12 +92,12 @@ def test_fit_runs_one_thread(two_threads, rng, monkeypatch):
 
 
 def test_cv_fold_runs_one_thread(two_threads, rng, monkeypatch):
-    # a pool worker calls the fold directly, not through a pinned entry point
+    # a pool worker calls _cv_lockstep directly, not through a pinned entry point
     curves, cov, effects, basis, _ = make_dataset(rng, n=12)
     config = BoostConfig(effects=effects, step_length=0.4, max_iterations=3, response_basis=BASIS)
     pole = estimate_pole(curves, GeometryKind.FORM, basis, config)
     seen = recording(monkeypatch, boost, "assemble_psi_matrix")
-    boost._cv_fold((curves, cov, config, GeometryKind.FORM, pole, np.arange(len(curves)) % 3, 0))
+    boost._cv_lockstep((curves, cov, config, GeometryKind.FORM, pole, np.arange(len(curves)) % 3, [0, 1, 2]))
     assert seen and all(c == [1] * len(CONTROLS) for c in seen)
     assert counts() == [2] * len(CONTROLS)
 

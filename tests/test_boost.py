@@ -9,7 +9,7 @@ from shapeboost.basis import PenaltyBlock, SplineConfig, TangentTransform, build
 from shapeboost.boost import (
     BoostConfig,
     ModelError,
-    _cv_fold,
+    _cv_lockstep,
     boost_fit,
     cv_early_stop,
     empirical_risk,
@@ -126,7 +126,7 @@ class TestEstimatePole:
             cfg = BoostConfig(effects=[], response_basis=BASIS, pole_max_iterations=300)
             pole = estimate_pole(curves, kind, basis, cfg)
             ps = _PoleSample.of(curves, pole, kind, coef_mode=False)
-            eps, _ = ps.residuals(np.zeros((len(curves), ps.transform.m)))
+            eps, _ = ps.residuals(ps.predictor(np.zeros((len(curves), ps.transform.m))))
             grams = ps.grams()
             mean_coef = np.linalg.solve(grams.sum(axis=0), ps.project(eps).sum(axis=0))
             G0 = grams.mean(axis=0)
@@ -166,8 +166,9 @@ class TestPoleSetupOnce:
         pole = estimate_pole(curves, kind, basis, config)
         assert len(computed) == 1
         computed.clear()
-        _cv_fold((curves, cov, config, kind, pole, (np.arange(len(curves)) < 8).astype(int), 0))
-        assert len(computed) == 1  # the fitting sample's; the held-out sample needs none
+        _cv_lockstep((curves, cov, config, kind, pole, (np.arange(len(curves)) < 8).astype(int), [0, 1]))
+        # once, on the whole sample: each fold's Gram stack is indexed from it, the held-out pass needs none
+        assert [packed.n for packed in computed] == [len(curves)]
         assert max(densified, default=0) <= len(curves)  # no response band (sum of k rows) was densified
 
     def test_degenerate_pole_names_the_curve_in_the_fit(self):
@@ -265,7 +266,7 @@ class TestPoleSetupOnce:
         assert (log["budget"] == "exhausted") == (n == 36)
         logged = log["cond"]
         ps = _PoleSample.of(sample, pole, GeometryKind.FORM, coef_mode=False)
-        eps, _ = ps.residuals(np.zeros((len(sample), ps.transform.m)))
+        eps, _ = ps.residuals(ps.predictor(np.zeros((len(sample), ps.transform.m))))
         G0 = ps.grams().mean(axis=0)
         step = np.linalg.lstsq(G0, ps.project(eps).mean(axis=0), rcond=None)[0]
         ref = np.sqrt(step @ G0 @ step) / np.mean(ps.packed.norm(eps))
@@ -332,10 +333,10 @@ class TestBoostFit:
 
         # independent bookkeeping: replay the iterations, exhaustively refitting
         ps = _PoleSample.of(curves, pole, GeometryKind.FORM, coef_mode=False)
-        ctx = _FitContext(ps, cov, config)
+        ctx = _FitContext.of(ps, cov, config)
         thetas = [np.zeros((ctx.m, cm.m_j)) for cm in ctx.cmaps]
         for it in range(config.max_iterations):
-            projs, _ = ctx.residual_pass(ctx.predictor_coefs(thetas))
+            projs, _ = ps.residual_pass(ctx.predictor_coefs(thetas))
             sse = []
             cands = []
             for j, learner in enumerate(ctx.learners):
@@ -343,7 +344,7 @@ class TestBoostFit:
                 v = learner.solve(psi)
                 # full SSE via explicit residual evaluation
                 theta_j = unvec(v, ctx.m, ctx.cmaps[j].m_j)
-                eps, _ = ps.residuals(ctx.predictor_coefs(thetas))
+                eps, _ = ps.residuals(ps.predictor(ctx.predictor_coefs(thetas)))
                 fitv = ps.predictor(ctx.cov_designs[j] @ theta_j.T)
                 total = float(np.sum(ps.packed.norm(eps - fitv) ** 2))
                 sse.append(total)
@@ -449,11 +450,11 @@ def dense_system(Psi, P_cov, P_tan, lam):
     return Psi + lam * S
 
 
-def tangent_penalties(ctx, config):
-    """Each learner's tangent penalty P_perp, built as the fit builds it."""
+def tangent_penalties(ctx, ps, config):
+    """Each learner's tangent penalty P_perp, built as the fit builds it on the pole sample ``ps``."""
     kinds = [config.response_penalty if cm.spec.penalty_tangent == "inherit" else cm.spec.penalty_tangent
              for cm in ctx.cmaps]
-    return [PenaltyBlock.build(ctx.ps.pole.basis, ctx.ps.transform, kind).P_perp for kind in kinds]
+    return [PenaltyBlock.build(ps.pole.basis, ctx.transform, kind).P_perp for kind in kinds]
 
 
 class TestLearnerSpectrum:
@@ -477,7 +478,7 @@ class TestLearnerSpectrum:
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            return _FitContext(*inputs), [str(w.message) for w in caught]
+            return _FitContext.of(*inputs), [str(w.message) for w in caught]
 
     @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])
     def test_objective_equals_dense_sse_change(self, rng, kind):
@@ -499,9 +500,9 @@ class TestLearnerSpectrum:
         assert [lr.lam for lr in ctx.learners[3:]] == [0.0, 0.0, 0.0]
         singular = [msg for msg in caught if "singular PLS system" in msg]
         assert singular == [f"effect {name!r}: singular PLS system, using pseudo-inverse" for name in ("flat", "flat2")]
-        grams = ctx.ps.grams()
-        projs, _ = ctx.residual_pass(ctx.predictor_coefs([np.zeros((ctx.m, cm.m_j)) for cm in ctx.cmaps]))
-        for j, (learner, P_tan) in enumerate(zip(ctx.learners, tangent_penalties(ctx, inputs[2]))):
+        grams = inputs[0].grams()
+        projs, _ = inputs[0].residual_pass(ctx.predictor_coefs([np.zeros((ctx.m, cm.m_j)) for cm in ctx.cmaps]))
+        for j, (learner, P_tan) in enumerate(zip(ctx.learners, tangent_penalties(ctx, inputs[0], inputs[2]))):
             Psi = assemble_psi_matrix(ctx.cov_designs[j], grams)
             psi = assemble_psi_vector(ctx.cov_designs[j], projs)
             P_cov, lam = ctx.cmaps[j].penalty, learner.lam
@@ -538,11 +539,11 @@ class TestLearnerSpectrum:
                  for i, t in enumerate(targets)]
         inputs = self._inputs(rng, GeometryKind.FORM, extra)
         ctx, _ = self._context(inputs)
-        grams = ctx.ps.grams()
+        grams = inputs[0].grams()
         # the basis of S + delta I has condition up to 1/delta = 1e8, which scales the solve's rounding
         tol = 10 * np.finfo(float).eps / 1e-8
         for learner, design, cmap, P_tan, target in zip(ctx.learners[2:], ctx.cov_designs[2:], ctx.cmaps[2:],
-                                                        tangent_penalties(ctx, inputs[2])[2:], targets):
+                                                        tangent_penalties(ctx, inputs[0], inputs[2])[2:], targets):
             P_cov = cmap.penalty
             S = np.kron(P_cov, np.eye(P_tan.shape[0])) + np.kron(np.eye(P_cov.shape[0]), P_tan)
             scale = float(np.abs(0.5 * (S + S.T)).max())
@@ -561,7 +562,7 @@ class TestLearnerSpectrum:
         inputs = self._inputs(rng, GeometryKind.FORM, extra)
         calls = _linalg_spy(monkeypatch)
         ctx, _ = self._context(inputs)
-        tangent = {kind: PenaltyBlock.build(ctx.ps.pole.basis, ctx.ps.transform, kind).P_perp
+        tangent = {kind: PenaltyBlock.build(inputs[0].pole.basis, ctx.transform, kind).P_perp
                    for kind in ("second_diff", "none")}
         covariate = {id(cm.penalty) for cm in ctx.cmaps}
         on_tangent = [kind for _, a in calls for kind, P in tangent.items() if np.array_equal(a, P)]
@@ -626,7 +627,7 @@ class TestStructuredLearners:
         calls = _linalg_spy(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ctx = _FitContext(*inputs)
+            ctx = _FitContext.of(*inputs)
         bound = max(ctx.m, *(cm.m_j for cm in ctx.cmaps))
         assert {name for name, _ in calls} == {"eigh"}
         assert max(a.shape[0] for _, a in calls) <= bound
@@ -642,10 +643,10 @@ class TestStructuredLearners:
         calls = _linalg_spy(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ctx = _FitContext(*inputs)
+            ctx = _FitContext.of(*inputs)
         # one Psi-sized eigh per inherited second-difference learner; "ridged", the last effect, keeps its
         # own tangent penalty "none" and takes the structured path: eigh(G) and an m_j-sized eigh
-        P_tan = PenaltyBlock.build(ctx.ps.pole.basis, ctx.ps.transform, "second_diff").P_perp
+        P_tan = PenaltyBlock.build(inputs[0].pole.basis, ctx.transform, "second_diff").P_perp
         covariate = {id(cm.penalty) for cm in ctx.cmaps}
         assert sum(np.array_equal(a, P_tan) for _, a in calls) == 1
         systems = [a.shape for name, a in calls if id(a) not in covariate and not np.array_equal(a, P_tan)]
@@ -730,6 +731,31 @@ class TestCrossValidation:
                 assert np.array_equal(stopped.risk_trace, full.risk_trace[: t + 1])
                 assert np.array_equal(stopped.selection_trace, full.selection_trace[:t])
 
+    @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])
+    def test_one_training_and_one_held_out_pass_per_iteration(self, kind, monkeypatch):
+        # the folds advance together: per iteration one residual pass over the stacked training sets and one
+        # distance pass over the whole sample; the design Grams are computed once besides the pole's
+        from shapeboost.boost import _PoleSample
+
+        curves, cov, effects, _, _ = make_dataset(np.random.default_rng(3), n=17, kind=kind)
+        config = BoostConfig(
+            effects=effects, step_length=0.4, max_iterations=7, cv_folds=4, rng_seed=1, response_basis=BASIS
+        )
+        seen = {"train": [], "held_out": [], "grams": []}
+        residuals, distances, grams = _PoleSample.residuals, _PoleSample.distances, PackedSample.design_grams
+        monkeypatch.setattr(_PoleSample, "residuals",
+                            lambda self, h: seen["train"].append(self.packed.n) or residuals(self, h))
+        monkeypatch.setattr(_PoleSample, "distances",
+                            lambda self, h: seen["held_out"].append(self.packed.n) or distances(self, h))
+        monkeypatch.setattr(PackedSample, "design_grams", lambda self: seen["grams"].append(self.n) or grams(self))
+        cv_early_stop(curves, cov, config, kind)
+        n, passes = len(curves), config.max_iterations + 1
+        pole_passes = seen["train"].count(n)  # the pole's residual passes, on the sample itself
+        assert pole_passes >= 1
+        assert seen["train"] == [n] * pole_passes + [(config.cv_folds - 1) * n] * passes
+        assert seen["held_out"] == [n] * passes
+        assert seen["grams"] == [n, n]  # the pole's and the folds'
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_similarity_transforms_do_not_change_cv(self, seed):
         # per-curve rotation and translation (forms), and rescaling too (shapes), act on the quotient only
@@ -781,7 +807,7 @@ class TestPrediction:
             x = {"kappa": cov["kappa"][i], "z": cov["z"][i]}
             mu = predict_mean(model, x, curves[i].grid, curves[i].weights)
             ps = _PoleSample.of(curves, pole, kind, False, model.transform)
-            mu_insample = ps.means(model.predictor_coefs(cov, len(curves)))[ps.packed.seg == i]
+            mu_insample = ps.means(ps.predictor(model.predictor_coefs(cov, len(curves))))[ps.packed.seg == i]
             assert np.abs(mu - mu_insample).max() <= 1e-12
 
     def test_shape_prediction_unit_norm(self, rng):
@@ -953,6 +979,55 @@ class TestPackedKernel:
 
 
 class TestParallelCv:
+    @staticmethod
+    def _cv_inputs(kind, weights, n=18, folds=4):
+        """A CV problem whose n is not divisible by the fold count, and its pole."""
+        rng = np.random.default_rng(11)
+        if weights == "gram":
+            curves, cov, basis = _coefficient_dataset(rng, kind, n=n)
+            _, _, effects, _, _ = make_dataset(np.random.default_rng(0), n=2)
+        else:
+            curves, cov, effects, basis, _ = make_dataset(rng, n=n, kind=kind)
+        config = BoostConfig(effects=effects, step_length=0.4, max_iterations=5, cv_folds=folds, rng_seed=2,
+                             response_basis=BASIS, weight_rule=weights)
+        return curves, cov, config, estimate_pole(curves, kind, basis, config)
+
+    @pytest.mark.parametrize("weights", ["trapezoid", "gram"])
+    @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])
+    def test_every_chunking_gives_the_serial_fold_risks(self, kind, weights, fake_pool):
+        # 2 to K workers split the folds into every chunking from halves to one fold per worker
+        curves, cov, config, pole = self._cv_inputs(kind, weights)
+        assert len(curves) % config.cv_folds != 0
+        serial = cv_early_stop(curves, cov, config, kind, pole=pole)
+        assert fake_pool == []  # one worker runs in this process, with no pool
+        assert serial.fold_risks.shape == (4, 6) and np.isfinite(serial.fold_risks).all()
+        for f in range(config.cv_folds):  # one fold at a time, as in test_fold_risks_are_prefix_fit_risks
+            train, test = np.flatnonzero(serial.fold_assignment != f), np.flatnonzero(serial.fold_assignment == f)
+            for t in (0, 2, config.max_iterations):
+                stopped = boost_fit([curves[i] for i in train], {k: v[train] for k, v in cov.items()},
+                                    dataclasses.replace(config, max_iterations=t), pole, kind)
+                held_out = empirical_risk(stopped, [curves[i] for i in test], {k: v[test] for k, v in cov.items()})
+                assert serial.fold_risks[f, t] == held_out, (f, t)
+        for workers in range(2, config.cv_folds + 1):
+            res = cv_early_stop(curves, cov, config, kind, pole=pole, workers=workers)
+            assert np.array_equal(res.fold_risks, serial.fold_risks), workers
+            assert res.m_stop == serial.m_stop
+        assert [pool["chunks"] for pool in fake_pool] == [[[0, 1], [2, 3]], [[0, 1], [2], [3]], [[0], [1], [2], [3]]]
+
+    def test_workers_capped_at_the_fold_count(self, fake_pool):
+        curves, cov, config, pole = self._cv_inputs(GeometryKind.FORM, "trapezoid")
+        serial = cv_early_stop(curves, cov, config, GeometryKind.FORM, pole=pole)
+        capped = cv_early_stop(curves, cov, config, GeometryKind.FORM, pole=pole, workers=64)
+        assert [pool["max_workers"] for pool in fake_pool] == [config.cv_folds]
+        assert np.array_equal(capped.fold_risks, serial.fold_risks)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers, fake_pool):
+        curves, cov, config, pole = self._cv_inputs(GeometryKind.FORM, "trapezoid")
+        with pytest.raises(EffectError, match=f"workers must be at least 1, got {workers}"):
+            cv_early_stop(curves, cov, config, GeometryKind.FORM, pole=pole, workers=workers)
+        assert fake_pool == []
+
     @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])
     def test_worker_count_does_not_change_fold_risks(self, rng, kind):
         curves, cov, effects, basis, _ = make_dataset(rng, n=16, kind=kind)

@@ -356,6 +356,39 @@ class TestRotationEquivariance:
             assert np.allclose(d_scaled, d, rtol=1e-10, atol=1e-12)
 
 
+class TestTake:
+    """``PackedSample.take`` gathers curves, repeats allowed, as packing them again would, bit for bit."""
+
+    @pytest.mark.parametrize("weight_kind", ["trapezoid", "spd", "shared"])
+    def test_take_equals_packing_the_curves(self, weight_kind):
+        from shapeboost.basis import SplineConfig, build_response_basis, sample_design
+
+        rng = np.random.default_rng(4)
+        basis = build_response_basis(SplineConfig(3, 7, cyclic=True), np.linspace(0, 1, 50))
+        shared = random_spd(rng, 12)
+        curves = []
+        for i in range(7):
+            grid = irregular_grid(rng, 12 if weight_kind != "trapezoid" else int(rng.integers(5, 20)))
+            w = {"trapezoid": trapezoid_weights(grid), "spd": random_spd(rng, grid.size), "shared": shared}[weight_kind]
+            curves.append(CurveSample(f"c{i}", grid, smooth_curve(rng, grid), w))
+        packed = PackedSample.of(curves, sample_design(basis, curves))
+        idx = np.array([3, 0, 5, 3, 6, 1, 0])
+        picked = [curves[i] for i in idx]
+        ref, sub = PackedSample.of(picked, sample_design(basis, picked)), packed.take(idx)
+        assert sub.labels == ref.labels and sub.n == ref.n
+        for name in ("offsets", "seg", "w", "W", "_ones_w", "_ones_ww", "values", "y_c", "y_norm", "_bins", "_pair_bins"):
+            assert np.array_equal(getattr(sub, name), getattr(ref, name)), name
+        assert np.array_equal(sub.band.dense(), ref.band.dense())
+        assert (sub.W is not None and sub.W.strides[0] == 0) == (weight_kind == "shared")  # one matrix, not n copies
+        coef = rng.normal(size=(idx.size, basis.dim)) + 1j * rng.normal(size=(idx.size, basis.dim))
+        v = sub.field(coef)
+        assert np.array_equal(v, ref.field(coef))
+        assert np.array_equal(sub.project(v), ref.project(v))
+        assert np.array_equal(sub.norm(v), ref.norm(v))
+        assert np.array_equal(sub.design_grams(), ref.design_grams())
+        assert np.array_equal(packed.rows(idx), np.concatenate([np.arange(*packed.offsets[i : i + 2]) for i in idx]))
+
+
 class TestCurveSample:
     def test_rejects_short_and_nonmonotone(self):
         with pytest.raises(GeometryError):

@@ -511,9 +511,29 @@ class TestCliPipeline:
         cov = sbio.read_covariates(covars, [c.id for c in sample])
         basis = build_response_basis(cfg.response_basis, np.concatenate([c.grid for c in sample]))
         pole = estimate_pole(sample, kind, basis, cfg)
-        for workers in (1, 2):
+        for workers in (1, 2, cfg.cv_folds):  # every fold in one lockstep, two chunks, one fold per worker
             fold_risks = cv_early_stop(sample, cov, cfg, kind, pole=pole, workers=workers).fold_risks
             assert np.array_equal(written, fold_risks)
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_cv_threads_below_one_exit2(self, dataset, tmp_path, capsys, fake_pool, threads):
+        base, curves, covars, truth, config = dataset
+        out = tmp_path / "cv.csv"
+        assert main(["cv", str(curves), str(covars), str(config), str(out), "--threads", threads]) == 2
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert fake_pool == [] and not out.exists()
+
+    def test_cv_threads_capped_at_the_folds(self, dataset, tmp_path, fake_pool):
+        # more threads than folds start one worker per fold, and the table is the serial one byte for byte
+        base, curves, covars, truth, config = dataset
+        tables = []
+        for threads in ("1", "8"):
+            out = tmp_path / f"cv{threads}.csv"
+            assert main(["cv", str(curves), str(covars), str(config), str(out), "--iterations", "4",
+                         "--threads", threads]) == 0
+            tables.append(out.read_bytes())
+        assert fake_pool == [{"max_workers": 3, "chunks": [[0], [1], [2]]}]
+        assert tables[0] == tables[1]
 
     def test_factorize_report_and_svg(self, dataset, tmp_path):
         base, curves, covars, truth, config = dataset
