@@ -318,17 +318,18 @@ class TangentTransform:
         m0 = self.m0
         return self.Z[:m0] + 1j * self.Z[m0:]
 
+    @cached_property
+    def pair_rows(self) -> np.ndarray:
+        """(2*m0, m) real form of ``complex_columns`` with each coefficient's real and imaginary rows adjacent.
+
+        Complex arrays viewed as (re, im) pairs multiply it in real arithmetic: x.view(float) @ pair_rows =
+        Re(x conj(Z_c)) and (c @ pair_rows.T).view(complex) = c Z_c^T.
+        """
+        return np.stack([self.Z[: self.m0], self.Z[self.m0 :]], axis=1).reshape(2 * self.m0, self.m)
+
     def field_coef(self, coefs: np.ndarray) -> np.ndarray:
         """Map tangent coefficients (m,) or (m, ...) to complex basis coefficients."""
         return self.complex_columns @ coefs
-
-    def curve_coefs(self, coefs: np.ndarray) -> np.ndarray:
-        """Complex basis coefficients Z_c c_i (n, m0) of per-curve tangent coefficients c (n, m)."""
-        return coefs @ self.complex_columns.T
-
-    def coords(self, proj: np.ndarray) -> np.ndarray:
-        """Tangent coordinates Re(Z_c^H x_i) (n, m) of per-curve basis projections x (n, m0)."""
-        return (proj @ np.conj(self.complex_columns)).real
 
     def gram(self, K: np.ndarray) -> np.ndarray:
         """Tangent Gram Re(Z_c^H K Z_c) of real basis Gram(s) K, shape (m0, m0) or (n, m0, m0)."""

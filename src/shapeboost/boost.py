@@ -20,6 +20,7 @@ import logging
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,18 +189,61 @@ class FittedModel:
     def coef_mode(self) -> bool:
         return self.weight_rule == "gram"
 
-    def predictor_coefs(self, covariates: dict, n: int) -> np.ndarray:
-        """Tangent coefficients (n, m) of the additive predictor for every row of a covariate table."""
-        designs = [eff.cmap.design(covariates, n) for eff in self.effects]
-        return _additive_coefs(designs, [eff.theta for eff in self.effects], n, self.transform.m)
+    def predictor_fields(self, covariates: dict, n: int) -> np.ndarray:
+        """Complex basis coefficients (n, m0) of the additive predictor for every row of a covariate table."""
+        design = _joined([eff.cmap.design(covariates, n) for eff in self.effects], n)
+        theta = _joined([eff.theta for eff in self.effects], self.transform.m)
+        return _predictor_fields(design, theta[None], self.transform.pair_rows[None], _FoldRows([n]))
 
 
-def _additive_coefs(designs: list[np.ndarray], thetas: list[np.ndarray], n: int, m: int) -> np.ndarray:
-    """Tangent coefficients (n, m) of the additive predictor, sum_j X_j Theta_j^T."""
-    out = np.zeros((n, m))
-    for design, theta in zip(designs, thetas):
-        out += design @ theta.T
-    return out
+def _joined(blocks: list[np.ndarray], rows: int) -> np.ndarray:
+    """The effects' column blocks side by side, (rows, sum of widths)."""
+    return np.concatenate([np.empty((rows, 0)), *blocks], axis=1)
+
+
+class _FoldRows:
+    """Rows of K folds stacked fold-major: fold f owns ``sizes[f]`` consecutive rows.
+
+    A per-fold product is one stacked matmul per run of consecutive folds of equal size, each item with
+    the shapes and strides of the fold's product alone, and a per-fold mean one row-wise mean per run,
+    so a fold's bits do not depend on the other folds.  Cross-validation folds differ in size by at most
+    one curve, so their rows form at most two runs; one fold (a fit) is one run.
+    """
+
+    def __init__(self, sizes):
+        sizes = np.asarray(sizes, dtype=int)
+        ends = np.cumsum(sizes)
+        cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1), sizes.size]
+        # (fold slice, row slice, fold count, fold size) of every run
+        self.runs = [(slice(a, b), slice(ends[a] - sizes[a], ends[b - 1]), b - a, int(sizes[a]))
+                     for a, b in zip(cuts[:-1], cuts[1:])]
+
+    def stacks(self, x: np.ndarray) -> list[tuple[slice, np.ndarray]]:
+        """Each run's fold slice and its folds' rows of x (N, ...) as one stack (fold count, fold size, ...)."""
+        return [(folds, x[rows].reshape((g, size) + x.shape[1:])) for folds, rows, g, size in self.runs]
+
+    @staticmethod
+    def join(parts: list[np.ndarray]) -> np.ndarray:
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def products(self, x: np.ndarray, mats: np.ndarray) -> np.ndarray:
+        """x_f M_f on every fold's rows x_f of x (N, a), with M_f of the stack ``mats`` (K, a, b): (N, b)."""
+        return self.join([(xs @ mats[folds]).reshape(xs.shape[0] * xs.shape[1], mats.shape[2])
+                          for folds, xs in self.stacks(x)])
+
+    def means(self, x: np.ndarray) -> np.ndarray:
+        """Each fold's mean of x (N,), as ``np.mean`` of the fold's entries alone: (K,)."""
+        return self.join([xs.mean(axis=1) for _, xs in self.stacks(x)])
+
+
+def _predictor_fields(design: np.ndarray, thetas: np.ndarray, pairs: np.ndarray, rows: _FoldRows) -> np.ndarray:
+    """Complex basis coefficients (N, m0) of K folds' additive predictors, X_f Theta_f^T Z_c,f^T on fold f's rows.
+
+    ``design`` stacks the folds' rows of every effect's columns (N, sum m_j), ``thetas`` their coefficients
+    (K, m, sum m_j) and ``pairs`` their ``TangentTransform.pair_rows`` (K, 2 m0, m); real arithmetic
+    throughout, on the (re, im) pairs of the coefficients.
+    """
+    return rows.products(design, np.swapaxes(thetas, 1, 2) @ np.swapaxes(pairs, 1, 2)).view(complex)
 
 
 @dataclass
@@ -264,9 +308,14 @@ class _PoleSample:
         sub.p_rep, sub.p_norm = self.p_rep[self.packed.rows(idx)], self.p_norm[idx]
         return sub
 
+    @cached_property
+    def rows(self) -> "_FoldRows":
+        """The curves as one fold: tangent and basis coefficients map through Z_c's real form as in a fit."""
+        return _FoldRows([self.packed.n])
+
     def predictor(self, coefs: np.ndarray) -> np.ndarray:
         """Packed evaluations D_i c_i of per-curve tangent coefficients (n, m)."""
-        return self.packed.field(self.transform.curve_coefs(coefs))
+        return self.packed.field(self.rows.products(coefs, self.transform.pair_rows.T[None]).view(complex))
 
     def means(self, h: np.ndarray) -> np.ndarray:
         """Centered representatives of Exp_[p](h_i) (packed)."""
@@ -287,16 +336,7 @@ class _PoleSample:
 
     def project(self, eps: np.ndarray) -> np.ndarray:
         """Projections Re(D_i^H W_i eps_i) onto the tangent directions, (n, m)."""
-        return self.transform.coords(self.packed.project(eps))
-
-    def residual_pass(self, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Projected transported residuals (n, m) and geodesic distances (n,) at tangent coefficients (n, m)."""
-        eps, d = self.residuals(self.predictor(coefs))
-        return self.project(eps), d
-
-    def grams(self) -> np.ndarray:
-        """Tangent Gram stack Re(D_i^H W_i D_i), (n, m, m)."""
-        return self.transform.gram(self.packed.design_grams())
+        return self.rows.products(self.packed.project(eps).view(float), self.transform.pair_rows[None])
 
 
 # tangent penalties q I: ZᵀZ = I for the orthonormal transform ("ridge") and zero ("none")
@@ -304,99 +344,141 @@ SCALAR_TANGENT_PENALTIES = {"ridge": 1.0, "none": 0.0}
 
 
 def _shared_gram(grams: np.ndarray) -> np.ndarray | None:
-    """The tangent Gram that every curve of the stack has, bit for bit, or None."""
+    """The Gram that every curve of the stack has, bit for bit, or None."""
     return grams[0] if (grams == grams[0]).all() else None
 
 
-class _FitContext:
-    """Base-learners of one boosting run: covariate designs and decomposed PLS learners at one tangent transform.
+class _Fold(NamedTuple):
+    """The curves of one boosting run as its learners see them.
 
-    ``grams`` is the curves' tangent Gram stack.  When every curve has the
-    same tangent Gram G (coefficient mode, or one grid and weights shared by
-    all curves) and a learner's tangent penalty is q I, its Psi is
-    (X^T X) (x) G and it is built from eigh(G), computed once, and two
-    m_j-sized decompositions (``PlsLearner.calibrated_kron``).  Every other
-    learner decomposes its assembled Psi, with eigh(P_tan) computed once per
-    tangent penalty.
+    ``grams`` is the tangent Gram stack (n, m, m) and ``shared`` the tangent Gram of every curve, when
+    they all have one (else None); ``designs`` and ``cmaps`` are the effects' covariate designs and maps.
     """
 
-    def __init__(self, transform: TangentTransform, basis: BSplineBasis, grams: np.ndarray, covariates: dict,
-                 config: BoostConfig):
-        self.transform = transform
-        self.n = grams.shape[0]
-        self.m = transform.m
-        self.cov_designs: list[np.ndarray] = []
-        self.cmaps: list[CovariateMap] = []
-        self.learners: list[PlsLearner] = []
-        shared = _shared_gram(grams)
+    transform: TangentTransform
+    grams: np.ndarray
+    shared: np.ndarray | None
+    designs: list[np.ndarray]
+    cmaps: list[CovariateMap]
+
+    @classmethod
+    def build(cls, transform: TangentTransform, design_grams: np.ndarray, covariates: dict, n: int,
+              config: BoostConfig) -> "_Fold":
+        """A fold from its curves' design Grams (n, m0, m0) and covariate rows.
+
+        When every curve has the same design Gram (coefficient mode) the tangent Gram is computed once.
+        """
+        if (K0 := _shared_gram(design_grams)) is not None:
+            shared = transform.gram(K0)
+            grams = np.broadcast_to(shared, (n,) + shared.shape)
+        else:
+            grams = transform.gram(design_grams)
+            shared = _shared_gram(grams)
+        designs, cmaps, parent_designs = [], [], {}
+        for spec in config.effects:
+            design, cmap = covariate_design(spec, covariates, n, parent_designs)
+            parent_designs[spec.name] = design
+            designs.append(design)
+            cmaps.append(cmap)
+        return cls(transform, grams, shared, designs, cmaps)
+
+    def shape(self) -> tuple:
+        """What the folds of one ``_FitContext`` share: tangent and covariate dimensions, Gram sharing."""
+        return self.transform.m, tuple(d.shape[1] for d in self.designs), self.shared is not None
+
+
+class _FitContext:
+    """Base-learners of K boosting runs (folds) advanced together, each at its own tangent transform.
+
+    The folds share every shape but their curve counts (``_Fold.shape``).  Their curves are stacked
+    fold-major (``rows``), every effect's covariate columns side by side in ``design`` (effect j's are
+    ``blocks[j]``), each fold's Z_c in its real form ``pairs`` (``TangentTransform.pair_rows``), and each
+    learner holds the K folds' systems (``PlsLearner.stack``).  Every per-fold
+    operation is a stacked one whose items have the fold's own shapes (``_FoldRows``), so each fold's
+    arithmetic is that of a context of the fold alone, bit for bit; a fit is K = 1.
+
+    When every curve of a fold has the same tangent Gram G (coefficient mode, or one grid and weights
+    shared by all curves) and a learner's tangent penalty is q I, its Psi is (X^T X) (x) G and it is
+    built from eigh(G), computed once per fold, and two m_j-sized decompositions
+    (``PlsLearner.calibrated_kron``).  Every other learner decomposes its assembled Psi, with eigh(P_tan)
+    computed once per fold and tangent penalty.
+    """
+
+    def __init__(self, folds: list[_Fold], basis: BSplineBasis, config: BoostConfig):
+        self.transforms = [fold.transform for fold in folds]
+        self.cmaps = [fold.cmaps for fold in folds]
+        self.m = self.transforms[0].m
+        self.rows = _FoldRows([fold.grams.shape[0] for fold in folds])
+        self.pairs = np.stack([t.pair_rows for t in self.transforms])
+        self.design = np.concatenate([_joined(fold.designs, fold.grams.shape[0]) for fold in folds])
+        ends = np.cumsum([0] + [d.shape[1] for d in folds[0].designs])
+        self.blocks = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+        learners = [self._learners(fold, basis, config) for fold in folds]
+        self.learners = [PlsLearner.stack(list(systems)) for systems in zip(*learners)]
+
+    @staticmethod
+    def _learners(fold: _Fold, basis: BSplineBasis, config: BoostConfig) -> list[PlsLearner]:
+        """One fold's learner of every effect."""
         gram_eig = None
         p_tan: dict[str, tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]] = {}
-        parent_designs: dict[str, np.ndarray] = {}
-        for spec in config.effects:
-            design, cmap = covariate_design(spec, covariates, self.n, parent_designs)
-            parent_designs[spec.name] = design
+        learners = []
+        for spec, design, cmap in zip(config.effects, fold.designs, fold.cmaps):
             tan_kind = config.response_penalty if spec.penalty_tangent == "inherit" else spec.penalty_tangent
             label = f"effect {spec.name!r}"
-            if shared is not None and tan_kind in SCALAR_TANGENT_PENALTIES:
+            if fold.shared is not None and tan_kind in SCALAR_TANGENT_PENALTIES:
                 if gram_eig is None:
-                    gram_eig = np.linalg.eigh(shared)
-                learner = PlsLearner.calibrated_kron(design.T @ design, gram_eig, cmap.penalty,
-                                                     SCALAR_TANGENT_PENALTIES[tan_kind], spec.df_target, label)
+                    gram_eig = np.linalg.eigh(fold.shared)
+                learners.append(PlsLearner.calibrated_kron(design.T @ design, gram_eig, cmap.penalty,
+                                                           SCALAR_TANGENT_PENALTIES[tan_kind], spec.df_target, label))
             else:
                 if tan_kind not in p_tan:
-                    P = PenaltyBlock.build(basis, transform, tan_kind).P_perp
+                    P = PenaltyBlock.build(basis, fold.transform, tan_kind).P_perp
                     p_tan[tan_kind] = P, np.linalg.eigh(P)
                 P, eig = p_tan[tan_kind]
-                learner = PlsLearner.calibrated(assemble_psi_matrix(design, grams), cmap.penalty, P,
-                                                spec.df_target, label, eig)
-            self.cov_designs.append(design)
-            self.cmaps.append(cmap)
-            self.learners.append(learner)
+                learners.append(PlsLearner.calibrated(assemble_psi_matrix(design, fold.grams), cmap.penalty, P,
+                                                      spec.df_target, label, eig))
+        return learners
 
     @classmethod
     def of(cls, ps: _PoleSample, covariates: dict, config: BoostConfig) -> "_FitContext":
-        """The learners of a pole sample's curves, at its tangent transform."""
-        return cls(ps.transform, ps.pole.basis, ps.grams(), covariates, config)
+        """The learners of a pole sample's curves (one fold), at its tangent transform."""
+        fold = _Fold.build(ps.transform, ps.packed.design_grams(), covariates, ps.packed.n, config)
+        return cls([fold], ps.pole.basis, config)
 
-    def zero_thetas(self) -> list[np.ndarray]:
-        """Coefficients (m, m_j) of every learner at the bare pole."""
-        return [np.zeros((self.m, cm.m_j)) for cm in self.cmaps]
-
-    def predictor_coefs(self, thetas: list[np.ndarray]) -> np.ndarray:
-        """Per-curve tangent coefficients of the current additive predictor, (n, m)."""
-        return _additive_coefs(self.cov_designs, thetas, self.n, self.m)
-
-    def step(self, thetas: list[np.ndarray], projs: np.ndarray, step_length: float) -> int:
-        """One boosting update from projected residuals (n, m): refit every learner, add step_length times the
-        best fit to its coefficients (a new array in ``thetas``) and return its index."""
-        zs = [lr.coords(assemble_psi_vector(design, projs)) for lr, design in zip(self.learners, self.cov_designs)]
+    def step(self, thetas: np.ndarray, projs: np.ndarray, step_length: float) -> np.ndarray:
+        """One boosting update of every fold from its projected residuals (rows of projs (N, m)): refit every
+        learner, add step_length times each fold's best fit to its coefficients (in place) and return the
+        selected learners (K,)."""
+        m = self.m
+        psi = self.rows.join([assemble_psi_vector(xs, ps) for (_, xs), (_, ps)
+                              in zip(self.rows.stacks(self.design), self.rows.stacks(projs))])
+        # an effect's columns are consecutive, so its right-hand sides are a slice of the joined ones
+        zs = [lr.coords(psi[:, m * b.start : m * b.stop]) for lr, b in zip(self.learners, self.blocks)]
         # SSE_j = const + objective_j with const shared across learners; argmin takes the first of ties
-        best_j = int(np.argmin([lr.objective(z) for lr, z in zip(self.learners, zs)]))
-        best_theta = unvec(self.learners[best_j].coefs(zs[best_j]), self.m, self.cmaps[best_j].m_j)
-        thetas[best_j] = thetas[best_j] + step_length * best_theta
-        return best_j
+        best = np.argmin([lr.objective(z) for lr, z in zip(self.learners, zs)], axis=0)
+        for j, (lr, z, b) in enumerate(zip(self.learners, zs, self.blocks)):
+            won = np.flatnonzero(best == j)
+            thetas[won, :, b] += step_length * unvec(lr.coefs(z[won], won), m, b.stop - b.start)
+        return best
 
     def boost(self, ps: _PoleSample, config: BoostConfig):
-        """Boosting of the curves of ``ps`` from zero coefficients: yields (thetas, risk, selected learner) at the
-        bare pole and per iteration.
+        """Boosting of the folds' curves, stacked fold-major in ``ps``, from zero coefficients: yields (thetas
+        (K, m, sum m_j), training risks (K,), selected learners (K,)) at the bare pole and after every iteration.
 
-        The bare pole's selected learner is None; ``thetas`` is one list, updated in place between yields.
+        Each iteration is one residual pass over all folds' curves, each fold's field and projection through
+        its own Z_c.  The bare pole's selected learners are None; ``thetas`` is updated in place between yields.
         """
-        thetas = self.zero_thetas()
-        projs, dists = ps.residual_pass(self.predictor_coefs(thetas))
-        yield thetas, float(np.mean(dists**2)), None
-        for it in range(config.max_iterations):
-            best_j = self.step(thetas, projs, config.step_length)
-            projs, dists = ps.residual_pass(self.predictor_coefs(thetas))
-            yield thetas, _training_risk(dists, it + 1), best_j
-
-
-def _training_risk(dists: np.ndarray, iteration: int) -> float:
-    """Mean squared geodesic distance of a training sample after an update; a non-finite risk raises."""
-    risk = float(np.mean(dists**2))
-    if not np.isfinite(risk):
-        raise FitDiverged(f"risk became non-finite at iteration {iteration}")
-    return risk
+        thetas, selected = np.zeros((len(self.transforms), self.m, self.design.shape[1])), None
+        for it in range(config.max_iterations + 1):
+            if it:
+                selected = self.step(thetas, projs, config.step_length)
+            eps, d = ps.residuals(ps.packed.field(_predictor_fields(self.design, thetas, self.pairs, self.rows)))
+            # tangent coordinates Re(Z_c^H x_i) of the basis projections, on their (re, im) pairs
+            projs = self.rows.products(ps.packed.project(eps).view(float), self.pairs)
+            risks = self.rows.means(d**2)
+            if it and not np.isfinite(risks).all():
+                raise FitDiverged(f"risk became non-finite at iteration {it}")
+            yield thetas, risks, selected
 
 
 def _penalized_spline_fit(packed: PackedSample, design_grams: np.ndarray, targets: np.ndarray,
@@ -522,21 +604,21 @@ def boost_fit(
     ps = _PoleSample.of(sample, pole, kind, config.coef_mode)
     ctx = _FitContext.of(ps, covariates, config)
     risks, selection = [], []
-    for thetas, risk, j in ctx.boost(ps, config):
-        risks.append(risk)
-        selection.append(j)
+    for thetas, risk, selected in ctx.boost(ps, config):
+        risks.append(risk[0])
+        selection.append(selected)
     effects = [
-        FittedEffect(cmap=cm, theta=theta, lam=lr.lam)
-        for cm, theta, lr in zip(ctx.cmaps, thetas, ctx.learners)
+        FittedEffect(cmap=cm, theta=thetas[0, :, b].copy(), lam=float(lr.lam[0]))
+        for cm, b, lr in zip(ctx.cmaps[0], ctx.blocks, ctx.learners)
     ]
     return FittedModel(
         kind=kind,
         pole=pole,
-        transform=ctx.transform,
+        transform=ctx.transforms[0],
         effects=effects,
         risk_trace=np.array(risks),
         m_stop=config.max_iterations,
-        selection_trace=np.array(selection[1:], dtype=int),
+        selection_trace=np.array([j[0] for j in selection[1:]], dtype=int),
         response_penalty=config.response_penalty,
         weight_rule=config.weight_rule,
         rng_seed=config.rng_seed,
@@ -552,7 +634,7 @@ def model_sample(model: FittedModel, sample: list[CurveSample]) -> _PoleSample:
 def transported_residuals(model: FittedModel, sample: list[CurveSample], covariates: dict) -> ResidualSet:
     """Transported residuals of a sample under a fitted model."""
     ps = model_sample(model, sample)
-    eps, _ = ps.residuals(ps.predictor(model.predictor_coefs(covariates, len(sample))))
+    eps, _ = ps.residuals(ps.packed.field(model.predictor_fields(covariates, len(sample))))
     cuts = ps.packed.offsets[1:-1]
     return ResidualSet(
         residuals=[
@@ -563,17 +645,22 @@ def transported_residuals(model: FittedModel, sample: list[CurveSample], covaria
 
 
 def _fold_contexts(full: _PoleSample, covariates: dict, config: BoostConfig,
-                   trains: list[np.ndarray]) -> list[_FitContext]:
-    """Each fold's learners at its own tangent transform, from its training rows of the whole sample's normal
-    projections and design Grams, computed once here."""
+                   trains: list[np.ndarray]) -> list[tuple[list[int], _FitContext]]:
+    """The folds' learners, each fold at its own tangent transform, from its training rows of the whole
+    sample's normal projections and design Grams (computed once here).
+
+    Folds of one ``_Fold.shape`` share a context; the positions of its folds in ``trains`` come with it.
+    All folds have one shape unless a fold's constraints or covariates are degenerate, or only some
+    folds' training curves share one tangent Gram.
+    """
     normals = normal_projections(full.packed, full.pole, full.kind)
     K = full.packed.design_grams()
-    ctxs = []
-    for train in trains:
-        transform = nullspace_transform(constraint_mean([p[train] for p in normals]))
-        ctxs.append(_FitContext(transform, full.pole.basis, transform.gram(K[train]),
-                                {k: v[train] for k, v in covariates.items()}, config))
-    return ctxs
+    folds = [_Fold.build(nullspace_transform(constraint_mean([p[train] for p in normals])), K[train],
+                         {k: v[train] for k, v in covariates.items()}, train.size, config) for train in trains]
+    batches: dict[tuple, list[int]] = {}
+    for f, fold in enumerate(folds):
+        batches.setdefault(fold.shape(), []).append(f)
+    return [(idx, _FitContext([folds[f] for f in idx], full.pole.basis, config)) for idx in batches.values()]
 
 
 @serial_blas
@@ -582,44 +669,35 @@ def _cv_lockstep(args) -> np.ndarray:
 
     The sample is packed once, with one design-Gram stack and one set of
     normal projections at the pole; each fold's tangent transform, Gram
-    stack and learners are built from its training rows of these.  Every
-    iteration makes one residual pass over the folds' training sets,
-    stacked fold-major (each fold's field and projection through its own
-    Z_c), updates each fold through ``_FitContext.step``, and makes one
-    distance pass over the whole sample, which the held-out sets partition.
-    Every per-curve operation is that of a one-fold fit, so each fold's
-    risks are those of ``boost_fit`` on its training curves, stopped at each
-    iteration, evaluated on its held-out curves, bit for bit.
+    stack and learners are built from its training rows of these.  The
+    folds' training sets are stacked fold-major and boosted by one
+    ``_FitContext.boost``: per iteration one residual pass over all of them,
+    one batched selection step (each learner's right-hand sides, coordinates,
+    objectives and winning fits built once for all folds) and one predictor
+    update.  The held-out predictors of all folds are then formed in one pass
+    and evaluated by one distance pass over the whole sample, which the
+    held-out sets partition, and one per-fold mean.  Every per-fold product
+    has the fold's own shapes, so each fold's risks are those of
+    ``boost_fit`` on its training curves, stopped at each iteration,
+    evaluated on its held-out curves, bit for bit.
     """
     sample, covariates, config, kind, pole, assignment, folds = args
     full = _PoleSample.of(sample, pole, kind, config.coef_mode)
     covariates = {k: np.asarray(v) for k, v in covariates.items()}
     trains = [np.flatnonzero(assignment != f) for f in folds]
-    tests = [np.flatnonzero(assignment == f) for f in folds]
-    ctxs = _fold_contexts(full, covariates, config, trains)
-    test_designs = [[cm.design({k: v[test] for k, v in covariates.items()}, test.size) for cm in ctx.cmaps]
-                    for ctx, test in zip(ctxs, tests)]
-    stacked = full.take(np.concatenate(trains))
-    ends = np.cumsum([train.size for train in trains])
-    spans = [slice(end - train.size, end) for end, train in zip(ends, trains)]  # each fold's stacked curves
-    thetas = [ctx.zero_thetas() for ctx in ctxs]
-    held_out_coefs = np.zeros((full.packed.n, pole.basis.dim), dtype=complex)  # Z_c c_i of each curve's own fold
     risks = np.empty((len(folds), config.max_iterations + 1))
-    for it in range(config.max_iterations + 1):
-        if it:
-            for ctx, th, projs in zip(ctxs, thetas, fold_projs):
-                ctx.step(th, projs, config.step_length)
-        train_coefs = [ctx.transform.curve_coefs(ctx.predictor_coefs(th)) for ctx, th in zip(ctxs, thetas)]
-        eps, d = stacked.residuals(stacked.packed.field(np.concatenate(train_coefs)))
-        x = stacked.packed.project(eps)
-        fold_projs = [ctx.transform.coords(x[span]) for ctx, span in zip(ctxs, spans)]
-        if it:
-            for span in spans:
-                _training_risk(d[span], it)
-        for ctx, th, test, designs in zip(ctxs, thetas, tests, test_designs):
-            held_out_coefs[test] = ctx.transform.curve_coefs(_additive_coefs(designs, th, test.size, ctx.m))
-        d = full.distances(full.packed.field(held_out_coefs))
-        risks[:, it] = [np.mean(d[test] ** 2) for test in tests]
+    for idx, ctx in _fold_contexts(full, covariates, config, trains):
+        tests = [np.flatnonzero(assignment == folds[f]) for f in idx]
+        held_out, test_rows = np.concatenate(tests), _FoldRows([test.size for test in tests])
+        test_design = np.concatenate([
+            _joined([cm.design({k: v[test] for k, v in covariates.items()}, test.size) for cm in cmaps], test.size)
+            for cmaps, test in zip(ctx.cmaps, tests)])
+        stacked = full.take(np.concatenate([trains[f] for f in idx]))
+        fields = np.zeros((full.packed.n, pole.basis.dim), dtype=complex)  # each curve's predictor in its own fold
+        for it, (thetas, _, _) in enumerate(ctx.boost(stacked, config)):
+            fields[held_out] = _predictor_fields(test_design, thetas, ctx.pairs, test_rows)
+            d = full.distances(full.packed.field(fields))
+            risks[idx, it] = test_rows.means(d[held_out] ** 2)
     return risks
 
 
@@ -638,13 +716,15 @@ def cv_early_stop(
     shuffle; the pole is estimated once on the full sample and shared across
     folds.  Returns the argmin of the fold-averaged held-out risk curve (ties
     towards the smallest iteration).  All folds advance in lockstep
-    (``_cv_lockstep``): one residual pass over their stacked training sets
-    and one held-out distance pass over the sample per iteration.  With
+    (``_cv_lockstep``): per iteration one residual pass over their stacked
+    training sets, one selection step and one predictor update batched over
+    the folds, and one held-out distance pass over the sample.  With
     workers > 1, min(workers, folds) processes each run a contiguous chunk
     of the folds through ``_cv_lockstep``.  Every fold runs OpenBLAS at one
-    thread (``_cv_lockstep`` pins it again inside a worker) and every per-curve
-    operation is independent of the other folds in its chunk, so the fold
-    risks do not depend on the worker count, bit for bit.
+    thread (``_cv_lockstep`` pins it again inside a worker) and every
+    per-fold operation has the fold's own shapes, whatever other folds share
+    its batch, so the fold risks do not depend on the worker count, bit for
+    bit.
     """
     if workers < 1:
         raise EffectError(f"workers must be at least 1, got {workers}")
@@ -696,7 +776,7 @@ def predict_means(
         for i, g in enumerate(grids):
             if g.size != model.basis.dim:
                 raise GeometryError(f"prediction row {i}: coefficient mode needs {model.basis.dim} points, got {g.size}")
-    fields = model.transform.curve_coefs(model.predictor_coefs(covariates, n))
+    fields = model.predictor_fields(covariates, n)
     if weights is None:
         # per-point file weights are not reconstructible on a new grid
         rule = "trapezoid" if model.weight_rule == "column" else model.weight_rule
@@ -732,7 +812,7 @@ def empirical_risk(model: FittedModel, sample: list[CurveSample], covariates: di
                    pole_sample: _PoleSample | None = None) -> float:
     """Empirical mean squared geodesic distance between sample and fitted means (``pole_sample`` as in rmse_effect)."""
     ps = model_sample(model, sample) if pole_sample is None else pole_sample
-    d = ps.distances(ps.predictor(model.predictor_coefs(covariates, len(sample))))
+    d = ps.distances(ps.packed.field(model.predictor_fields(covariates, len(sample))))
     return float(np.mean(d**2))
 
 

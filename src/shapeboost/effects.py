@@ -391,10 +391,11 @@ def assemble_psi_matrix(cov_design: np.ndarray, grams: list[np.ndarray] | np.nda
 
 
 def assemble_psi_vector(cov_design: np.ndarray, projs: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """psi = sum_i b(x_i) (x) g_i with g_i = Re(D_i^H W_i eps_i)."""
+    """psi = sum_i b(x_i) (x) g_i with g_i = Re(D_i^H W_i eps_i); stacks (K, n, m_j) and (K, n, m) give (K, p)."""
     G = np.asarray(projs)  # (n, m)
     # sum_i kron(b_i, g_i) = vec-major stack of G^T @ cov_design columns
-    return (G.T @ cov_design).T.reshape(-1)
+    psi = np.swapaxes(np.swapaxes(G, -1, -2) @ cov_design, -1, -2)
+    return psi.reshape(*psi.shape[:-2], -1)
 
 
 def vec(theta: np.ndarray) -> np.ndarray:
@@ -403,7 +404,8 @@ def vec(theta: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray, m: int, m_j: int) -> np.ndarray:
-    return v.reshape(m, m_j, order="F")
+    """The (m, m_j) matrix of a column-major vector (p,), or a stack of them from (K, p)."""
+    return np.swapaxes(v.reshape(*v.shape[:-1], m_j, m), -1, -2)
 
 
 def _kron_rotate(Psi: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -482,10 +484,21 @@ def _kron_spectrum(A: np.ndarray, gram_eig: tuple[np.ndarray, np.ndarray], P_cov
 
 
 def _kron_apply(A: np.ndarray, B: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(A (x) B) x for the vec layout (index = row of A * rows of B + row of B), x of shape (p,) or (p, k)."""
-    X = x.reshape(A.shape[1], B.shape[1], -1)
-    Y = (X[:, :, 0] @ B.T)[:, :, None] if X.shape[2] == 1 else B @ X  # one GEMM for a vector right-hand side
-    return (A @ Y.reshape(A.shape[1], -1)).reshape(A.shape[0] * B.shape[0], *x.shape[1:])
+    """(A_f (x) B_f) x_f for stacks A (K, a, a') and B (K, b, b'), x of shape (K, a' b') or (K, a' b', c).
+
+    The vec layout has index = row of A * rows of B + row of B.  Every product is a stacked matmul whose
+    items have the shapes and strides of one system's, so each system's result does not depend on the stack.
+    """
+    K, c = x.shape[0], x.shape[2] if x.ndim == 3 else 1
+    X = x.reshape(K, A.shape[2], B.shape[2], c)
+    # one GEMM per system for a vector right-hand side
+    Y = (X[..., 0] @ np.swapaxes(B, 1, 2))[..., None] if X.shape[3] == 1 else B[:, None] @ X
+    return (A @ Y.reshape(K, A.shape[2], -1)).reshape(K, A.shape[1] * B.shape[1], *x.shape[2:])
+
+
+def _stacked(items: list[np.ndarray]) -> np.ndarray:
+    """``np.stack`` of per-system results; one result is viewed as a stack of one, not copied."""
+    return items[0][None] if len(items) == 1 else np.stack(items)
 
 
 def _calibrate(mu: np.ndarray, penalized: bool, df_target: float, tol: float = 1e-4) -> float:
@@ -532,26 +545,30 @@ def df_to_lambda(Psi: np.ndarray, P_cov: np.ndarray, P_tan: np.ndarray, df_targe
 
 
 class PlsLearner:
-    """Penalized least-squares system A = Psi + lambda S, decomposed once and solved many times.
+    """Penalized least-squares systems A_f = Psi_f + lambda_f S_f, decomposed once and solved many times.
 
-    A learner has one penalty scale ``lam`` and is built by ``unpenalized``, ``calibrated`` or
-    ``calibrated_kron``.  With ``_spectrum``'s T = (U (x) V) diag(c) W, A^{-1} = T diag(1 / (mu +
-    lambda)) T^T for vector, matrix and complex right-hand sides.  On a singular S the learner solves
-    Psi + lambda (S + delta I), delta = 1e-8 max|S|, the system the df calibration sees; S = 0 is
-    unpenalized (lambda = 0).  A learner from ``calibrated_kron`` holds T = L (x) F as its two factors.
-    Directions with mu + lambda <= 1e-12 max(mu + lambda) are dropped with one warning naming the
-    learner (for an unpenalized system, the least-norm pseudo-inverse).
+    A learner is a stack of K systems of one shape (the folds of a cross-validation, K = 1 otherwise),
+    each with its penalty scale ``lam[f]``.  ``unpenalized``, ``calibrated`` and ``calibrated_kron`` build
+    one system; ``stack`` joins systems of one shape.  With ``_spectrum``'s T = (U (x) V) diag(c) W,
+    A^{-1} = T diag(1 / (mu + lambda)) T^T for vector, matrix and complex right-hand sides.  On a
+    singular S a system solves Psi + lambda (S + delta I), delta = 1e-8 max|S|, the system the df
+    calibration sees; S = 0 is unpenalized (lambda = 0).  A system from ``calibrated_kron`` holds
+    T = L (x) F as its two factors, stacked over the systems; dense bases T stay one array per system,
+    as a stack of them would be a copy.  Directions with mu + lambda <= 1e-12 max(mu + lambda) are
+    dropped with one warning naming the learner (for an unpenalized system, the least-norm
+    pseudo-inverse).  ``coords``, ``objective`` and ``coefs`` act on all systems at once, each system's
+    arithmetic that of a stack of one.
     """
 
     def __init__(self, mu: np.ndarray, T: np.ndarray, F: np.ndarray | None, lam: float, label: str):
-        """Keep the basis T (p x p); with F, T holds the factor L of the basis L (x) F instead."""
-        self.lam = lam
-        self._T, self._F = T, F
+        """One system: keep the basis T (p x p); with F, T holds the factor L of the basis L (x) F instead."""
+        self.lam = np.array([lam])
+        self._T, self._F = ([T], None) if F is None else (T[None], F[None])
         shifted = mu + lam
         keep = shifted > 1e-12 * shifted.max()
         if not keep.all():
             warnings.warn(f"{label}: singular PLS system, using pseudo-inverse", stacklevel=3)
-        self._inv = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=keep)
+        self._inv = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=keep)[None]
         self._gain = self._inv * self._inv * (mu + 2.0 * lam)
 
     @classmethod
@@ -573,21 +590,52 @@ class PlsLearner:
         mu, L, F, penalized = _kron_spectrum(A, gram_eig, P_cov, q)
         return cls(mu, L, F, _calibrate(mu, penalized, df_target), label)
 
+    @classmethod
+    def stack(cls, learners: list["PlsLearner"]) -> "PlsLearner":
+        """The systems of several learners of one shape and kind, in order, as one learner."""
+        if len(learners) == 1:
+            return learners[0]
+
+        def joined(name: str) -> np.ndarray:
+            return np.concatenate([getattr(lr, name) for lr in learners])
+
+        out = object.__new__(cls)
+        out.lam, out._inv, out._gain = joined("lam"), joined("_inv"), joined("_gain")
+        if learners[0]._F is None:  # dense bases: a list of the systems' own arrays
+            out._T, out._F = [T for lr in learners for T in lr._T], None
+        else:
+            out._T, out._F = joined("_T"), joined("_F")
+        return out
+
     def coords(self, rhs: np.ndarray) -> np.ndarray:
-        """Coordinates z = T^T rhs of a right-hand side."""
-        if self._F is None:
-            return self._T.T @ rhs
-        return _kron_apply(self._T.T, self._F.T, rhs)
+        """Coordinates z_f = T_f^T rhs_f of right-hand sides (K, p) or (K, p, c), one per system."""
+        if self._F is not None:
+            return _kron_apply(np.swapaxes(self._T, 1, 2), np.swapaxes(self._F, 1, 2), rhs)
+        return _stacked([T.T @ r for T, r in zip(self._T, rhs)])
 
-    def objective(self, z: np.ndarray) -> float:
-        """-2 v^T rhs + v^T Psi v at v = A^{-1} rhs from z = ``coords(rhs)``: -sum z^2 (mu + 2 lam) / (mu + lam)^2."""
-        return -float(self._gain @ (z * z))
+    def objective(self, z: np.ndarray) -> np.ndarray:
+        """-2 v^T rhs + v^T Psi v at v = A^{-1} rhs of every system from z = ``coords(rhs)`` (K, p), shape (K,):
+        -sum z^2 (mu + 2 lam) / (mu + lam)^2."""
+        return -(self._gain[:, None, :] @ (z * z)[:, :, None])[:, 0, 0]
 
-    def coefs(self, z: np.ndarray) -> np.ndarray:
-        """A^{-1} rhs from z = ``coords(rhs)``."""
-        v = (self._inv * z.T).T
-        return self._T @ v if self._F is None else _kron_apply(self._T, self._F, v)
+    def coefs(self, z: np.ndarray, systems: np.ndarray | None = None) -> np.ndarray:
+        """A_f^{-1} rhs_f from z = ``coords(rhs)`` of the systems f in ``systems`` (increasing; all by default),
+        z of shape (k, p[, c]).
+
+        Dense bases are applied one system at a time: a stack of the chosen ones would copy them.
+        """
+        if systems is not None and len(systems) == len(self._T):
+            systems = None  # all systems: views, not copies
+        elif systems is not None and not len(systems):
+            return z
+        pick = slice(None) if systems is None else systems
+        inv = self._inv[pick]
+        v = inv * z if z.ndim == 2 else np.swapaxes(inv[:, None, :] * np.swapaxes(z, 1, 2), 1, 2)
+        if self._F is not None:
+            return _kron_apply(self._T[pick], self._F[pick], v)
+        bases = self._T if systems is None else [self._T[f] for f in systems]
+        return _stacked([T @ vf for T, vf in zip(bases, v)])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.coefs(self.coords(rhs))
-
+        """A^{-1} rhs of a one-system learner, rhs of shape (p,) or (p, c)."""
+        return self.coefs(self.coords(rhs[None]))[0]

@@ -351,6 +351,31 @@ class DesignBand:
         return np.bincount(flat.ravel(), self.vals.ravel(), self.cols.shape[0] * self.dim).reshape(-1, self.dim)
 
 
+def _band_row_sums(prod: np.ndarray) -> np.ndarray:
+    """Row sums of a complex band product (N, width), bit for bit ``prod.sum(axis=1)`` in numpy's order.
+
+    numpy adds a row of fewer than four complex values in sequence, and a longer one in four lanes
+    (c0 + c4 + ..., c1 + c5 + ...) joined as (l0 + l1) + (l2 + l3), then the remainder in sequence;
+    the reduction starts from +0.0.  Column adds skip the per-row overhead of a short reduction.
+    """
+    if prod.shape[1] > 64:  # numpy splits rows of more than 128 floats in halves: no degree of use builds them
+        return prod.sum(axis=1)
+    cols = [prod[:, i] for i in range(prod.shape[1])]
+    if len(cols) < 4:
+        total = 0.0 + cols[0]
+        for c in cols[1:]:
+            total += c
+        return total
+    head = len(cols) - len(cols) % 4
+    lanes = cols[:4]
+    for i in range(4, head, 4):
+        lanes = [lane + c for lane, c in zip(lanes, cols[i : i + 4])]
+    total = 0.0 + ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+    for c in cols[head:]:
+        total += c
+    return total
+
+
 _ALIGN_FAILED = "rotation alignment undefined, |<y, p>| = {:.3e} below threshold"
 _ANTIPODAL = "transport undefined: <y, p> = {:.6f} ~ -||y|| ||p||"
 
@@ -387,11 +412,13 @@ class PackedSample:
             if np.any(sizes != sizes[0]):
                 raise GeometryError("full weight matrices of one sample must all have the same size")
             self.w = None
-            self.W = np.stack(weights).astype(float)
-            ones_w = self.W.sum(axis=1).reshape(-1)  # rows of 1^T W_i
+            W = np.stack(weights).astype(float)
+            ones_w = W.sum(axis=1).reshape(-1)  # rows of 1^T W_i
+            self.W0 = W[0] if (W == W[0]).all() else None  # one matrix shared by every curve (coefficient mode)
+            self.W = W if self.W0 is None else np.broadcast_to(self.W0, W.shape)
         elif not any(full):
             self.w = np.concatenate(weights).astype(float)
-            self.W = None
+            self.W = self.W0 = None
             ones_w = self.w
         else:
             raise GeometryError("a sample cannot mix diagonal and full weight matrices")
@@ -431,10 +458,11 @@ class PackedSample:
         sub.offsets = np.concatenate(([0], np.cumsum(np.diff(self.offsets)[idx])))
         sub.seg = np.repeat(np.arange(sub.n), np.diff(sub.offsets))
         sub.w = None if self.w is None else self.w[rows]
-        sub.W = None
-        if self.W is not None:  # one weight matrix shared by every curve (coefficient mode) is not copied per curve
-            shared = (self.W == self.W[0]).all()
-            sub.W = np.broadcast_to(self.W[0], (idx.size,) + self.W.shape[1:]) if shared else self.W[idx]
+        sub.W0, sub.W = self.W0, self.W  # no weight matrices, or one shared matrix: not copied per curve
+        if self.W0 is not None:
+            sub.W = np.broadcast_to(self.W0, (sub.n,) + self.W0.shape)
+        elif self.W is not None:
+            sub.W = self.W[idx]
         sub._ones_w, sub._ones_ww = self._ones_w[rows], self._ones_ww[idx]
         sub._set_band(None if self.band is None else DesignBand(self.band.cols[rows], self.band.vals[rows], self.band.dim))
         has_values = self.values is not None
@@ -453,6 +481,7 @@ class PackedSample:
         if self.W is None:
             return (self.w if x.ndim == 1 else self.w[:, None]) * x
         n, k = self.W.shape[:2]
+        # one product per curve, of the curve's own shapes, so a curve's rows do not depend on the other curves
         if np.iscomplexobj(x):
             # real arithmetic on the (re, im) pairs: W is not copied to complex
             xr = np.ascontiguousarray(x).view(float)
@@ -480,7 +509,7 @@ class PackedSample:
 
     def field(self, coef: np.ndarray) -> np.ndarray:
         """Evaluations B_i f_i of per-curve complex basis coefficients f (n, m0), gathered over the band."""
-        return (self.band.vals * coef.reshape(-1)[self._bins]).sum(axis=1)
+        return _band_row_sums(self.band.vals * coef.reshape(-1)[self._bins])
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Per-curve B_i^T W_i v_i, shape (n, m0), summed into the band's columns."""

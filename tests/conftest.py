@@ -105,3 +105,28 @@ def rng():
 def tangent_design(grid, transform, basis):
     """Reference complex k x m design of the tangent directions on one grid, B Z_c."""
     return basis.design(np.asarray(grid, dtype=float)) @ transform.complex_columns
+
+
+def tangent_grams(ps):
+    """The tangent Gram stack Re(D_i^H W_i D_i) (n, m, m) of a pole sample."""
+    return ps.transform.gram(ps.packed.design_grams())
+
+
+def residual_projections(ps, coefs):
+    """Projected transported residuals (n, m) of a pole sample at per-curve tangent coefficients (n, m)."""
+    return ps.project(ps.residuals(ps.predictor(coefs))[0])
+
+
+def effect_designs(ctx):
+    """The covariate design of every effect of a one-fold ``_FitContext``, (n, m_j) each."""
+    return [ctx.design[:, b] for b in ctx.blocks]
+
+
+def additive_coefs(designs, thetas):
+    """Tangent coefficients (n, m) of an additive predictor, sum_j X_j Theta_j^T."""
+    return sum(design @ theta.T for design, theta in zip(designs, thetas))
+
+
+def model_coefs(model, covariates, n):
+    """Tangent coefficients (n, m) of a fitted model's additive predictor on a covariate table."""
+    return additive_coefs([eff.cmap.design(covariates, n) for eff in model.effects], [eff.theta for eff in model.effects])

@@ -30,7 +30,17 @@ from shapeboost.geometry import (
 )
 from shapeboost.simulate import SimConfig, default_effects, gen_dataset, gen_truth, run_replicate, study_configs
 
-from conftest import curve_from, irregular_grid, random_pole_and_tangent, smooth_curve, tangent_part
+from conftest import (
+    additive_coefs,
+    curve_from,
+    effect_designs,
+    irregular_grid,
+    random_pole_and_tangent,
+    residual_projections,
+    smooth_curve,
+    tangent_grams,
+    tangent_part,
+)
 from test_factorize import cholesky_factorization
 
 KINDS = (GeometryKind.FORM, GeometryKind.SHAPE)
@@ -258,7 +268,7 @@ def test_criterion_6_frechet_mean():
         pole_t = estimate_pole(curves, kind, basis, cfg)
         ps = _PoleSample.of(curves, pole_t, kind, coef_mode=False)
         eps, _ = ps.residuals(ps.predictor(np.zeros((len(curves), ps.transform.m))))
-        grams = ps.grams()
+        grams = tangent_grams(ps)
         mean_coef = np.linalg.solve(grams.sum(axis=0), ps.project(eps).sum(axis=0))
         G0 = grams.mean(axis=0)
         ratio = np.sqrt(max(mean_coef @ G0 @ mean_coef, 0.0)) / max(np.mean(ps.packed.norm(eps)), 1e-300)
@@ -370,18 +380,19 @@ def test_criterion_9_boosting_behavior(truth, tmp_path):
 
     ps = _PoleSample.of(sample, pole, GeometryKind.FORM, coef_mode=False)
     ctx = _FitContext.of(ps, cov, bc)
-    thetas = [np.zeros((ctx.m, cm.m_j)) for cm in ctx.cmaps]
+    cmaps, designs = ctx.cmaps[0], effect_designs(ctx)
+    thetas = [np.zeros((ctx.m, cm.m_j)) for cm in cmaps]
     trace_ok = True
     for it in range(bc.max_iterations):
-        projs, _ = ps.residual_pass(ctx.predictor_coefs(thetas))
+        projs = residual_projections(ps, additive_coefs(designs, thetas))
         sses = []
         cands = []
         for j in range(len(effects)):
-            psi = assemble_psi_vector(ctx.cov_designs[j], projs)
+            psi = assemble_psi_vector(designs[j], projs)
             v = ctx.learners[j].solve(psi)
-            theta_j = unvec(v, ctx.m, ctx.cmaps[j].m_j)
-            eps, _ = ps.residuals(ps.predictor(ctx.predictor_coefs(thetas)))
-            fitv = ps.predictor(ctx.cov_designs[j] @ theta_j.T)
+            theta_j = unvec(v, ctx.m, cmaps[j].m_j)
+            eps, _ = ps.residuals(ps.predictor(additive_coefs(designs, thetas)))
+            fitv = ps.predictor(designs[j] @ theta_j.T)
             total = float(np.sum(ps.packed.norm(eps - fitv) ** 2))
             sses.append(total)
             cands.append(theta_j)

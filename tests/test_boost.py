@@ -32,7 +32,17 @@ from shapeboost.geometry import (
     uniform_weights,
 )
 
-from conftest import irregular_grid, smooth_curve, tangent_design, tangent_part
+from conftest import (
+    additive_coefs,
+    effect_designs,
+    irregular_grid,
+    model_coefs,
+    residual_projections,
+    smooth_curve,
+    tangent_design,
+    tangent_grams,
+    tangent_part,
+)
 
 BASIS = SplineConfig(degree=3, n_knots=8, cyclic=True)
 
@@ -127,7 +137,7 @@ class TestEstimatePole:
             pole = estimate_pole(curves, kind, basis, cfg)
             ps = _PoleSample.of(curves, pole, kind, coef_mode=False)
             eps, _ = ps.residuals(ps.predictor(np.zeros((len(curves), ps.transform.m))))
-            grams = ps.grams()
+            grams = tangent_grams(ps)
             mean_coef = np.linalg.solve(grams.sum(axis=0), ps.project(eps).sum(axis=0))
             G0 = grams.mean(axis=0)
             mean_norm = np.sqrt(mean_coef @ G0 @ mean_coef)
@@ -267,7 +277,7 @@ class TestPoleSetupOnce:
         logged = log["cond"]
         ps = _PoleSample.of(sample, pole, GeometryKind.FORM, coef_mode=False)
         eps, _ = ps.residuals(ps.predictor(np.zeros((len(sample), ps.transform.m))))
-        G0 = ps.grams().mean(axis=0)
+        G0 = tangent_grams(ps).mean(axis=0)
         step = np.linalg.lstsq(G0, ps.project(eps).mean(axis=0), rcond=None)[0]
         ref = np.sqrt(step @ G0 @ step) / np.mean(ps.packed.norm(eps))
         assert ref > 1e-4  # far from stationary
@@ -334,18 +344,19 @@ class TestBoostFit:
         # independent bookkeeping: replay the iterations, exhaustively refitting
         ps = _PoleSample.of(curves, pole, GeometryKind.FORM, coef_mode=False)
         ctx = _FitContext.of(ps, cov, config)
-        thetas = [np.zeros((ctx.m, cm.m_j)) for cm in ctx.cmaps]
+        cmaps, designs = ctx.cmaps[0], effect_designs(ctx)
+        thetas = [np.zeros((ctx.m, cm.m_j)) for cm in cmaps]
         for it in range(config.max_iterations):
-            projs, _ = ps.residual_pass(ctx.predictor_coefs(thetas))
+            projs = residual_projections(ps, additive_coefs(designs, thetas))
             sse = []
             cands = []
             for j, learner in enumerate(ctx.learners):
-                psi = assemble_psi_vector(ctx.cov_designs[j], projs)
+                psi = assemble_psi_vector(designs[j], projs)
                 v = learner.solve(psi)
                 # full SSE via explicit residual evaluation
-                theta_j = unvec(v, ctx.m, ctx.cmaps[j].m_j)
-                eps, _ = ps.residuals(ps.predictor(ctx.predictor_coefs(thetas)))
-                fitv = ps.predictor(ctx.cov_designs[j] @ theta_j.T)
+                theta_j = unvec(v, ctx.m, cmaps[j].m_j)
+                eps, _ = ps.residuals(ps.predictor(additive_coefs(designs, thetas)))
+                fitv = ps.predictor(designs[j] @ theta_j.T)
                 total = float(np.sum(ps.packed.norm(eps - fitv) ** 2))
                 sse.append(total)
                 cands.append(theta_j)
@@ -453,8 +464,8 @@ def dense_system(Psi, P_cov, P_tan, lam):
 def tangent_penalties(ctx, ps, config):
     """Each learner's tangent penalty P_perp, built as the fit builds it on the pole sample ``ps``."""
     kinds = [config.response_penalty if cm.spec.penalty_tangent == "inherit" else cm.spec.penalty_tangent
-             for cm in ctx.cmaps]
-    return [PenaltyBlock.build(ps.pole.basis, ctx.transform, kind).P_perp for kind in kinds]
+             for cm in ctx.cmaps[0]]
+    return [PenaltyBlock.build(ps.pole.basis, ctx.transforms[0], kind).P_perp for kind in kinds]
 
 
 class TestLearnerSpectrum:
@@ -500,22 +511,22 @@ class TestLearnerSpectrum:
         assert [lr.lam for lr in ctx.learners[3:]] == [0.0, 0.0, 0.0]
         singular = [msg for msg in caught if "singular PLS system" in msg]
         assert singular == [f"effect {name!r}: singular PLS system, using pseudo-inverse" for name in ("flat", "flat2")]
-        grams = inputs[0].grams()
-        projs, _ = inputs[0].residual_pass(ctx.predictor_coefs([np.zeros((ctx.m, cm.m_j)) for cm in ctx.cmaps]))
+        grams, cmaps, designs = tangent_grams(inputs[0]), ctx.cmaps[0], effect_designs(ctx)
+        projs = residual_projections(inputs[0], np.zeros((len(grams), ctx.m)))
         for j, (learner, P_tan) in enumerate(zip(ctx.learners, tangent_penalties(ctx, inputs[0], inputs[2]))):
-            Psi = assemble_psi_matrix(ctx.cov_designs[j], grams)
-            psi = assemble_psi_vector(ctx.cov_designs[j], projs)
-            P_cov, lam = ctx.cmaps[j].penalty, learner.lam
+            Psi = assemble_psi_matrix(designs[j], grams)
+            psi = assemble_psi_vector(designs[j], projs)
+            P_cov, lam = cmaps[j].penalty, learner.lam
             pairs = [(learner, dense_system(Psi, P_cov, P_tan, lam))]
             # unequal weights of the two penalty directions ride in the factors, under one calibrated scale
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                unequal = PlsLearner.calibrated(Psi, 0.5 * P_cov, 2.0 * P_tan, ctx.cmaps[j].spec.df_target)
+                unequal = PlsLearner.calibrated(Psi, 0.5 * P_cov, 2.0 * P_tan, cmaps[j].spec.df_target)
             pairs.append((unequal, dense_system(Psi, 0.5 * P_cov, 2.0 * P_tan, unequal.lam)))
             for lr, A in pairs:
                 v = np.linalg.lstsq(A, psi, rcond=None)[0]
                 ref = float(-2.0 * v @ psi + v @ Psi @ v)
-                assert lr.objective(lr.coords(psi)) == pytest.approx(ref, rel=1e-10), (j, lr.lam)
+                assert lr.objective(lr.coords(psi[None]))[0] == pytest.approx(ref, rel=1e-10), (j, lr.lam)
 
     def test_unpenalized_effect_stores_no_lambda(self, rng):
         # both penalties "none": S = 0, so no scale can lower the df and none is stored
@@ -539,10 +550,10 @@ class TestLearnerSpectrum:
                  for i, t in enumerate(targets)]
         inputs = self._inputs(rng, GeometryKind.FORM, extra)
         ctx, _ = self._context(inputs)
-        grams = inputs[0].grams()
+        grams = tangent_grams(inputs[0])
         # the basis of S + delta I has condition up to 1/delta = 1e8, which scales the solve's rounding
         tol = 10 * np.finfo(float).eps / 1e-8
-        for learner, design, cmap, P_tan, target in zip(ctx.learners[2:], ctx.cov_designs[2:], ctx.cmaps[2:],
+        for learner, design, cmap, P_tan, target in zip(ctx.learners[2:], effect_designs(ctx)[2:], ctx.cmaps[0][2:],
                                                         tangent_penalties(ctx, inputs[0], inputs[2])[2:], targets):
             P_cov = cmap.penalty
             S = np.kron(P_cov, np.eye(P_tan.shape[0])) + np.kron(np.eye(P_cov.shape[0]), P_tan)
@@ -562,14 +573,14 @@ class TestLearnerSpectrum:
         inputs = self._inputs(rng, GeometryKind.FORM, extra)
         calls = _linalg_spy(monkeypatch)
         ctx, _ = self._context(inputs)
-        tangent = {kind: PenaltyBlock.build(inputs[0].pole.basis, ctx.transform, kind).P_perp
+        tangent = {kind: PenaltyBlock.build(inputs[0].pole.basis, ctx.transforms[0], kind).P_perp
                    for kind in ("second_diff", "none")}
-        covariate = {id(cm.penalty) for cm in ctx.cmaps}
+        covariate = {id(cm.penalty) for cm in ctx.cmaps[0]}
         on_tangent = [kind for _, a in calls for kind, P in tangent.items() if np.array_equal(a, P)]
         assert [name for name, _ in calls if name != "eigh"] == []
         systems = [a.shape for name, a in calls if name == "eigh" and id(a) not in covariate
                    and not any(np.array_equal(a, P) for P in tangent.values())]
-        assert systems == [(ctx.m * cm.m_j,) * 2 for cm in ctx.cmaps]
+        assert systems == [(ctx.m * cm.m_j,) * 2 for cm in ctx.cmaps[0]]
         # the tangent penalty's eigenpairs are computed once per kind: "second_diff" and "none"
         assert sorted(on_tangent) == ["none", "second_diff"]
 
@@ -628,13 +639,14 @@ class TestStructuredLearners:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ctx = _FitContext.of(*inputs)
-        bound = max(ctx.m, *(cm.m_j for cm in ctx.cmaps))
+        bound = max(ctx.m, *(cm.m_j for cm in ctx.cmaps[0]))
         assert {name for name, _ in calls} == {"eigh"}
         assert max(a.shape[0] for _, a in calls) <= bound
-        for lr, cm in zip(ctx.learners, ctx.cmaps):
+        for lr, cm in zip(ctx.learners, ctx.cmaps[0]):
             arrays = [a for a in vars(lr).values() if isinstance(a, np.ndarray)]
-            assert lr._F is not None and len(arrays) == 4, cm.spec.name  # T = L (x) F held as its two factors
-            assert all(a.ndim == 1 or max(a.shape) <= bound for a in arrays), cm.spec.name
+            # lam, T = L (x) F held as its two factors, and two weights per direction; one system, K = 1
+            assert lr._F is not None and len(arrays) == 5 and lr.lam.shape == (1,), cm.spec.name
+            assert all(a.shape[0] == 1 and (a.ndim == 2 or max(a.shape) <= bound) for a in arrays), cm.spec.name
 
     def test_coefficient_mode_second_diff_stays_dense(self, rng, monkeypatch):
         from shapeboost.boost import _FitContext
@@ -646,11 +658,12 @@ class TestStructuredLearners:
             ctx = _FitContext.of(*inputs)
         # one Psi-sized eigh per inherited second-difference learner; "ridged", the last effect, keeps its
         # own tangent penalty "none" and takes the structured path: eigh(G) and an m_j-sized eigh
-        P_tan = PenaltyBlock.build(inputs[0].pole.basis, ctx.transform, "second_diff").P_perp
-        covariate = {id(cm.penalty) for cm in ctx.cmaps}
+        cmaps = ctx.cmaps[0]
+        P_tan = PenaltyBlock.build(inputs[0].pole.basis, ctx.transforms[0], "second_diff").P_perp
+        covariate = {id(cm.penalty) for cm in cmaps}
         assert sum(np.array_equal(a, P_tan) for _, a in calls) == 1
         systems = [a.shape for name, a in calls if id(a) not in covariate and not np.array_equal(a, P_tan)]
-        assert systems == [(ctx.m * cm.m_j,) * 2 for cm in ctx.cmaps[:-1]] + [(ctx.m,) * 2, (ctx.cmaps[-1].m_j,) * 2]
+        assert systems == [(ctx.m * cm.m_j,) * 2 for cm in cmaps[:-1]] + [(ctx.m,) * 2, (cmaps[-1].m_j,) * 2]
 
     @pytest.mark.parametrize("kind", [GeometryKind.FORM, GeometryKind.SHAPE])
     def test_common_grid_matches_dense_path(self, rng, kind, monkeypatch):
@@ -756,6 +769,44 @@ class TestCrossValidation:
         assert seen["held_out"] == [n] * passes
         assert seen["grams"] == [n, n]  # the pole's and the folds'
 
+    @pytest.mark.parametrize("weights", ["trapezoid", "gram"])
+    def test_work_per_iteration_does_not_grow_with_the_folds(self, weights, monkeypatch):
+        # one batched step per lockstep iteration: each learner's coords, objective and coefs once for all
+        # folds, and one predictor pass each for the training and the held-out rows, at any fold count
+        import shapeboost.boost as sbboost
+        from shapeboost.effects import PlsLearner
+
+        rng = np.random.default_rng(5)
+        if weights == "gram":
+            curves, cov, basis = _coefficient_dataset(rng, GeometryKind.FORM, n=19)
+            _, _, effects, _, _ = make_dataset(np.random.default_rng(0), n=2)
+        else:
+            curves, cov, effects, basis, _ = make_dataset(rng, n=19)
+        config = BoostConfig(effects=effects, step_length=0.4, max_iterations=0, response_basis=BASIS,
+                             weight_rule=weights)
+        pole = estimate_pole(curves, GeometryKind.FORM, basis, config)
+        calls = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or real(*args))
+
+        for name in ("coords", "objective", "coefs"):
+            spy(PlsLearner, name)
+        spy(sbboost, "_predictor_fields")
+        per_iteration = {}
+        for folds in (2, 4, 5):  # 19 curves: folds of two sizes at every count
+            counts = []
+            for iterations in (3, 6):
+                calls.clear()
+                cv_early_stop(curves, cov, dataclasses.replace(config, max_iterations=iterations, cv_folds=folds),
+                              GeometryKind.FORM, pole=pole)
+                counts.append({name: calls.count(name) for name in set(calls)})
+            per_iteration[folds] = {name: (counts[1][name] - counts[0][name]) / 3 for name in counts[1]}
+        J = len(effects)
+        assert per_iteration[2] == {"coords": J, "objective": J, "coefs": J, "_predictor_fields": 2}
+        assert per_iteration[4] == per_iteration[2] and per_iteration[5] == per_iteration[2]
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_similarity_transforms_do_not_change_cv(self, seed):
         # per-curve rotation and translation (forms), and rescaling too (shapes), act on the quotient only
@@ -807,7 +858,7 @@ class TestPrediction:
             x = {"kappa": cov["kappa"][i], "z": cov["z"][i]}
             mu = predict_mean(model, x, curves[i].grid, curves[i].weights)
             ps = _PoleSample.of(curves, pole, kind, False, model.transform)
-            mu_insample = ps.means(ps.predictor(model.predictor_coefs(cov, len(curves))))[ps.packed.seg == i]
+            mu_insample = ps.means(ps.packed.field(model.predictor_fields(cov, len(curves))))[ps.packed.seg == i]
             assert np.abs(mu - mu_insample).max() <= 1e-12
 
     def test_shape_prediction_unit_norm(self, rng):
@@ -859,7 +910,7 @@ class TestRiskAndRmse:
         # use the fitted effect itself as "truth": rmse must vanish without pole transport
         eff = model.effects[0]
         fitted, totals = [], []
-        coefs = model.predictor_coefs(cov, len(curves))
+        coefs = model_coefs(model, cov, len(curves))
         for i, c in enumerate(curves):
             x = {"kappa": cov["kappa"][i], "z": cov["z"][i]}
             D = tangent_design(c.grid, model.transform, basis)
@@ -954,7 +1005,7 @@ class TestPackedKernel:
         model = boost_fit(curves, cov, config, pole, kind)
         packed = transported_residuals(model, curves, cov).residuals
         assert len({c.k for c in curves}) > 1 or weights == "gram"
-        coefs = model.predictor_coefs(cov, len(curves))
+        coefs = model_coefs(model, cov, len(curves))
         for i, curve in enumerate(curves):
             x = {name: cov[name][i] for name in cov}
             w = curve.weights
@@ -1013,6 +1064,31 @@ class TestParallelCv:
             assert np.array_equal(res.fold_risks, serial.fold_risks), workers
             assert res.m_stop == serial.m_stop
         assert [pool["chunks"] for pool in fake_pool] == [[[0, 1], [2, 3]], [[0, 1], [2], [3]], [[0], [1], [2], [3]]]
+
+    def test_folds_of_two_learner_kinds_in_separate_batches(self, monkeypatch):
+        # one curve off the shared grid: the fold that holds it out has training curves of one tangent Gram
+        # (Kronecker-factored learners), the others do not; they are boosted in two batches, each fold as alone
+        from shapeboost.boost import _FitContext
+
+        curves, cov, effects, basis, _ = make_dataset(np.random.default_rng(2), n=16, common_grid=True)
+        c = curves[0]
+        curves[0] = CurveSample(c.id, c.grid[:-1], c.values[:-1], trapezoid_weights(c.grid[:-1]))
+        config = BoostConfig(effects=effects, step_length=0.4, max_iterations=4, cv_folds=4, rng_seed=3,
+                             response_basis=BASIS, response_penalty="ridge")
+        pole = estimate_pole(curves, GeometryKind.FORM, basis, config)
+        batches = []
+        init = _FitContext.__init__
+        monkeypatch.setattr(_FitContext, "__init__", lambda self, folds, *a: batches.append(
+            [fold.shared is not None for fold in folds]) or init(self, folds, *a))
+        res = cv_early_stop(curves, cov, config, GeometryKind.FORM, pole=pole)
+        assert sorted(batches) == [[False, False, False], [True]]
+        for f in range(config.cv_folds):
+            train, test = np.flatnonzero(res.fold_assignment != f), np.flatnonzero(res.fold_assignment == f)
+            for t in (0, 2, config.max_iterations):
+                stopped = boost_fit([curves[i] for i in train], {k: v[train] for k, v in cov.items()},
+                                    dataclasses.replace(config, max_iterations=t), pole, GeometryKind.FORM)
+                held_out = empirical_risk(stopped, [curves[i] for i in test], {k: v[test] for k, v in cov.items()})
+                assert res.fold_risks[f, t] == held_out, (f, t)
 
     def test_workers_capped_at_the_fold_count(self, fake_pool):
         curves, cov, config, pole = self._cv_inputs(GeometryKind.FORM, "trapezoid")

@@ -580,9 +580,11 @@ class TestKronLearnerMatchesDense:
                     rng.normal(size=p) + 1j * rng.normal(size=p), rng.normal(size=(p, 2)) + 1j * rng.normal(size=(p, 2))):
             ref = dense.solve(rhs)
             assert np.linalg.norm(kron.solve(rhs) - ref) <= 1e-10 * np.linalg.norm(ref)
-            assert np.linalg.norm(kron.coefs(kron.coords(rhs)) - ref) <= 1e-10 * np.linalg.norm(ref)
-        v = rng.normal(size=p)
-        assert kron.objective(kron.coords(v)) == pytest.approx(dense.objective(dense.coords(v)), rel=1e-10)
-        # the factors are m_j x m_j and m x m: no p x p array
-        assert max(a.shape[0] for a in vars(kron).values() if isinstance(a, np.ndarray)) == p
-        assert all(a.ndim == 1 or a.shape[0] in (m, mj) for a in vars(kron).values() if isinstance(a, np.ndarray))
+            assert np.linalg.norm(kron.coefs(kron.coords(rhs[None]))[0] - ref) <= 1e-10 * np.linalg.norm(ref)
+        v = rng.normal(size=p)[None]
+        assert kron.objective(kron.coords(v))[0] == pytest.approx(dense.objective(dense.coords(v))[0], rel=1e-10)
+        # one system, whose factors are m_j x m_j and m x m: no p x p array
+        arrays = [a for a in vars(kron).values() if isinstance(a, np.ndarray)]
+        assert all(a.shape[0] == 1 for a in arrays)
+        assert max(a.shape[-1] for a in arrays) == p
+        assert all(a.ndim < 3 or a.shape[1] in (m, mj) for a in arrays)

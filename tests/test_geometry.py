@@ -389,6 +389,61 @@ class TestTake:
         assert np.array_equal(packed.rows(idx), np.concatenate([np.arange(*packed.offsets[i : i + 2]) for i in idx]))
 
 
+    def test_shared_weight_rows_of_every_subset(self):
+        # one weight matrix for every curve, held once: W0 x_i is one product per curve, and any gathered
+        # subset, a lone curve included, gets the whole sample's rows bit for bit, up to the sizes of the
+        # stacked training curves of a cross-validation
+        rng = np.random.default_rng(7)
+        for k, n in ((5, 36), (12, 36), (28, 36), (12, 1500)):
+            W0 = random_spd(rng, k) + 0.01 * rng.normal(size=(k, k))  # not symmetric: W0, not its transpose
+            packed = PackedSample([W0] * n, [f"c{i}" for i in range(n)])
+            assert packed.W0 is not None and packed.W.strides[0] == 0
+            x = rng.normal(size=n * k) + 1j * rng.normal(size=n * k)
+            whole = packed.weigh(x)
+            per_curve = np.concatenate([W0 @ xi for xi in x.reshape(n, k)])
+            np.testing.assert_allclose(whole, per_curve, rtol=1e-13, atol=1e-13 * np.abs(per_curve).max())
+            sizes = [1, 1, 2, 3, n - 1, n, *rng.integers(1, 2 * n, 40 if n < 100 else 6)]
+            for size in sizes:
+                idx = rng.choice(n, size=size, replace=size > n)
+                sub = packed.take(idx)
+                assert sub.W0 is packed.W0 and sub.W.strides[0] == 0
+                rows = packed.rows(idx)
+                assert np.array_equal(sub.weigh(x[rows]), whole[rows]), (k, size)
+
+
+class TestBandRowSums:
+    """``PackedSample.field`` adds its band's columns in numpy's order: ``.sum(axis=1)`` bit for bit."""
+
+    # 1: the identity band of coefficient mode; d + 1: a degree-d B-spline band (cubic: 4)
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 64, 65])
+    def test_bits_of_numpy_sum(self, width):
+        from shapeboost.geometry import _band_row_sums
+
+        rng = np.random.default_rng(width)
+        for _ in range(20):
+            prod = (rng.normal(size=(300, width)) + 1j * rng.normal(size=(300, width))) \
+                * 10.0 ** rng.integers(-8, 8, size=(300, width))
+            prod[rng.random((300, width)) < 0.3] = 0.0
+            prod[rng.random((300, width)) < 0.3] *= -0.0  # signed zeros, and rows of only -0.0
+            prod[:20] = -0.0
+            got, ref = _band_row_sums(prod), prod.sum(axis=1)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_field_of_a_cubic_band(self, rng):
+        from shapeboost.basis import SplineConfig, build_response_basis, sample_design
+
+        basis = build_response_basis(SplineConfig(3, 9, cyclic=True), np.linspace(0, 1, 50))
+        curves = []
+        for i in range(6):
+            grid = irregular_grid(rng, int(rng.integers(5, 30)))
+            curves.append(CurveSample(f"c{i}", grid, smooth_curve(rng, grid), trapezoid_weights(grid)))
+        packed = PackedSample.of(curves, sample_design(basis, curves))
+        assert packed.band.vals.shape[1] == 4
+        coef = rng.normal(size=(6, basis.dim)) + 1j * rng.normal(size=(6, basis.dim))
+        ref = (packed.band.vals * coef.reshape(-1)[packed._bins]).sum(axis=1)
+        assert np.array_equal(packed.field(coef), ref)
+
+
 class TestCurveSample:
     def test_rejects_short_and_nonmonotone(self):
         with pytest.raises(GeometryError):
