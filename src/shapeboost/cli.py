@@ -129,6 +129,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
+    if args.tau is not None and not (np.isfinite(args.tau) and args.tau > 0):
+        raise sbio.SchemaError(f"--tau must be finite and positive, got {args.tau}")
     model, digest, sample, covariates = _load_model_inputs(args)
     report = {"config_hash": digest, "effects": {}, "predictor": None}
     facs = {}

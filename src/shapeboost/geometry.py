@@ -341,39 +341,21 @@ class DesignBand:
         return cls(np.tile(np.arange(dim), n)[:, None], np.ones((n * dim, 1)), dim)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """B x for one coefficient vector (dim,) or matrix (dim, c)."""
+        """B x for one coefficient vector (dim,) or matrix (dim, c).
+
+        A row adds its slot products in slot order (a copy of the first, then ``+=`` each further one),
+        so it equals ``(vals * x[cols]).sum(axis=1)`` only to rounding."""
         x = np.asarray(x)
-        return (self.vals.reshape(self.vals.shape + (1,) * (x.ndim - 1)) * x[self.cols]).sum(axis=1)
+        prod = self.vals.reshape(self.vals.shape + (1,) * (x.ndim - 1)) * x[self.cols]
+        total = prod[:, 0].copy()
+        for j in range(1, prod.shape[1]):
+            total += prod[:, j]
+        return total
 
     def dense(self) -> np.ndarray:
         """The design matrix, (N, dim)."""
         flat = self.cols + self.dim * np.arange(self.cols.shape[0])[:, None]
         return np.bincount(flat.ravel(), self.vals.ravel(), self.cols.shape[0] * self.dim).reshape(-1, self.dim)
-
-
-def _band_row_sums(prod: np.ndarray) -> np.ndarray:
-    """Row sums of a complex band product (N, width), bit for bit ``prod.sum(axis=1)`` in numpy's order.
-
-    numpy adds a row of fewer than four complex values in sequence, and a longer one in four lanes
-    (c0 + c4 + ..., c1 + c5 + ...) joined as (l0 + l1) + (l2 + l3), then the remainder in sequence;
-    the reduction starts from +0.0.  Column adds skip the per-row overhead of a short reduction.
-    """
-    if prod.shape[1] > 64:  # numpy splits rows of more than 128 floats in halves: no degree of use builds them
-        return prod.sum(axis=1)
-    cols = [prod[:, i] for i in range(prod.shape[1])]
-    if len(cols) < 4:
-        total = 0.0 + cols[0]
-        for c in cols[1:]:
-            total += c
-        return total
-    head = len(cols) - len(cols) % 4
-    lanes = cols[:4]
-    for i in range(4, head, 4):
-        lanes = [lane + c for lane, c in zip(lanes, cols[i : i + 4])]
-    total = 0.0 + ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-    for c in cols[head:]:
-        total += c
-    return total
 
 
 _ALIGN_FAILED = "rotation alignment undefined, |<y, p>| = {:.3e} below threshold"
@@ -434,6 +416,7 @@ class PackedSample:
         if band is not None:
             self._bins = self.seg[:, None] * band.dim + band.cols  # flat (curve, column) index of every slot
             self._pair_bins = (2 * self._bins[:, :, None] + np.arange(2)).ravel()  # and of its (re, im) parts
+            self._flat_band = DesignBand(self._bins, band.vals, self.n * band.dim)  # block-diagonal band of all curves
 
     @classmethod
     def of(cls, curves: list[CurveSample], band: DesignBand | None = None) -> "PackedSample":
@@ -508,8 +491,10 @@ class PackedSample:
     # -- basis-coefficient space -------------------------------------------
 
     def field(self, coef: np.ndarray) -> np.ndarray:
-        """Evaluations B_i f_i of per-curve complex basis coefficients f (n, m0), gathered over the band."""
-        return _band_row_sums(self.band.vals * coef.reshape(-1)[self._bins])
+        """B_i f_i of per-curve coefficients f (n, m0): the block-diagonal band @ f, added in slot order.
+
+        Like ``DesignBand.__matmul__``, it equals ``.sum(axis=1)`` of the slot products only to rounding."""
+        return self._flat_band @ coef.reshape(-1)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Per-curve B_i^T W_i v_i, shape (n, m0), summed into the band's columns."""

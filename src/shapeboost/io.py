@@ -17,6 +17,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from io import StringIO
 from pathlib import Path
 
@@ -259,6 +260,35 @@ def _parse_spline(d: dict, where: str) -> SplineConfig:
         raise SchemaError(f"{where}: {exc}") from None
 
 
+# typed reads of config values: a value of another JSON type (a bool is not a number) is a TypeError naming the key
+def _string(d: dict, key: str) -> str:
+    value = d[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key!r} must be a string, got {json.dumps(value)}")
+    return value
+
+
+def _strings(d: dict, key: str) -> tuple[str, ...]:
+    value = d.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{key!r} must be a list of strings, got {json.dumps(value)}")
+    return tuple(value)
+
+
+def _number(d: dict, key: str, default: float) -> float:
+    value = d.get(key, default)
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
+        raise TypeError(f"{key!r} must be a finite number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _integer(d: dict, key: str, default: int) -> int:
+    value = d.get(key, default)
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise TypeError(f"{key!r} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def parse_config(doc: dict) -> tuple[GeometryKind, BoostConfig]:
     """Validate a model configuration document; unknown keys are rejected."""
     if not isinstance(doc, dict):
@@ -293,18 +323,18 @@ def parse_config(doc: dict) -> tuple[GeometryKind, BoostConfig]:
         try:
             effects.append(
                 EffectSpec(
-                    name=str(e["name"]),
-                    kind=str(e["kind"]),
-                    covariates=tuple(e.get("covariates", ())),
+                    name=_string(e, "name"),
+                    kind=_string(e, "kind"),
+                    covariates=_strings(e, "covariates"),
                     covariate_basis=basis,
-                    df_target=float(e.get("df", 4.0)),
+                    df_target=_number(e, "df", 4.0),
                     penalty_covariate=str(e.get("penalty", "ridge")),
                     penalty_tangent=str(e.get("tangent_penalty", "inherit")),
                     centering=str(e.get("centering", "sum_to_zero")),
-                    parents=tuple(e.get("parents", ())),
+                    parents=_strings(e, "parents"),
                 )
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SchemaError(f"{where}: {exc}") from None
 
     b = doc.get("boosting", {})
@@ -314,15 +344,15 @@ def parse_config(doc: dict) -> tuple[GeometryKind, BoostConfig]:
     try:
         config = BoostConfig(
             effects=effects,
-            step_length=float(b.get("eta", 0.1)),
-            max_iterations=int(b.get("iterations", 100)),
-            cv_folds=int(b.get("folds", 10)),
-            rng_seed=int(b.get("seed", 0)),
+            step_length=_number(b, "eta", 0.1),
+            max_iterations=_integer(b, "iterations", 100),
+            cv_folds=_integer(b, "folds", 10),
+            rng_seed=_integer(b, "seed", 0),
             response_basis=response_basis,
             response_penalty=response_penalty,
             weight_rule=weight_rule,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"config.boosting: {exc}") from None
     return kind, config
 

@@ -141,8 +141,10 @@ class SimConfig:
         self.kind = GeometryKind.parse(self.kind)
         if self.n % BATCH_SIZE != 0:
             raise EffectError(f"sample size must be a multiple of {BATCH_SIZE}, got {self.n}")
-        if self.k_bar < 3:
-            raise EffectError("average grid size must be at least 3")
+        if not (np.isfinite(self.k_bar) and self.k_bar >= 3):
+            raise EffectError(f"average grid size must be finite and at least 3, got {self.k_bar}")
+        if not (np.isfinite(self.target_nsr) and self.target_nsr >= 0):
+            raise EffectError(f"noise-to-signal ratio must be finite and nonnegative, got {self.target_nsr}")
         if self.weight_rule not in ("trapezoid", "uniform"):
             raise EffectError("simulation supports trapezoid or uniform weights")
 

@@ -7,6 +7,7 @@ from shapeboost.geometry import (
     AntipodalTransport,
     CurveSample,
     DegenerateAlignment,
+    DesignBand,
     GeometryError,
     GeometryKind,
     PackedSample,
@@ -411,37 +412,58 @@ class TestTake:
                 assert np.array_equal(sub.weigh(x[rows]), whole[rows]), (k, size)
 
 
-class TestBandRowSums:
-    """``PackedSample.field`` adds its band's columns in numpy's order: ``.sum(axis=1)`` bit for bit."""
+class TestOneBandProduct:
+    """``PackedSample.field`` is ``DesignBand.__matmul__`` on the block-diagonal band of all curves, bit for bit."""
 
-    # 1: the identity band of coefficient mode; d + 1: a degree-d B-spline band (cubic: 4)
-    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 64, 65])
-    def test_bits_of_numpy_sum(self, width):
-        from shapeboost.geometry import _band_row_sums
+    @staticmethod
+    def _same_bits(a, b):
+        assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
-        rng = np.random.default_rng(width)
-        for _ in range(20):
-            prod = (rng.normal(size=(300, width)) + 1j * rng.normal(size=(300, width))) \
-                * 10.0 ** rng.integers(-8, 8, size=(300, width))
-            prod[rng.random((300, width)) < 0.3] = 0.0
-            prod[rng.random((300, width)) < 0.3] *= -0.0  # signed zeros, and rows of only -0.0
-            prod[:20] = -0.0
-            got, ref = _band_row_sums(prod), prod.sum(axis=1)
-            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    @staticmethod
+    def _packed(rng, cfg):
+        from shapeboost.basis import build_response_basis, sample_design
 
-    def test_field_of_a_cubic_band(self, rng):
-        from shapeboost.basis import SplineConfig, build_response_basis, sample_design
-
-        basis = build_response_basis(SplineConfig(3, 9, cyclic=True), np.linspace(0, 1, 50))
+        basis = build_response_basis(cfg, np.linspace(0, 1, 50))
         curves = []
         for i in range(6):
             grid = irregular_grid(rng, int(rng.integers(5, 30)))
             curves.append(CurveSample(f"c{i}", grid, smooth_curve(rng, grid), trapezoid_weights(grid)))
-        packed = PackedSample.of(curves, sample_design(basis, curves))
-        assert packed.band.vals.shape[1] == 4
-        coef = rng.normal(size=(6, basis.dim)) + 1j * rng.normal(size=(6, basis.dim))
-        ref = (packed.band.vals * coef.reshape(-1)[packed._bins]).sum(axis=1)
-        assert np.array_equal(packed.field(coef), ref)
+        return PackedSample.of(curves, sample_design(basis, curves)), basis.dim
+
+    @staticmethod
+    def _coefs(rng, shape, signed_zeros=True):
+        coef = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.integers(-8, 8, size=shape)
+        if signed_zeros:
+            coef[rng.random(shape) < 0.2] *= -0.0
+        return coef
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_field_rows_are_each_curves_band_product(self, rng, degree, cyclic):
+        from shapeboost.basis import SplineConfig
+
+        packed, m0 = self._packed(rng, SplineConfig(degree, 7, cyclic=cyclic))
+        assert packed.band.vals.shape[1] == degree + 1
+        coef = self._coefs(rng, (packed.n, m0))
+        got = packed.field(coef)
+        for i in range(packed.n):
+            r = slice(packed.offsets[i], packed.offsets[i + 1])
+            self._same_bits(got[r], DesignBand(packed.band.cols[r], packed.band.vals[r], m0) @ coef[i])
+
+    def test_shared_coefficients_give_the_band_product(self, rng):
+        from shapeboost.basis import SplineConfig
+
+        packed, m0 = self._packed(rng, SplineConfig(3, 9, cyclic=True))
+        c = self._coefs(rng, m0)
+        self._same_bits(packed.field(np.tile(c, (packed.n, 1))), packed.band @ c)
+
+    def test_identity_band_gathers_the_coefficients(self, rng):
+        n, m0 = 5, 8
+        W0 = random_spd(rng, m0)
+        packed = PackedSample([W0] * n, [f"c{i}" for i in range(n)], band=DesignBand.identity(m0, n))
+        # a real slot value times a complex coefficient is a complex product, which may flip the sign of a zero part
+        coef = self._coefs(rng, (n, m0), signed_zeros=False)
+        self._same_bits(packed.field(coef), coef.reshape(-1))
 
 
 class TestCurveSample:

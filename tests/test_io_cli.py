@@ -298,6 +298,56 @@ class TestConfig:
         with pytest.raises(sbio.SchemaError, match="geometry"):
             sbio.parse_config(doc)
 
+    @pytest.mark.parametrize(
+        "section, key, value, expected",
+        [
+            ("boosting", "seed", None, "an integer"),
+            ("boosting", "seed", 1.5, "an integer"),
+            ("boosting", "seed", True, "an integer"),
+            ("boosting", "iterations", None, "an integer"),
+            ("boosting", "iterations", 2.7, "an integer"),
+            ("boosting", "iterations", True, "an integer"),
+            ("boosting", "folds", None, "an integer"),
+            ("boosting", "folds", 2.5, "an integer"),
+            ("boosting", "eta", [1], "a finite number"),
+            ("boosting", "eta", "0.1", "a finite number"),
+            ("boosting", "eta", True, "a finite number"),
+            ("boosting", "eta", float("nan"), "a finite number"),
+            ("boosting", "eta", 10**400, "a finite number"),
+            ("effect", "name", None, "a string"),
+            ("effect", "name", 5, "a string"),
+            ("effect", "kind", 3, "a string"),
+            ("effect", "covariates", 5, "a list of strings"),
+            ("effect", "covariates", "z1", "a list of strings"),
+            ("effect", "covariates", [1], "a list of strings"),
+            ("effect", "parents", "group", "a list of strings"),
+            ("effect", "df", None, "a finite number"),
+            ("effect", "df", "3", "a finite number"),
+            ("effect", "df", True, "a finite number"),
+            ("effect", "df", float("nan"), "a finite number"),
+        ],
+    )
+    def test_ill_typed_value_rejected(self, section, key, value, expected):
+        doc = json.loads(json.dumps(CONFIG))
+        (doc["boosting"] if section == "boosting" else doc["effects"][1])[key] = value
+        where = "config.boosting" if section == "boosting" else r"config.effects\[1\]"
+        with pytest.raises(sbio.SchemaError, match=f"^{where}: '{key}' must be {expected}, got "):
+            sbio.parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("boosting", "seed", None), ("boosting", "iterations", 2.7), ("effect", "name", None), ("effect", "covariates", 5)],
+    )
+    def test_ill_typed_value_exit2(self, dataset, tmp_path, capsys, section, key, value):
+        base, curves, covars, truth, config = dataset
+        doc = json.loads(json.dumps(CONFIG))
+        (doc["boosting"] if section == "boosting" else doc["effects"][1])[key] = value
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert main(["fit", str(curves), str(covars), str(tmp_path / "c.json"), str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}' must be" in err and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_hash_stable_under_key_order(self):
         a = {"x": 1, "y": [1, 2]}
         b = {"y": [1, 2], "x": 1}
@@ -483,6 +533,30 @@ class TestCliPipeline:
         rc = main(["predict", str(mfile), str(covars), str(tmp_path / "pred.csv"), "--points", points])
         assert rc == 2
         assert "--points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "0", "-1"])
+    def test_factorize_tau_out_of_range_exit2(self, dataset, fitted, tmp_path, capsys, tau):
+        base, curves, covars, truth, config = dataset
+        report = tmp_path / "report.json"
+        assert main(["factorize", str(fitted), str(curves), str(covars), str(report), "--tau", tau]) == 2
+        assert "--tau must be finite and positive" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--nsr", "nan", "noise-to-signal ratio"),
+            ("--nsr", "inf", "noise-to-signal ratio"),
+            ("--nsr", "-1", "noise-to-signal ratio"),
+            ("--kbar", "nan", "average grid size"),
+            ("--kbar", "inf", "average grid size"),
+        ],
+    )
+    def test_simulate_out_of_range_exit2(self, tmp_path, capsys, flag, value, message):
+        files = [tmp_path / name for name in ("c.csv", "v.csv", "t.json")]
+        assert main(["simulate", *map(str, files), "--n", "18", "--kbar", "12", flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(f.exists() for f in files)
 
     def test_cv_writes_risk_table(self, dataset, tmp_path):
         base, curves, covars, truth, config = dataset
